@@ -16,22 +16,7 @@ Typical use::
     k = gen(2.0).matrix   # d^2 x d^2 generator matrix at t = 2
 """
 
-from .algebra import (
-    SuperOp,
-    SystemModel,
-    anticommutator_super,
-    commutator_super,
-    heisenberg_X,
-    identity_superop,
-    left_mult,
-    right_mult,
-    superop_apply,
-    superop_axpy,
-    superop_compose,
-    unvec,
-    vec,
-    zero_superop,
-)
+from .algebra import SuperOp, SystemModel, unvec, vec
 from .bath import (
     BathSpec,
     KernelTable,
@@ -99,16 +84,6 @@ __all__ = [
     "SuperOp",
     "vec",
     "unvec",
-    "left_mult",
-    "right_mult",
-    "commutator_super",
-    "anticommutator_super",
-    "heisenberg_X",
-    "superop_apply",
-    "superop_compose",
-    "superop_axpy",
-    "identity_superop",
-    "zero_superop",
     # quadrature
     "QuadratureSpec",
     # cumulant

@@ -21,16 +21,6 @@ __all__ = [
     "SuperOp",
     "vec",
     "unvec",
-    "left_mult",
-    "right_mult",
-    "commutator_super",
-    "anticommutator_super",
-    "heisenberg_X",
-    "superop_apply",
-    "superop_compose",
-    "superop_axpy",
-    "identity_superop",
-    "zero_superop",
 ]
 
 _HERM_TOL = 1e-12
@@ -67,57 +57,6 @@ class SuperOp:
 
     def norm_fro(self) -> float:
         return float(np.linalg.norm(self.matrix))
-
-
-def superop_apply(s: SuperOp, rho: np.ndarray) -> np.ndarray:
-    """Apply a superoperator to a density matrix."""
-    return s.apply(rho)
-
-
-def superop_compose(s1: SuperOp, s2: SuperOp) -> SuperOp:
-    """Composition s1 after s2 (s2 acts on the state first)."""
-    if s1.dim != s2.dim:
-        raise ValueError("dimension mismatch in composition")
-    return SuperOp(s1.dim, s1.matrix @ s2.matrix)
-
-
-def superop_axpy(c: complex, s1: SuperOp, s2: SuperOp) -> SuperOp:
-    """c * s1 + s2."""
-    if s1.dim != s2.dim:
-        raise ValueError("dimension mismatch in axpy")
-    return SuperOp(s1.dim, c * s1.matrix + s2.matrix)
-
-
-def identity_superop(dim: int) -> SuperOp:
-    return SuperOp(dim, np.eye(dim**2, dtype=complex))
-
-
-def zero_superop(dim: int) -> SuperOp:
-    return SuperOp(dim, np.zeros((dim**2, dim**2), dtype=complex))
-
-
-def left_mult(a: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> a rho in the column-stacking convention."""
-    a = np.asarray(a, dtype=complex)
-    return np.kron(np.eye(a.shape[0]), a)
-
-
-def right_mult(a: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> rho a."""
-    a = np.asarray(a, dtype=complex)
-    return np.kron(a.T, np.eye(a.shape[0]))
-
-
-def commutator_super(a: np.ndarray) -> SuperOp:
-    """Superoperator rho -> [a, rho]."""
-    a = np.asarray(a, dtype=complex)
-    return SuperOp(a.shape[0], left_mult(a) - right_mult(a))
-
-
-def anticommutator_super(a: np.ndarray) -> SuperOp:
-    """Superoperator rho -> {a, rho}."""
-    a = np.asarray(a, dtype=complex)
-    return SuperOp(a.shape[0], left_mult(a) + right_mult(a))
 
 
 @dataclass(frozen=True)
@@ -165,15 +104,6 @@ class SystemModel:
         # antisymmetric matrix of eigenvalue differences w_a - w_b
         w, _ = self._eig
         return w[:, None] - w[None, :]
-
-
-def heisenberg_X(model: SystemModel, t: float) -> np.ndarray:
-    """Interaction-picture coupling X(t) = e^{+i H_S t} X e^{-i H_S t}."""
-    if t == 0.0:
-        return model.coupling.copy()
-    _, v = model._eig
-    phases = np.exp(1j * t * model._bohr_matrix)
-    return v @ (model._coupling_eigbasis * phases) @ v.conj().T
 
 
 def heisenberg_X_batch(model: SystemModel, ts: np.ndarray) -> np.ndarray:

@@ -200,6 +200,17 @@ def _get(cp, section, key, conv, default, errors, check=None):
     return val
 
 
+def _name_clash(times: Iterable[float]) -> str | None:
+    """Complaint about two distinct times whose generator CSVs share a name."""
+    seen: dict[str, float] = {}
+    for t in times:
+        first = seen.setdefault(f"{t:g}", t)
+        if first != t:
+            return (f"times {first!r} and {t!r} would write the same generator "
+                    "CSV (file names keep 6 significant digits)")
+    return None
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a scenario config, aggregating every error found."""
     cp = configparser.ConfigParser(
@@ -338,7 +349,8 @@ def parse_config(text: str) -> ScenarioConfig:
         cp, "outputs", "generator_times",
         lambda raw: tuple(float(p) for p in raw.split(",")),
         (0.5, 1.0, 2.0), errors,
-        lambda ts: None if all(t >= 0 for t in ts) else "times must be nonnegative",
+        lambda ts: _name_clash(ts) if all(t >= 0 for t in ts)
+        else "times must be nonnegative",
     )
 
     if errors or model is None or bath is None:
@@ -414,28 +426,22 @@ def _write_kernels_csv(cfg: ScenarioConfig, outdir: Path, meta: str) -> Path:
     return path
 
 
-def _write_generator_csvs(cfg: ScenarioConfig, outdir: Path, meta: str,
+def _write_generator_csvs(gen: Generator, outdir: Path, meta: str,
                           times: Sequence[float], verbose: bool) -> list[Path]:
     """K2(t) (and K4(t) at order 4) as row-major re/im interleaved CSVs.
 
-    These are the order-coefficient matrices; the propagated generator is
-    alpha^2 K2 + alpha^4 K4.
+    These are the order-coefficient matrices, taken from the generator's
+    memo; the propagated generator is alpha^2 K2 + alpha^4 K4.
     """
     paths = []
-    d2 = cfg.model.dim**2
-    header = _matrix_header(d2)
+    header = _matrix_header(gen.dim**2)
     for t in times:
-        k2 = K2_influence(cfg.model, cfg.bath, float(t), cfg.quad).matrix
-        path = outdir / f"generator_K2_t{t:g}.csv"
-        _write_csv(path, f"{meta} t={_fmt(t)} order_coefficient=K2",
-                   header, _matrix_rows(k2))
-        paths.append(path)
-        _vlog(verbose, f"wrote {path}")
-        if cfg.order == 4:
-            k4 = K4_influence(cfg.model, cfg.bath, float(t), cfg.quad).matrix
-            path = outdir / f"generator_K4_t{t:g}.csv"
-            _write_csv(path, f"{meta} t={_fmt(t)} order_coefficient=K4",
-                       header, _matrix_rows(k4))
+        for name, mat in zip(("K2", "K4"), gen.coefficients(float(t))):
+            if mat is None:
+                continue
+            path = outdir / f"generator_{name}_t{t:g}.csv"
+            _write_csv(path, f"{meta} t={_fmt(t)} order_coefficient={name}",
+                       header, _matrix_rows(mat))
             paths.append(path)
             _vlog(verbose, f"wrote {path}")
     return paths
@@ -499,16 +505,18 @@ def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[
         paths.append(_write_kernels_csv(cfg, outdir, meta))
         _vlog(verbose, f"wrote {paths[-1]}")
 
+    # one coefficient memo serves the trajectory, the CSVs and the route report
+    if cfg.write_trajectory:
+        _vlog(verbose, "building generator table")
+    gen = build_generator(cfg.model, cfg.bath, cfg.order, cfg.quad, cfg.t_max,
+                          interp="cubic" if cfg.write_trajectory else "direct")
+
     if cfg.write_generator:
         paths.extend(_write_generator_csvs(
-            cfg, outdir, meta, cfg.generator_times, verbose))
+            gen, outdir, meta, cfg.generator_times, verbose))
 
     traj = None
     if cfg.write_trajectory:
-        _vlog(verbose, "building generator table")
-        gen = build_generator(
-            cfg.model, cfg.bath, cfg.order, cfg.quad, cfg.t_max, interp="cubic"
-        )
         _vlog(verbose, "propagating")
         traj = propagate(cfg.rho0, gen, t_grid, stepper=cfg.stepper,
                          max_step=cfg.max_step, atol=cfg.atol)
@@ -545,7 +553,7 @@ def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[
             trip = max(1e-6, 100.0 * cfg.quad.tolerance)
             for t in cfg.generator_times:
                 _vlog(verbose, f"route comparison at t={t:g}")
-                a = K4_influence(cfg.model, cfg.bath, float(t), cfg.quad).matrix
+                a = gen.coefficients(float(t))[1]
                 b = K_n_cumulant(cfg.model, cfg.bath, float(t), 4, cfg.quad).matrix
                 scale = max(np.linalg.norm(a), np.linalg.norm(b), 1e-6)
                 rel = np.linalg.norm(a - b) / scale
@@ -756,10 +764,15 @@ def _cmd_generator_dump(args) -> int:
             raise ConfigError([f"--times: cannot parse {args.times!r}"]) from None
         if any(t < 0 for t in times):
             raise ConfigError(["--times: times must be nonnegative"])
+        clash = _name_clash(times)
+        if clash:
+            raise ConfigError([f"--times: {clash}"])
     outdir = Path(cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     meta = f"config={cfg.config_hash} version={__version__}"
-    _write_generator_csvs(cfg, outdir, meta, times, args.verbose)
+    gen = build_generator(cfg.model, cfg.bath, cfg.order, cfg.quad, cfg.t_max,
+                          interp="direct")
+    _write_generator_csvs(gen, outdir, meta, times, args.verbose)
     return 0
 
 

@@ -79,7 +79,8 @@ def propagate(
     """Integrate the master equation over ``t_grid`` (strictly increasing).
 
     ``max_step`` only applies to the fixed-step RK4 stepper; ``atol`` is the
-    absolute tolerance handed to the adaptive stepper.
+    absolute tolerance handed to the adaptive stepper, whose relative
+    tolerance is tied to it as ``max(atol, 1e-13)``.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:

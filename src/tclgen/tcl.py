@@ -243,6 +243,10 @@ class Generator:
 
     ``evaluator(t)`` returns the fully scaled SuperOp.  ``grid`` records the
     cache nodes; ``interp`` the interpolation rule between them.
+    ``coefficients(t)``, set by :func:`build_generator`, returns the unscaled
+    pair ``(K2(t), K4(t) or None)`` from the generator's memo (the arrays
+    are shared, not copied); it accepts any time, including times past the
+    grid.
     """
 
     order: int
@@ -251,6 +255,9 @@ class Generator:
     evaluator: Callable[[float], SuperOp] = field(repr=False)
     grid: np.ndarray | None = None
     interp: str = "linear"
+    coefficients: Callable[[float], tuple[np.ndarray, np.ndarray | None]] | None = field(
+        default=None, init=False, repr=False
+    )
 
     def __call__(self, t: float) -> SuperOp:
         return self.evaluator(t)
@@ -270,8 +277,10 @@ def build_generator(
     ``interp`` is one of ``"linear"`` (default), ``"cubic"`` (spline through
     the cached matrices, useful when the stepper error budget is tighter than
     linear interpolation allows) or ``"direct"`` (no grid: every evaluation
-    runs the quadrature, memoized per time).  Grid nodes always return the
-    directly computed values.
+    runs the quadrature).  Every mode draws on one memo of the unscaled
+    coefficients, so each K2(t) and K4(t) is computed at most once per time.
+    Grid nodes always return the directly computed values; ``"linear"`` and
+    ``"cubic"`` raise ``ValueError`` outside ``[0, t_max]``.
     """
     if order not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {order}")
@@ -280,43 +289,48 @@ def build_generator(
     if interp not in ("linear", "cubic", "direct"):
         raise ValueError(f"unknown interpolation {interp!r}")
 
+    memo: dict[float, tuple[np.ndarray, np.ndarray | None]] = {}
+
+    def coefficients(t: float) -> tuple[np.ndarray, np.ndarray | None]:
+        if t not in memo:
+            k2 = K2_influence(model, bath, t, quad).matrix
+            k4 = K4_influence(model, bath, t, quad).matrix if order == 4 else None
+            memo[t] = (k2, k4)
+        return memo[t]
+
     def compute(t: float) -> np.ndarray:
-        mat = model.alpha**2 * K2_influence(model, bath, t, quad).matrix
-        if order == 4:
-            mat = mat + model.alpha**4 * K4_influence(model, bath, t, quad).matrix
+        k2, k4 = coefficients(t)
+        mat = model.alpha**2 * k2
+        if k4 is not None:
+            mat = mat + model.alpha**4 * k4
         return mat
 
     if interp == "direct":
-        memo: dict[float, np.ndarray] = {}
+        grid = None
 
         def evaluator(t: float) -> SuperOp:
-            if t not in memo:
-                memo[t] = compute(t)
-            return SuperOp(model.dim, memo[t])
-
-        return Generator(order, model.alpha, model.dim, evaluator, None, interp)
-
-    n_nodes = n_cache if n_cache is not None else max(
-        33, int(np.ceil(t_max * quad.nodes_per_unit_time)) + 1
-    )
-    grid = np.linspace(0.0, t_max, n_nodes)
-    values = np.stack([compute(t) for t in grid])
-    if interp == "cubic":
-        spline = CubicSpline(grid, values, axis=0)
-
-        def evaluator(t: float) -> SuperOp:
-            return SuperOp(model.dim, np.asarray(spline(t)))
+            return SuperOp(model.dim, compute(t))
 
     else:
+        n_nodes = n_cache if n_cache is not None else max(
+            33, int(np.ceil(t_max * quad.nodes_per_unit_time)) + 1
+        )
+        grid = np.linspace(0.0, t_max, n_nodes)
+        values = np.stack([compute(t) for t in grid])
+        spline = CubicSpline(grid, values, axis=0) if interp == "cubic" else None
 
         def evaluator(t: float) -> SuperOp:
-            idx = np.searchsorted(grid, t)
-            if idx < len(grid) and grid[idx] == t:
-                return SuperOp(model.dim, values[idx].copy())
             if t < grid[0] or t > grid[-1]:
                 raise ValueError(f"time {t} outside cached range [0, {grid[-1]}]")
+            if spline is not None:
+                return SuperOp(model.dim, np.asarray(spline(t)))
+            idx = np.searchsorted(grid, t)
+            if grid[idx] == t:
+                return SuperOp(model.dim, values[idx].copy())
             lo = idx - 1
             theta = (t - grid[lo]) / (grid[idx] - grid[lo])
             return SuperOp(model.dim, (1 - theta) * values[lo] + theta * values[idx])
 
-    return Generator(order, model.alpha, model.dim, evaluator, grid, interp)
+    gen = Generator(order, model.alpha, model.dim, evaluator, grid, interp)
+    gen.coefficients = coefficients
+    return gen

@@ -9,21 +9,12 @@ from oracles import nested_bracket, oracle_heisenberg
 from tclgen.algebra import (
     SuperOp,
     SystemModel,
-    anticommutator_super,
+    _kron_batch,
     anticommutator_super_batch,
-    commutator_super,
     commutator_super_batch,
-    heisenberg_X,
     heisenberg_X_batch,
-    identity_superop,
-    left_mult,
-    right_mult,
-    superop_apply,
-    superop_axpy,
-    superop_compose,
     unvec,
     vec,
-    zero_superop,
 )
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -39,6 +30,21 @@ def random_density(rng, d):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = a @ a.conj().T
     return rho / np.trace(rho)
+
+
+def commutator(a):
+    """rho -> [a, rho] through the batched bracket, as a SuperOp."""
+    return SuperOp(a.shape[0], commutator_super_batch(a[None])[0])
+
+
+def anticommutator(a):
+    """rho -> {a, rho} through the batched bracket, as a SuperOp."""
+    return SuperOp(a.shape[0], anticommutator_super_batch(a[None])[0])
+
+
+def x_at(model, t):
+    """X(t) at one time through the batched interaction picture."""
+    return heisenberg_X_batch(model, [t])[0]
 
 
 # --- vectorization ---------------------------------------------------------------
@@ -60,8 +66,11 @@ def test_left_right_mult_matrices():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     rho = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    assert np.allclose(unvec(left_mult(a) @ vec(rho), 3), a @ rho, atol=1e-13)
-    assert np.allclose(unvec(right_mult(a) @ vec(rho), 3), rho @ a, atol=1e-13)
+    eye = np.eye(3, dtype=complex)[None]
+    left = _kron_batch(eye, a[None])[0]
+    right = _kron_batch(a.T[None], eye)[0]
+    assert np.allclose(unvec(left @ vec(rho), 3), a @ rho, atol=1e-13)
+    assert np.allclose(unvec(right @ vec(rho), 3), rho @ a, atol=1e-13)
 
 
 # --- bracket superoperators -------------------------------------------------------
@@ -69,14 +78,14 @@ def test_left_right_mult_matrices():
 
 def test_identity_operator_brackets():
     eye = np.eye(2, dtype=complex)
-    assert commutator_super(eye).norm_fro() == 0.0
-    assert np.allclose(anticommutator_super(eye).matrix, 2.0 * np.eye(4), atol=0)
+    assert commutator(eye).norm_fro() == 0.0
+    assert np.allclose(anticommutator(eye).matrix, 2.0 * np.eye(4), atol=0)
 
 
 def test_sz_brackets_on_coherence():
     e01 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    assert np.allclose(commutator_super(SZ).apply(e01), 2.0 * e01, atol=0)
-    assert np.allclose(anticommutator_super(SZ).apply(e01), 0.0, atol=0)
+    assert np.allclose(commutator(SZ).apply(e01), 2.0 * e01, atol=0)
+    assert np.allclose(anticommutator(SZ).apply(e01), 0.0, atol=0)
 
 
 def test_brackets_match_direct_matrix_products():
@@ -84,16 +93,16 @@ def test_brackets_match_direct_matrix_products():
     for _ in range(20):
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         rho = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert np.allclose(commutator_super(a).apply(rho), a @ rho - rho @ a, atol=1e-13)
-        assert np.allclose(anticommutator_super(a).apply(rho), a @ rho + rho @ a, atol=1e-13)
+        assert np.allclose(commutator(a).apply(rho), a @ rho - rho @ a, atol=1e-13)
+        assert np.allclose(anticommutator(a).apply(rho), a @ rho + rho @ a, atol=1e-13)
 
 
 def test_bracket_outputs_are_traceless_or_hermitian():
     rng = np.random.default_rng(3)
     a = random_hermitian(rng, 4)
     rho = random_density(rng, 4)
-    comm = commutator_super(a).apply(rho)
-    anti = anticommutator_super(a).apply(rho)
+    comm = commutator(a).apply(rho)
+    anti = anticommutator(a).apply(rho)
     assert abs(np.trace(comm)) < 1e-12
     assert np.max(np.abs(comm + comm.conj().T)) < 1e-12
     assert np.max(np.abs(anti - anti.conj().T)) < 1e-12
@@ -105,15 +114,8 @@ def test_bracket_outputs_are_traceless_or_hermitian():
 def test_identity_and_zero_maps():
     rng = np.random.default_rng(4)
     rho = random_density(rng, 3)
-    assert np.array_equal(superop_apply(identity_superop(3), rho), rho)
-    assert np.all(zero_superop(3).apply(rho) == 0.0)
-
-
-def test_axpy_with_zero_coefficient_returns_second_operand():
-    rng = np.random.default_rng(5)
-    s1 = SuperOp(2, rng.normal(size=(4, 4)))
-    s2 = SuperOp(2, rng.normal(size=(4, 4)))
-    assert np.array_equal(superop_axpy(0.0, s1, s2).matrix, s2.matrix)
+    assert np.array_equal(SuperOp(3, np.eye(9)).apply(rho), rho)
+    assert np.all(SuperOp(3, np.zeros((9, 9))).apply(rho) == 0.0)
 
 
 def test_compose_reproduces_nested_bracket():
@@ -121,20 +123,13 @@ def test_compose_reproduces_nested_bracket():
     a = random_hermitian(rng, 3)
     b = random_hermitian(rng, 3)
     rho = random_density(rng, 3)
-    composed = superop_compose(commutator_super(a), anticommutator_super(b))
+    composed = SuperOp(3, commutator(a).matrix @ anticommutator(b).matrix)
     assert np.allclose(composed.apply(rho), nested_bracket(a, b, rho), atol=1e-13)
 
 
 def test_superop_shape_rejected():
     with pytest.raises(ValueError, match="superoperator matrix must be"):
         SuperOp(2, np.eye(3))
-
-
-def test_dimension_mismatch_rejected():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        superop_compose(identity_superop(2), identity_superop(3))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        superop_axpy(1.0, identity_superop(2), identity_superop(3))
 
 
 # --- system model validation ------------------------------------------------------
@@ -164,7 +159,7 @@ def test_model_rejects_bad_input():
 
 def test_heisenberg_at_zero_is_a_fresh_copy():
     m = SystemModel(2, 0.5 * SZ, SX, 0.1)
-    x0 = heisenberg_X(m, 0.0)
+    x0 = x_at(m, 0.0)
     assert np.array_equal(x0, SX)
     x0[0, 0] = 99.0
     assert m.coupling[0, 0] == 0.0
@@ -173,13 +168,13 @@ def test_heisenberg_at_zero_is_a_fresh_copy():
 def test_commuting_coupling_is_constant():
     m = SystemModel(2, 0.5 * SZ, SZ, 0.1)
     for t in (0.3, 1.0, 7.9):
-        assert np.allclose(heisenberg_X(m, t), SZ, atol=1e-14)
+        assert np.allclose(x_at(m, t), SZ, atol=1e-14)
 
 
 def test_half_period_flips_transverse_coupling():
     # H = sz/2 rotates sx by angle t about z: X(pi) = -sx.
     m = SystemModel(2, 0.5 * SZ, SX, 0.1)
-    assert np.allclose(heisenberg_X(m, math.pi), -SX, atol=1e-13)
+    assert np.allclose(x_at(m, math.pi), -SX, atol=1e-13)
 
 
 def test_heisenberg_matches_expm_oracle():
@@ -189,7 +184,7 @@ def test_heisenberg_matches_expm_oracle():
         x = random_hermitian(rng, d)
         m = SystemModel(d, h, x, 0.1)
         for t in (0.4, 1.7, -2.2):
-            assert np.allclose(heisenberg_X(m, t), oracle_heisenberg(h, x, t), atol=1e-12)
+            assert np.allclose(x_at(m, t), oracle_heisenberg(h, x, t), atol=1e-12)
 
 
 def test_heisenberg_preserves_spectrum_and_hermiticity():
@@ -199,7 +194,7 @@ def test_heisenberg_preserves_spectrum_and_hermiticity():
     m = SystemModel(4, h, x, 0.1)
     ref = np.linalg.eigvalsh(x)
     for t in (0.9, 12.5):
-        xt = heisenberg_X(m, t)
+        xt = x_at(m, t)
         assert np.max(np.abs(xt - xt.conj().T)) < 1e-12
         assert np.allclose(np.linalg.eigvalsh(xt), ref, atol=1e-10)
 
@@ -213,7 +208,7 @@ def test_batch_matches_pointwise():
     batch = heisenberg_X_batch(m, ts)
     assert batch.shape == (4, 3, 3)
     for k, t in enumerate(ts):
-        assert np.allclose(batch[k], heisenberg_X(m, float(t)), atol=1e-13)
+        assert np.allclose(batch[k], x_at(m, float(t)), atol=1e-13)
 
 
 def test_batched_brackets_match_pointwise():
@@ -222,5 +217,6 @@ def test_batched_brackets_match_pointwise():
     cb = commutator_super_batch(xs)
     ab = anticommutator_super_batch(xs)
     for k in range(5):
-        assert np.allclose(cb[k], commutator_super(xs[k]).matrix, atol=1e-14)
-        assert np.allclose(ab[k], anticommutator_super(xs[k]).matrix, atol=1e-14)
+        left, right = np.kron(np.eye(3), xs[k]), np.kron(xs[k].T, np.eye(3))
+        assert np.allclose(cb[k], left - right, atol=1e-14)
+        assert np.allclose(ab[k], left + right, atol=1e-14)

@@ -2,12 +2,14 @@
 
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tclgen.cli
+import tclgen.tcl
 from tclgen.algebra import SuperOp
 from tclgen.bath import BathSpec
 from tclgen.cli import ConfigError, main, parse_config
@@ -127,6 +129,13 @@ def test_errors_are_aggregated():
     assert "order" in msg and "t_max" in msg and "stepper" in msg
 
 
+def test_colliding_generator_times_rejected():
+    # both times would be written to generator_K2_t1.csv
+    with pytest.raises(ConfigError, match=r"\[outputs\] generator_times: times 1.0 and 1.0000001"):
+        parse_config(PRESET_MIN + "[outputs]\ngenerator_times = 0.5, 1.0, 1.0000001\n")
+    assert parse_config(PRESET_MIN + "[outputs]\ngenerator_times = 1.0, 1.0\n")
+
+
 def test_unknown_section_and_key_rejected():
     with pytest.raises(ConfigError, match=r"unknown section \[extras\]"):
         parse_config(PRESET_MIN + "[extras]\nx = 1\n")
@@ -213,6 +222,35 @@ def test_run_writes_all_artifacts_deterministically(tmp_path, capsys):
         fa, fb = outs[0] / fname, outs[1] / fname
         assert fa.is_file(), fname
         assert fa.read_bytes() == fb.read_bytes(), fname
+
+
+def test_run_computes_each_k4_once(tmp_path, monkeypatch):
+    # count K4_influence in every tclgen namespace that holds it
+    original = tclgen.tcl.K4_influence
+    times = []
+
+    def counting(model, bath, t, quad):
+        times.append(float(t))
+        return original(model, bath, t, quad)
+
+    for name, module in list(sys.modules.items()):
+        if name == "tclgen" or name.startswith("tclgen."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    cfg_path = tmp_path / "scenario.ini"
+    cfg_path.write_text(RUN_SMALL)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    # the 33 table nodes include both generator times
+    assert len(times) == len(set(times)) == 33
+    cfg = parse_config(RUN_SMALL)
+    for t in cfg.generator_times:
+        k4 = original(cfg.model, cfg.bath, t, cfg.quad).matrix
+        expected = [",".join(f"{v:.12e}" for z in row for v in (z.real, z.imag))
+                    for row in k4]
+        lines = (out / f"generator_K4_t{t:g}.csv").read_text().splitlines()
+        assert lines[2:] == expected
 
 
 def test_run_trajectory_is_constant_when_uncoupled(tmp_path):
@@ -430,9 +468,13 @@ def test_generator_dump_prints_term_table(tmp_path, capsys):
 def test_generator_dump_bad_times(tmp_path, capsys):
     cfg_path = tmp_path / "s.ini"
     cfg_path.write_text(PRESET_MIN)
-    assert main(["generator-dump", "--config", str(cfg_path),
-                 "--out", str(tmp_path / "o"), "--times", "abc"]) == 1
-    assert "--times" in capsys.readouterr().err
+    # 1.0 and 1.0000001 would both be written to generator_K2_t1.csv
+    for times, complaint in (("abc", "--times"),
+                             ("0.5,1.0,1.0000001", "--times: times 1.0 and 1.0000001")):
+        assert main(["generator-dump", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o"), "--times", times]) == 1
+        assert complaint in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # --- cumulant-terms subcommand ----------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from oracle_inversion import generator_terms_by_inversion
 from oracles import oracle_moment_matrix
-from tclgen.algebra import SystemModel, heisenberg_X
+from tclgen.algebra import SystemModel, heisenberg_X_batch
 from tclgen.bath import BathSpec, bath_correlation
 from tclgen.cumulant import (
     CumulantTerm,
@@ -135,8 +135,7 @@ def test_two_point_moment_closed_form():
     for d in (2, 3):
         model = random_model(rng, d)
         s1, s2 = 1.3, 0.4
-        x1 = heisenberg_X(model, s1)
-        x2 = heisenberg_X(model, s2)
+        x1, x2 = heisenberg_X_batch(model, [s1, s2])
         c = bath_correlation(bath, s1 - s2)
         cbar = bath_correlation(bath, s2 - s1)
         mom = moment_superop(model, bath, [s1, s2])

@@ -216,9 +216,10 @@ def test_linear_interpolation_is_exact_on_nodes():
 
 
 def test_linear_interpolation_range_check():
-    gen = build_generator(SPIN_BOSON, BATH, 2, GL8, 1.0, n_cache=9)
-    with pytest.raises(ValueError, match="outside cached range"):
-        gen(1.5)
+    for interp in ("linear", "cubic"):
+        gen = build_generator(SPIN_BOSON, BATH, 2, GL8, 1.0, n_cache=9, interp=interp)
+        with pytest.raises(ValueError, match="outside cached range"):
+            gen(1.5)
 
 
 def test_cubic_matches_direct_off_nodes():
