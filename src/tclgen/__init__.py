@@ -34,6 +34,7 @@ from .cumulant import (
     enumerate_ordered_cumulant_terms,
     moment_superop,
 )
+from .exact import K2_exact, K4_exact
 from .evolve import (
     DiagnosticTable,
     NumericsError,
@@ -92,6 +93,9 @@ __all__ = [
     "drop_odd_terms",
     "moment_superop",
     "K_n_cumulant",
+    # exact
+    "K2_exact",
+    "K4_exact",
     # tcl
     "EquivalenceError",
     "K4Term",

@@ -105,6 +105,15 @@ class SystemModel:
         w, _ = self._eig
         return w[:, None] - w[None, :]
 
+    @cached_property
+    def _eig_superops(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # kron(conj(V), V), which takes a superoperator from the eigenbasis of
+        # H_S to the site basis, and the brackets of X in the eigenbasis
+        _, v = self._eig
+        x = self._coupling_eigbasis[None]
+        return (np.kron(v.conj(), v), commutator_super_batch(x)[0],
+                anticommutator_super_batch(x)[0])
+
 
 def heisenberg_X_batch(model: SystemModel, ts: np.ndarray) -> np.ndarray:
     """X(t) for an array of times; returns shape (len(ts), d, d)."""

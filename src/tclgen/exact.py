@@ -1,0 +1,229 @@
+"""Exact K2(t) and K4(t) for discrete-mode baths, without quadrature.
+
+Every bath here is a finite sum of modes, so each kernel is a sum of
+exponentials: a contracted slot at lag tau carries
+
+    W(tau) = D1(tau) Xc - i D(tau) Xa = sum_nu e^{i nu tau} W_nu,
+
+nu = +-omega_n, W_nu = (a_n / 2) (coth_n Xc -+ Xa), a_n = kappa_n^2/(m_n omega_n).
+With G the superoperator of rho -> i[H_S, rho] and U(s) = e^{sG}, an
+interaction-picture bracket is Xc(s) = U(s) Xc U(-s).  In the intervals
+u0 = t - t1, u1 = t1 - t2, u2 = t2 - t3, u3 = t3 a chronological string
+becomes
+
+    U(t) Xc e^{u0 A0} B1 e^{u1 A1} B2 e^{u2 A2} B3 e^{u3 A3},
+
+A_i = -G + i (sum of the kernel frequencies whose lag spans interval i), and
+its integral over the simplex u0 + ... + u3 = t is the top-right block of
+expm(t [[A0, B1, 0, 0], [0, A1, B2, 0], [0, 0, A2, B3], [0, 0, 0, A3]])
+(C. Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).  The block
+exponential stays accurate when frequencies coincide, which the zero Bohr
+frequency and dephasing couplings always produce.  K2 has a two-interval
+chain, whose block exponential is elementwise a first divided difference of
+the exponential; it is evaluated that way, with ``expm1``.
+
+The sixteen rows of the fourth-order kernel table factorise into four
+chains with prefactor 1/4:
+
+    + Xc(t) Xc(t1) W(t2) W(t3)      pairs (t, t2), (t1, t3) and (t, t3), (t1, t2)
+    - Xc(t) W(t2) Xc(t1) W(t3)      pairs (t, t2), (t1, t3)
+    - Xc(t) W(t3) Xc(t1) W(t2)      pairs (t, t3), (t1, t2)
+
+In the interleaved chains the out-of-order slot is split into Bohr
+components W_{nu,w}, built from the parts of X that rotate as e^{iws} in the
+eigenbasis of H_S; each component is then a chronological chain whose
+intervals spanned by that slot carry an extra -iw.  Bohr frequencies that
+agree to round-off are merged; any wider grouping would shift a frequency
+and so cost accuracy.
+
+All arithmetic runs in the eigenbasis of H_S, where G and U(s) are diagonal.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .algebra import (
+    SuperOp,
+    SystemModel,
+    anticommutator_super_batch,
+    commutator_super_batch,
+)
+from .bath import BathSpec
+
+__all__ = ["K2_exact", "K4_exact", "k4_chain_count"]
+
+
+class _Eigenbasis:
+    """Eigenbasis data of one (model, bath) pair shared by K2 and K4."""
+
+    def __init__(self, model: SystemModel, bath: BathSpec):
+        self.x = model._coupling_eigbasis
+        self.bohr = model._bohr_matrix
+        self.g = 1j * self.bohr.reshape(-1, order="F")  # diagonal of G
+        self.to_site, self.xc, xa = model._eig_superops
+        # kernel labels nu = +omega_n, -omega_n with W_nu = cc_nu Xc + ca_nu Xa
+        half = bath.amplitudes / 2.0
+        self.nu = np.concatenate([bath.omegas, -bath.omegas])
+        self.cc = np.tile(half * bath.coth_factors, 2)
+        self.ca = np.concatenate([-half, half])
+        self.w = self.cc[:, None, None] * self.xc + self.ca[:, None, None] * xa
+
+    def bohr_parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Bohr frequencies w of X and the brackets of the nonzero parts of X
+        rotating as e^{iws}: (w, Xc_w, Xa_w).  Frequencies equal to round-off
+        merge."""
+        flat = self.bohr.ravel()
+        order = np.argsort(flat)
+        tol = 16.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(flat))))
+        group = np.concatenate([[0], np.cumsum(np.diff(flat[order]) > tol)])
+        label = np.empty(flat.size, dtype=int)
+        label[order] = group
+        omega = np.bincount(group, flat[order]) / np.bincount(group)
+        masks = label.reshape(self.x.shape) == np.arange(omega.size)[:, None, None]
+        parts = self.x[None] * masks
+        keep = np.any(parts != 0, axis=(1, 2))
+        parts = parts[keep]
+        return omega[keep], commutator_super_batch(parts), anticommutator_super_batch(parts)
+
+    def lead(self, t: float, inner: np.ndarray) -> np.ndarray:
+        """U(t) Xc applied to ``inner``, returned in the site basis."""
+        out = (np.exp(t * self.g)[:, None] * self.xc) @ inner
+        return self.to_site @ out @ self.to_site.conj().T
+
+
+# Pade [13/13] coefficients and the 1-norm bound up to which that approximant
+# is accurate to double precision (N. J. Higham, SIAM J. Matrix Anal. Appl.
+# 26, 1179 (2005)).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+_CHUNK_ENTRIES = 1 << 18  # bounds each exponentiated stack to 4 MB
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a stack (T, n, n) by scaling and squaring.
+
+    Uses NumPy's own BLAS: with more than one BLAS thread, SciPy's
+    ``expm`` on these small matrices ran about 80x slower right after
+    NumPy-heavy work (the two libraries keep separate OpenBLAS thread pools).
+    """
+    b = _PADE13
+    norm = np.abs(a).sum(axis=1).max(axis=1)
+    s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
+    a = a * (0.5**s)[:, None, None]
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(s.max(initial=0)):
+        r = np.where((k < s)[:, None, None], r @ r, r)
+    return r
+
+
+def _chain_sum(t: float, g: np.ndarray, shifts: np.ndarray,
+               blocks: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Sum over a batch of chains of the integrals of
+    e^{u0 A0} B1 e^{u1 A1} ... B_k e^{u_k A_k} over u0 + ... + u_k = t.
+
+    Chain b has A_i = i shifts[b, i] - G, with G diagonal (its diagonal is
+    ``g``), and B_i = table_i[index_i[b]] for ``blocks[i-1] = (table_i,
+    index_i)``; an index of length 1 gives every chain the same B_i.  Each
+    B_i enters its block matrix at unit norm and the result is rescaled, so
+    the top-right block is O(1) next to the unitary diagonal blocks.  The
+    block matrices are built and exponentiated in chunks of at most
+    ``_CHUNK_ENTRIES`` entries, so memory stays bounded however many chains
+    there are.  Returns the (n, n) sum.
+    """
+    batch, k = shifts.shape[0], len(blocks)
+    n = g.size
+    size = (k + 1) * n
+    norms = [np.linalg.norm(tab, axis=(1, 2)) for tab, _ in blocks]
+    norms = [np.where(nb > 0, nb, 1.0) for nb in norms]
+    units = [tab / nb[:, None, None] for (tab, _), nb in zip(blocks, norms)]
+    indices = [np.broadcast_to(index, (batch,)) for _, index in blocks]
+    diag = np.arange(size)
+    total = np.zeros((n, n), dtype=complex)
+    step = max(1, _CHUNK_ENTRIES // size**2)
+    for lo in range(0, batch, step):
+        part = slice(lo, lo + step)
+        big = np.zeros((len(shifts[part]), size, size), dtype=complex)
+        big[:, diag, diag] = t * (1j * np.repeat(shifts[part], n, axis=1) - np.tile(g, k + 1))
+        weight = np.full(big.shape[0], float(t) ** k)
+        for i, (index, unit, nb) in enumerate(zip(indices, units, norms)):
+            big[:, i * n:(i + 1) * n, (i + 1) * n:(i + 2) * n] = unit[index[part]]
+            weight *= nb[index[part]]
+        total += np.tensordot(weight, _expm(big)[:, :n, k * n:], axes=1)
+    return total
+
+
+def K2_exact(model: SystemModel, bath: BathSpec, t: float) -> SuperOp:
+    """Second-order generator in closed form: -(1/2) Xc(t) int_0^t W(t1).
+
+    In the eigenbasis of H_S the two-interval chain is elementwise:
+    int e^{u0 a_k} W_kl e^{u1 b_l} over u0 + u1 = t, with a = i nu - g and
+    b = -g, is W_kl t e^{t a_k} phi(t (b_l - a_k)) for phi(z) = (e^z - 1)/z,
+    a first divided difference of the exponential.  ``expm1`` keeps phi
+    accurate when the two frequencies coincide or nearly do.  Cost is linear
+    in the number of modes.
+    """
+    c = _Eigenbasis(model, bath)
+    a = 1j * c.nu[:, None] - c.g  # (labels, n)
+    z = t * (-c.g[None, None, :] - a[:, :, None])
+    zero = z == 0
+    phi = np.where(zero, 1.0, np.expm1(z) / np.where(zero, 1.0, z))
+    inner = np.einsum("mkl,mkl->kl", c.w, t * np.exp(t * a)[:, :, None] * phi)
+    return SuperOp(model.dim, -0.5 * c.lead(t, inner))
+
+
+def k4_chain_count(model: SystemModel, bath: BathSpec) -> int:
+    """Number of block exponentials one :func:`K4_exact` call evaluates.
+
+    2 (2M)^2 chronological chains and 2 (2M)^2 P interleaved ones, for M bath
+    modes and P Bohr components of X; each is a 4 d^2 square matrix.  The
+    cost of the exact route grows with this count, not with t.
+    """
+    m = 2 * len(bath.omegas)
+    return 2 * m * m * (1 + _Eigenbasis(model, bath).bohr_parts()[0].size)
+
+
+def K4_exact(model: SystemModel, bath: BathSpec, t: float) -> SuperOp:
+    """Fourth-order generator in closed form (the kernel table, integrated).
+
+    One block exponential per chain and label tuple, summed per chain.
+    """
+    c = _Eigenbasis(model, bath)
+    m, n = c.nu.size, c.g.size
+    omega, xc_w, xa_w = c.bohr_parts()
+    p = omega.size
+    one = (c.xc[None], np.zeros(1, dtype=int))
+    eye = (np.eye(n, dtype=complex)[None], np.zeros(1, dtype=int))
+
+    def chain(shifts, blocks):
+        return _chain_sum(t, c.g, np.stack(shifts, axis=1), blocks)
+
+    # chronological chains: every (nu, mu) pair of labels, both lag patterns
+    i, j = (a.ravel() for a in np.indices((m, m)))
+    nu, mu, zero = c.nu[i], c.nu[j], np.zeros(m * m)
+    # pairs (t, t2) ~ nu and (t1, t3) ~ mu, then (t, t3) ~ nu and (t1, t2) ~ mu
+    inner = chain([nu, nu + mu, mu, zero], [one, (c.w, i), (c.w, j)])
+    inner += chain([nu, nu + mu, nu, zero], [one, (c.w, j), (c.w, i)])
+    # interleaved chains: the out-of-order slot (label nu) split by Bohr
+    # frequency w, which shifts the intervals that slot spans by -w
+    i, j, q = (a.ravel() for a in np.indices((m, m, p)))
+    nu, mu, w, zero = c.nu[i], c.nu[j], omega[q], np.zeros(i.size)
+    # W_{nu,w} Xc for every label nu and Bohr part w, indexed by nu * p + w
+    table = ((c.cc[:, None, None, None] * xc_w + c.ca[:, None, None, None] * xa_w)
+             @ c.xc).reshape(m * p, n, n)
+    first = (table, i * p + q)
+    # -Xc(t) W(t2) Xc(t1) W(t3): nu on u0, u1; mu on u1, u2; -w on u1
+    inner -= chain([nu, nu + mu - w, mu, zero], [first, eye, (c.w, j)])
+    # -Xc(t) W(t3) Xc(t1) W(t2): nu on u0..u2; mu on u1; -w on u1, u2
+    inner -= chain([nu, nu + mu - w, nu - w, zero], [first, (c.w, j), eye])
+    return SuperOp(model.dim, 0.25 * c.lead(t, inner))

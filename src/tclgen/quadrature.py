@@ -30,6 +30,7 @@ import numpy as np
 __all__ = ["QuadratureSpec"]
 
 _SCHEMES = ("simpson-uniform", "gauss-legendre-nested")
+GAUSS_POINT_CAP = 96  # tensor Gauss-Legendre points per dimension, at most
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,13 @@ class QuadratureSpec:
 
     def gauss_points(self, t: float) -> int:
         """Tensor Gauss-Legendre points per dimension on [0, t]."""
-        return min(96, max(8, int(math.ceil(abs(t) * self.nodes_per_unit_time))))
+        return min(GAUSS_POINT_CAP, max(8, int(math.ceil(abs(t) * self.nodes_per_unit_time))))
+
+    def points(self, t: float) -> int:
+        """Quadrature points per dimension on [0, t] for this scheme."""
+        if self.scheme == "simpson-uniform":
+            return self.intervals(t) + 1
+        return self.gauss_points(t)
 
     def coarsened(self) -> "QuadratureSpec":
         """Same scheme at roughly half the density (for error estimates)."""

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import tclgen.cli
+import tclgen.exact
 import tclgen.tcl
 from tclgen.algebra import SuperOp
 from tclgen.bath import BathSpec
@@ -225,28 +226,33 @@ def test_run_writes_all_artifacts_deterministically(tmp_path, capsys):
 
 
 def test_run_computes_each_k4_once(tmp_path, monkeypatch):
-    # count K4_influence in every tclgen namespace that holds it
-    original = tclgen.tcl.K4_influence
-    times = []
+    # count K4_exact and K4_influence in every tclgen namespace that holds them
+    originals = {"exact": tclgen.exact.K4_exact, "influence": tclgen.tcl.K4_influence}
+    times = {"exact": [], "influence": []}
 
-    def counting(model, bath, t, quad):
-        times.append(float(t))
-        return original(model, bath, t, quad)
+    def counting(key):
+        def wrapper(model, bath, t, *quad):
+            times[key].append(float(t))
+            return originals[key](model, bath, t, *quad)
+        return wrapper
 
     for name, module in list(sys.modules.items()):
         if name == "tclgen" or name.startswith("tclgen."):
             for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
+                for key, original in originals.items():
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting(key))
     cfg_path = tmp_path / "scenario.ini"
     cfg_path.write_text(RUN_SMALL)
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-    # the 33 table nodes include both generator times
-    assert len(times) == len(set(times)) == 33
+    # the 33 table nodes include both generator times; the quadrature table
+    # runs only in the report's route check, once per generator time
     cfg = parse_config(RUN_SMALL)
+    assert len(times["exact"]) == len(set(times["exact"])) == 33
+    assert times["influence"] == [float(t) for t in cfg.generator_times]
     for t in cfg.generator_times:
-        k4 = original(cfg.model, cfg.bath, t, cfg.quad).matrix
+        k4 = originals["exact"](cfg.model, cfg.bath, t).matrix
         expected = [",".join(f"{v:.12e}" for z in row for v in (z.real, z.imag))
                     for row in k4]
         lines = (out / f"generator_K4_t{t:g}.csv").read_text().splitlines()
@@ -302,6 +308,28 @@ def test_report_route_agreement_for_spinboson(tmp_path):
     match = re.search(r"t= 1\.0+e\+00\s+rel_diff= (\S+)", report)
     assert match is not None
     assert float(match.group(1)) < 1e-8
+
+
+@pytest.mark.parametrize("npu", [8, 16])
+def test_route_check_ignores_simpson_quadrature_error(tmp_path, npu):
+    # the generator's K4 is exact while the check routes carry the Simpson
+    # rule's error (about 3e-3 relative at t = 0.5 with 8 nodes per unit
+    # time); the route check must compare the two quadrature routes, which
+    # share that error, and report the generator's distance separately
+    cfg_path = tmp_path / "s.ini"
+    cfg_path.write_text(
+        PRESET_MIN
+        + f"[run]\norder = 4\nt_max = 2.0\nquad_scheme = simpson-uniform\n"
+        f"quad_nodes_per_unit_time = {npu}\n"
+        "[outputs]\nkernels = false\ngenerator = false\ntrajectory = false\n"
+        "diagnostic = false\ngenerator_times = 0.5, 2.0\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    rows = re.findall(r"rel_diff= (\S+)\s+gen_diff= (\S+)", (out / "report.txt").read_text())
+    assert len(rows) == 2
+    assert all(float(rel) < 1e-12 for rel, _ in rows)
+    assert 1e-8 < float(rows[0][1]) < 1e-2  # the quadrature error, reported
 
 
 def test_order2_run_skips_route_comparison(tmp_path):

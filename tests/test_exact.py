@@ -1,0 +1,171 @@
+"""Exact generator route: agreement with quadrature and structural invariants.
+
+The property tests draw the same examples on every run and keep no example
+database.  Hypothesis still caches the constants of local modules (and
+writes failure patches) under its home directory; that goes to a temporary
+directory, removed when the run ends, so a run writes no ``.hypothesis/``
+into the checkout.
+"""
+
+import atexit
+import math
+import shutil
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+
+from test_acceptance import _random_instance
+
+import tclgen.exact
+from tclgen.algebra import SystemModel
+from tclgen.bath import BathSpec
+from tclgen.exact import K2_exact, K4_exact, _expm
+from tclgen.quadrature import QuadratureSpec
+from tclgen.tcl import K2_influence, K4_influence
+
+_home = tempfile.mkdtemp(prefix="tclgen-hypothesis-")
+atexit.register(shutil.rmtree, _home, ignore_errors=True)
+set_hypothesis_home_dir(_home)
+DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
+
+GL = "gauss-legendre-nested"
+ROUTES = ((K2_exact, K2_influence), (K4_exact, K4_influence))
+
+
+def rel(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+# --- agreement with the quadrature routes --------------------------------------
+
+
+def test_exact_matches_quadrature_on_criterion_3_instances():
+    rng = np.random.default_rng(23)
+    # criterion 3's instances; the two-level ones at twice its density, since
+    # at t = 1 its 8 nodes per unit time sit on the 8-point floor (3e-11)
+    cases = [(_random_instance(rng, 2), 16) for _ in range(6)]
+    cases += [(_random_instance(rng, 3), 12) for _ in range(4)]
+    worst = 0.0
+    for (model, bath), npu in cases:
+        quad = QuadratureSpec(GL, npu, 1e-8)
+        for t in (0.5, 1.0, 2.0):
+            for exact, influence in ROUTES:
+                worst = max(worst, rel(exact(model, bath, t).matrix,
+                                       influence(model, bath, t, quad).matrix))
+    assert worst < 1e-12
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-10, 1e-7])
+@pytest.mark.parametrize("d", [2, 3])
+def test_degenerate_and_near_degenerate_spectra(d, gap):
+    # d = 2 with no gap is H_S = 0, where every Bohr frequency is zero; the
+    # gaps of 1e-7 and 1e-10 keep nearly coincident frequencies apart, and
+    # the block exponential must resolve them without cancellation.  Nearly
+    # commuting cases have K4 near zero, so the bound is absolute below 1.
+    rng = np.random.default_rng(40 + d)
+    h = np.diag([0.0, gap, 0.9][:d])
+    b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    model = SystemModel(d, h, (b + b.conj().T) / 2.0, alpha=0.1)
+    bath = BathSpec([(0.9, 1.1, 1.0), (0.5, 1.7, 1.0)], 2.0)
+    quad = QuadratureSpec(GL, 16, 1e-8)
+    for exact, influence in ROUTES:
+        a, ref = exact(model, bath, 1.5).matrix, influence(model, bath, 1.5, quad).matrix
+        assert np.linalg.norm(a - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
+
+
+def test_block_exponential_matches_scipy():
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((6, 12, 12)) + 1j * rng.standard_normal((6, 12, 12))
+    a *= np.array([1e-3, 0.1, 1.0, 5.0, 20.0, 80.0])[:, None, None] / np.sqrt(12)
+    a[:, 6:, :6] = 0.0  # block upper triangular, as in the Van Loan matrices
+    ref = np.stack([expm(m) for m in a])
+    assert max(rel(x, y) for x, y in zip(_expm(a), ref)) < 1e-12
+
+
+def test_chunked_block_exponentials_match_one_batch(monkeypatch):
+    # memory stays bounded because the block matrices are built per chunk;
+    # a chunk of one chain must give the same sums as one batch of all
+    rng = np.random.default_rng(23)
+    model, bath = _random_instance(rng, 3)
+    whole = K4_exact(model, bath, 1.3).matrix
+    monkeypatch.setattr(tclgen.exact, "_CHUNK_ENTRIES", 1)
+    assert rel(K4_exact(model, bath, 1.3).matrix, whole) < 1e-13
+
+
+# --- properties over random models ----------------------------------------------
+
+
+def _hermitian(d, scale):
+    entries = st.lists(st.floats(-1.0, 1.0), min_size=2 * d * d, max_size=2 * d * d)
+
+    def build(v):
+        a = np.array(v[: d * d]).reshape(d, d) + 1j * np.array(v[d * d:]).reshape(d, d)
+        return scale * (a + a.conj().T) / 2.0
+
+    return entries.map(build)
+
+
+_baths = st.builds(
+    BathSpec,
+    st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+             min_size=1, max_size=3),
+    st.one_of(st.just(math.inf), st.floats(1.0, 5.0)),
+)
+
+
+@st.composite
+def instances(draw, dims):
+    d = draw(st.sampled_from(dims))
+    h = draw(_hermitian(d, 0.5))
+    x = draw(_hermitian(d, 1.0))
+    return SystemModel(d, h, x, alpha=0.1), draw(_baths)
+
+
+@st.composite
+def commuting_instances(draw, dims):
+    d = draw(st.sampled_from(dims))
+    _, v = np.linalg.eigh(draw(_hermitian(d, 1.0)))
+    spec = st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)
+    h = v @ np.diag(draw(spec)) @ v.conj().T
+    x = v @ np.diag(draw(spec)) @ v.conj().T
+    return SystemModel(d, (h + h.conj().T) / 2, (x + x.conj().T) / 2, alpha=0.1), draw(_baths)
+
+
+@settings(DETERMINISTIC, max_examples=12)
+@given(instances((2, 3)), st.floats(0.05, 1.0))
+def test_routes_agree_on_random_models(instance, t):
+    model, bath = instance
+    quad = QuadratureSpec(GL, 24, 1e-8)
+    for exact, influence in ROUTES:
+        a, b = exact(model, bath, t).matrix, influence(model, bath, t, quad).matrix
+        # absolute below norm 1: K4 of a commuting draw is round-off
+        assert np.linalg.norm(a - b) <= 1e-11 * max(np.linalg.norm(b), 1.0)
+
+
+@settings(DETERMINISTIC, max_examples=15)
+@given(instances((2, 3, 4)), st.floats(0.05, 3.0))
+def test_exact_generators_preserve_trace_and_hermiticity(instance, t):
+    model, bath = instance
+    d = model.dim
+    vec_eye = np.eye(d).reshape(-1, order="F")
+    # vec(rho^T) = P vec(rho); a map preserves Hermiticity iff P conj(K) P = K
+    perm = np.arange(d * d).reshape(d, d).T.reshape(-1)
+    for exact in (K2_exact, K4_exact):
+        k = exact(model, bath, t).matrix
+        scale = max(np.linalg.norm(k), 1.0)  # K4 of a commuting draw is round-off
+        assert np.linalg.norm(vec_eye @ k) <= 1e-12 * scale
+        assert np.linalg.norm(k.conj()[np.ix_(perm, perm)] - k) <= 1e-12 * scale
+        assert not np.any(exact(model, bath, 0.0).matrix)
+
+
+@settings(DETERMINISTIC, max_examples=15)
+@given(commuting_instances((2, 3)), st.floats(0.05, 2.0))
+def test_fourth_order_vanishes_for_commuting_coupling(instance, t):
+    model, bath = instance
+    assert np.linalg.norm(K4_exact(model, bath, t).matrix) < 1e-12

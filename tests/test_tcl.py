@@ -1,6 +1,7 @@
 """Generator assembly: kernel-formula route, cumulant route, equivalence."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import tclgen.tcl
 from tclgen.algebra import SuperOp, SystemModel
 from tclgen.bath import BathSpec
 from tclgen.quadrature import QuadratureSpec
+from tclgen.exact import K2_exact
 from tclgen.tcl import (
     EquivalenceError,
     K2_influence,
@@ -131,6 +133,18 @@ def test_equivalence_tripwire_fires(monkeypatch):
         K4_cumulant_ordered(SPIN_BOSON, BATH, 1.0, GL8)
 
 
+def test_self_estimate_at_the_node_cap_warns(monkeypatch):
+    # at 16 nodes per unit time both grids reach the 96-node cap from t = 12
+    pieces = (np.eye(4, dtype=complex), np.eye(4, dtype=complex))
+    monkeypatch.setattr(tclgen.tcl, "_k4_ordered_pieces", lambda *args: pieces)
+    with pytest.warns(UserWarning, match=r"t = 12\.0: .* 96-node cap"):
+        K4_cumulant_ordered(SPIN_BOSON, BATH, 12.0, GL16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (0.1, 11.0):  # 8/8-node floor (documented), 96/88 nodes
+            K4_cumulant_ordered(SPIN_BOSON, BATH, t, GL16)
+
+
 def test_equivalence_error_is_a_runtime_error():
     assert issubclass(EquivalenceError, RuntimeError)
 
@@ -211,7 +225,7 @@ def test_uncoupled_generator_is_zero():
 def test_linear_interpolation_is_exact_on_nodes():
     gen = build_generator(SPIN_BOSON, BATH, 2, GL8, 1.0, n_cache=9)
     for t in gen.grid:
-        direct = SPIN_BOSON.alpha**2 * K2_influence(SPIN_BOSON, BATH, float(t), GL8).matrix
+        direct = SPIN_BOSON.alpha**2 * K2_exact(SPIN_BOSON, BATH, float(t)).matrix
         assert np.array_equal(gen(float(t)).matrix, direct)
 
 
@@ -232,15 +246,41 @@ def test_cubic_matches_direct_off_nodes():
 
 def test_direct_mode_memoizes(monkeypatch):
     calls = {"n": 0}
-    original = K2_influence
+    original = K2_exact
 
-    def counting(model, bath, t, quad):
+    def counting(model, bath, t):
         calls["n"] += 1
-        return original(model, bath, t, quad)
+        return original(model, bath, t)
 
-    monkeypatch.setattr(tclgen.tcl, "K2_influence", counting)
+    monkeypatch.setattr(tclgen.tcl, "K2_exact", counting)
     gen = build_generator(SPIN_BOSON, BATH, 2, GL8, 1.0, interp="direct")
     first = gen(0.7).matrix
     for _ in range(3):
         assert np.array_equal(gen(0.7).matrix, first)
     assert calls["n"] == 1
+
+
+def test_fourth_order_source_follows_the_cost_of_the_exact_route(monkeypatch):
+    # the exact route's cost grows with (modes)^2 and not with t, the
+    # quadrature's with (points per dimension)^3: few modes take the exact
+    # route, many modes or short times fall back to the quadrature table
+    used = []
+
+    def stub(name):
+        def k4(model, bath, t, *quad):
+            used.append((len(bath.omegas), t, name))
+            return SuperOp(model.dim, np.zeros((model.dim**2,) * 2, complex))
+        return k4
+
+    monkeypatch.setattr(tclgen.tcl, "K4_exact", stub("exact"))
+    monkeypatch.setattr(tclgen.tcl, "K4_influence", stub("quadrature"))
+    for n_modes in (1, 5, 40):
+        bath = BathSpec([(0.3, 0.5 + 0.1 * k, 1.0) for k in range(n_modes)], 1.0)
+        gen = build_generator(SPIN_BOSON, bath, 4, GL16, 2.0, interp="direct")
+        for t in (0.5, 2.0):
+            gen.coefficients(t)
+    assert used == [
+        (1, 0.5, "exact"), (1, 2.0, "exact"),
+        (5, 0.5, "quadrature"), (5, 2.0, "exact"),
+        (40, 0.5, "quadrature"), (40, 2.0, "quadrature"),
+    ]
