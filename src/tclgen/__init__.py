@@ -34,7 +34,7 @@ from .cumulant import (
     enumerate_ordered_cumulant_terms,
     moment_superop,
 )
-from .exact import K2_exact, K4_exact
+from .exact import K2_exact, K4_exact, forward_map_exact
 from .evolve import (
     DiagnosticTable,
     NumericsError,
@@ -96,6 +96,7 @@ __all__ = [
     # exact
     "K2_exact",
     "K4_exact",
+    "forward_map_exact",
     # tcl
     "EquivalenceError",
     "K4Term",

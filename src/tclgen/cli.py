@@ -36,9 +36,9 @@ from . import __version__
 from .algebra import SuperOp, SystemModel
 from .bath import BathSpec, kernel_D, kernel_D1
 from .cumulant import K_n_cumulant, drop_odd_terms, enumerate_ordered_cumulant_terms
+from .exact import K2_exact, forward_map_exact
 from .evolve import (
     NumericsError,
-    forward_map_correction,
     invertibility_diagnostic,
     propagate,
     trace_distance,
@@ -54,7 +54,6 @@ from .quadrature import QuadratureSpec
 from .tcl import (
     EquivalenceError,
     Generator,
-    K2_influence,
     K4_influence,
     build_generator,
     format_k4_table,
@@ -436,7 +435,8 @@ def _write_generator_csvs(gen: Generator, outdir: Path, meta: str,
     paths = []
     header = _matrix_header(gen.dim**2)
     for t in times:
-        for name, mat in zip(("K2", "K4"), gen.coefficients(float(t))):
+        coeffs = gen.coefficients(float(t))
+        for name, mat in (("K2", coeffs.k2), ("K4", coeffs.k4)):
             if mat is None:
                 continue
             path = outdir / f"generator_{name}_t{t:g}.csv"
@@ -537,7 +537,7 @@ def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[
         report.append("")
 
     if cfg.write_diagnostic:
-        diag = invertibility_diagnostic(cfg.model, cfg.bath, t_grid, cfg.quad)
+        diag = invertibility_diagnostic(cfg.model, cfg.bath, t_grid)
         rows = ([_fmt(t), _fmt(s), _fmt(c)] for t, s, c in
                 zip(diag.times, diag.sigma_min, diag.condition_number))
         path = outdir / "diagnostic.csv"
@@ -549,17 +549,22 @@ def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[
     if cfg.write_report:
         if cfg.order == 4:
             # both quadrature routes on one grid, so rel_diff is free of
-            # quadrature error; gen_diff sets the generator's K4 against them
+            # quadrature error; gen_diff sets the generator's K4 against them.
+            # A K4 the memo took from K4_influence on this grid is reused.
             report.append(
                 "fourth-order route comparison (kernel table vs ordered cumulant):")
             trip = max(1e-6, 100.0 * cfg.quad.tolerance)
             for t in cfg.generator_times:
                 _vlog(verbose, f"route comparison at t={t:g}")
-                a = K4_influence(cfg.model, cfg.bath, float(t), cfg.quad).matrix
+                coeffs = gen.coefficients(float(t))
+                if coeffs.k4_route == "K4_influence":
+                    a = coeffs.k4
+                else:
+                    a = K4_influence(cfg.model, cfg.bath, float(t), cfg.quad).matrix
                 b = K_n_cumulant(cfg.model, cfg.bath, float(t), 4, cfg.quad).matrix
                 scale = max(np.linalg.norm(a), np.linalg.norm(b), 1e-6)
                 rel = np.linalg.norm(a - b) / scale
-                gen_diff = np.linalg.norm(gen.coefficients(float(t))[1] - a) / scale
+                gen_diff = np.linalg.norm(coeffs.k4 - a) / scale
                 report.append(
                     f"  t= {_fmt(t)}  rel_diff= {rel:.3e}  gen_diff= {gen_diff:.3e}")
                 if rel > trip and equivalence_failure is None:
@@ -586,7 +591,7 @@ def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[
                 report.append("(no exact reference for this scenario)")
                 report.append("")
 
-        j = forward_map_correction(cfg.model, cfg.bath, cfg.t_max, cfg.quad)
+        j = forward_map_exact(cfg.model, cfg.bath, cfg.t_max)
         eye = np.eye(cfg.model.dim**2)
         scan_alphas = np.linspace(0.1, 2.0, 20)
         sig = np.empty(len(scan_alphas))
@@ -648,8 +653,9 @@ def scaling_study(
 
     The fourth-order coefficient K4 does not depend on alpha, so it is
     computed once on a uniform grid (spacing ``table_step``), interpolated
-    with a cubic spline, and reused across the whole coupling ladder.  K2 is
-    cheap enough to evaluate exactly at every stepper time; keeping it
+    with a cubic spline, and reused across the whole coupling ladder; ``quad``
+    sets the quadrature of that table.  K2 comes from the closed form
+    :func:`tclgen.exact.K2_exact` at every stepper time; keeping it
     spline-free matters because a K2 table error would enter every trajectory
     at relative order alpha^2 and flatten the order-4 slope at the small end
     of the ladder.  Every run is compared on the same output grid against
@@ -682,7 +688,7 @@ def scaling_study(
     s4 = CubicSpline(nodes, k4_tab, axis=0)
 
     def k2_exact(t: float) -> np.ndarray:
-        return K2_influence(base, bath, float(t), quad).matrix
+        return K2_exact(base, bath, float(t)).matrix
 
     t_grid = np.linspace(0.0, t_max, n_output)
     rho0 = _default_rho0(d)

@@ -5,6 +5,11 @@ state.  Two steppers: classic fixed-step RK4 (used for convergence-order
 measurements) and adaptive RK45 via scipy (default).  The trajectory carries
 per-time conservation monitors: trace deviation, Hermiticity deviation and
 the smallest eigenvalue of the Hermitized state.
+
+The invertibility diagnostic conditions the lowest-order forward map, whose
+correction J(t) it takes in closed form
+(:func:`tclgen.exact.forward_map_exact`); :func:`forward_map_correction`
+integrates the same J by quadrature and stays as the check route.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from scipy.integrate import solve_ivp
 from .algebra import SuperOp, SystemModel, vec, unvec
 from .bath import BathSpec
 from .cumulant import _moment_matrix_batch
+from .exact import forward_map_exact
 from .quadrature import QuadratureSpec, integrate_simplex2
 from .tcl import Generator
 
@@ -162,7 +168,8 @@ class DiagnosticTable:
 def forward_map_correction(
     model: SystemModel, bath: BathSpec, t: float, quad: QuadratureSpec
 ) -> np.ndarray:
-    """The coupling-independent double integral int_0^t int_0^t1 <L L>."""
+    """The coupling-independent double integral int_0^t int_0^t1 <L L>, by
+    quadrature (the check route for :func:`tclgen.exact.forward_map_exact`)."""
     return integrate_simplex2(
         lambda t1, t2: _moment_matrix_batch(model, bath, [t1, t2], t2.shape[0]),
         float(t),
@@ -171,13 +178,15 @@ def forward_map_correction(
 
 
 def invertibility_diagnostic(
-    model: SystemModel, bath: BathSpec, t_grid: np.ndarray, quad: QuadratureSpec
+    model: SystemModel, bath: BathSpec, t_grid: np.ndarray
 ) -> DiagnosticTable:
-    """Conditioning of M(t) = 1 + alpha^2 int int <L L> along the grid.
+    """Conditioning of M(t) = 1 + alpha^2 J(t) along the grid.
 
-    M is the lowest-order expansion of the map rho(0) -> rho(t); a collapsing
-    smallest singular value signals times where inverting the expansion (the
-    step that makes the generator time local) becomes ill conditioned.
+    M is the lowest-order expansion of the map rho(0) -> rho(t), with
+    J(t) = int_0^t int_0^t1 <L L> from :func:`tclgen.exact.forward_map_exact`
+    (closed form, no quadrature).  A collapsing smallest singular value
+    signals times where inverting the expansion (the step that makes the
+    generator time local) becomes ill conditioned.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < 0):
@@ -185,10 +194,7 @@ def invertibility_diagnostic(
     eye = np.eye(model.dim**2, dtype=complex)
     sig, cond = np.empty(len(t_grid)), np.empty(len(t_grid))
     for k, t in enumerate(t_grid):
-        if t == 0.0:
-            sig[k], cond[k] = 1.0, 1.0
-            continue
-        m = eye + model.alpha**2 * forward_map_correction(model, bath, float(t), quad)
+        m = eye + model.alpha**2 * forward_map_exact(model, bath, float(t))
         svals = np.linalg.svd(m, compute_uv=False)
         if svals[-1] <= 0 or not np.all(np.isfinite(svals)):
             raise NumericsError(f"forward map singular at t = {t}")

@@ -1,4 +1,5 @@
-"""Exact K2(t) and K4(t) for discrete-mode baths, without quadrature.
+"""Exact K2(t), K4(t) and forward-map correction J(t) for discrete-mode baths,
+without quadrature.
 
 Every bath here is a finite sum of modes, so each kernel is a sum of
 exponentials: a contracted slot at lag tau carries
@@ -20,7 +21,8 @@ expm(t [[A0, B1, 0, 0], [0, A1, B2, 0], [0, 0, A2, B3], [0, 0, 0, A3]])
 exponential stays accurate when frequencies coincide, which the zero Bohr
 frequency and dephasing couplings always produce.  K2 has a two-interval
 chain, whose block exponential is elementwise a first divided difference of
-the exponential; it is evaluated that way, with ``expm1``.
+the exponential; it is evaluated that way, with ``expm1``.  J(t), whose
+derivative is K2(t), is the K2 chain with one more interval in front.
 
 The sixteen rows of the fourth-order kernel table factorise into four
 chains with prefactor 1/4:
@@ -51,7 +53,7 @@ from .algebra import (
 )
 from .bath import BathSpec
 
-__all__ = ["K2_exact", "K4_exact", "k4_chain_count"]
+__all__ = ["K2_exact", "K4_exact", "forward_map_exact", "k4_chain_count"]
 
 
 class _Eigenbasis:
@@ -180,6 +182,27 @@ def K2_exact(model: SystemModel, bath: BathSpec, t: float) -> SuperOp:
     phi = np.where(zero, 1.0, np.expm1(z) / np.where(zero, 1.0, z))
     inner = np.einsum("mkl,mkl->kl", c.w, t * np.exp(t * a)[:, :, None] * phi)
     return SuperOp(model.dim, -0.5 * c.lead(t, inner))
+
+
+def forward_map_exact(model: SystemModel, bath: BathSpec, t: float) -> np.ndarray:
+    """The forward-map correction J(t) = int_0^t dt1 int_0^t1 dt2 <L(t1) L(t2)>
+    in closed form (the quadrature route is
+    :func:`tclgen.evolve.forward_map_correction`).
+
+    J' = K2, so J is the K2 chain with one more interval in front:
+
+        J(t) = -(1/2) U(t) int e^{-u0 G} Xc e^{u1 (i nu - G)} W_nu e^{-u2 G}
+
+    over u0 + u1 + u2 = t, summed over the kernel labels nu.  One block
+    exponential of size 3 d^2 per label, so cost is linear in the number of
+    modes.  Returns the (d^2, d^2) matrix in the site basis; J(0) is exactly 0.
+    """
+    c = _Eigenbasis(model, bath)
+    zero = np.zeros(c.nu.size)
+    inner = _chain_sum(t, c.g, np.stack([zero, c.nu, zero], axis=1),
+                       [(c.xc[None], np.zeros(1, dtype=int)), (c.w, np.arange(c.nu.size))])
+    out = -0.5 * np.exp(t * c.g)[:, None] * inner
+    return c.to_site @ out @ c.to_site.conj().T
 
 
 def k4_chain_count(model: SystemModel, bath: BathSpec) -> int:

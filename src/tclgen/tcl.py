@@ -54,6 +54,7 @@ __all__ = [
     "EquivalenceError",
     "K4_TERM_TABLE",
     "K4Term",
+    "Coefficients",
     "Generator",
     "K2_influence",
     "K4_influence",
@@ -270,6 +271,18 @@ def _k4_exact_is_cheaper(dim: int, chains: int, points: int) -> bool:
     return chains * dim**2 <= 2 * points**3
 
 
+class Coefficients(NamedTuple):
+    """Unscaled generator coefficients at one time, as memoized.
+
+    ``k4_route`` names the function that filled ``k4``: ``"K4_exact"``, or
+    ``"K4_influence"`` on the generator's quadrature; None at order 2.
+    """
+
+    k2: np.ndarray
+    k4: np.ndarray | None
+    k4_route: str | None
+
+
 @dataclass
 class Generator:
     """Evaluable time-local generator K(t) = alpha^2 K2(t) [+ alpha^4 K4(t)].
@@ -277,7 +290,7 @@ class Generator:
     ``evaluator(t)`` returns the fully scaled SuperOp.  ``grid`` records the
     cache nodes; ``interp`` the interpolation rule between them.
     ``coefficients(t)``, set by :func:`build_generator`, returns the unscaled
-    pair ``(K2(t), K4(t) or None)`` from the generator's memo (the arrays are
+    :class:`Coefficients` at t from the generator's memo (the arrays are
     shared, not copied); it accepts any time, including times past the grid.
     """
 
@@ -287,7 +300,7 @@ class Generator:
     evaluator: Callable[[float], SuperOp] = field(repr=False)
     grid: np.ndarray | None = None
     interp: str = "linear"
-    coefficients: Callable[[float], tuple[np.ndarray, np.ndarray | None]] | None = field(
+    coefficients: Callable[[float], Coefficients] | None = field(
         default=None, init=False, repr=False
     )
 
@@ -326,21 +339,23 @@ def build_generator(
     if interp not in ("linear", "cubic", "direct"):
         raise ValueError(f"unknown interpolation {interp!r}")
 
-    memo: dict[float, tuple[np.ndarray, np.ndarray | None]] = {}
+    memo: dict[float, Coefficients] = {}
     chains = k4_chain_count(model, bath) if order == 4 else 0
 
-    def fourth(t: float) -> np.ndarray:
+    def fourth(t: float) -> tuple[np.ndarray | None, str | None]:
+        if order == 2:
+            return None, None
         if _k4_exact_is_cheaper(model.dim, chains, quad.points(t)):
-            return K4_exact(model, bath, t).matrix
-        return K4_influence(model, bath, t, quad).matrix
+            return K4_exact(model, bath, t).matrix, "K4_exact"
+        return K4_influence(model, bath, t, quad).matrix, "K4_influence"
 
-    def coefficients(t: float) -> tuple[np.ndarray, np.ndarray | None]:
+    def coefficients(t: float) -> Coefficients:
         if t not in memo:
-            memo[t] = (K2_exact(model, bath, t).matrix, fourth(t) if order == 4 else None)
+            memo[t] = Coefficients(K2_exact(model, bath, t).matrix, *fourth(t))
         return memo[t]
 
     def compute(t: float) -> np.ndarray:
-        k2, k4 = coefficients(t)
+        k2, k4, _ = coefficients(t)
         mat = model.alpha**2 * k2
         if k4 is not None:
             mat = mat + model.alpha**4 * k4

@@ -267,13 +267,13 @@ def test_criterion_7_breakdown_diagnostic_sanity(capsys):
     preset = get_preset("spinboson-single-mode")
     quad = QuadratureSpec(GL, 8, 1e-8)
     table = invertibility_diagnostic(
-        preset.model, preset.bath, np.array([0.0, 0.5, 1.0, 2.0]), quad
+        preset.model, preset.bath, np.array([0.0, 0.5, 1.0, 2.0])
     )
     t0_exact = table.sigma_min[0] == 1.0 and table.condition_number[0] == 1.0
 
     free = SystemModel(2, preset.model.h_sys, preset.model.coupling, alpha=0.0)
     free_table = invertibility_diagnostic(
-        free, preset.bath, np.array([0.0, 0.5, 1.0, 2.0, 3.0]), quad
+        free, preset.bath, np.array([0.0, 0.5, 1.0, 2.0, 3.0])
     )
     free_dev = float(np.max(np.abs(free_table.sigma_min - 1.0)))
 

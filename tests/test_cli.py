@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import tclgen.cli
+import tclgen.evolve
 import tclgen.exact
+import tclgen.quadrature
 import tclgen.tcl
 from tclgen.algebra import SuperOp
 from tclgen.bath import BathSpec
@@ -225,15 +227,17 @@ def test_run_writes_all_artifacts_deterministically(tmp_path, capsys):
         assert fa.read_bytes() == fb.read_bytes(), fname
 
 
-def test_run_computes_each_k4_once(tmp_path, monkeypatch):
-    # count K4_exact and K4_influence in every tclgen namespace that holds them
-    originals = {"exact": tclgen.exact.K4_exact, "influence": tclgen.tcl.K4_influence}
-    times = {"exact": [], "influence": []}
+def _record_calls(monkeypatch, **originals):
+    """Wrap each named function in every tclgen namespace that holds it.
 
-    def counting(key):
-        def wrapper(model, bath, t, *quad):
-            times[key].append(float(t))
-            return originals[key](model, bath, t, *quad)
+    Returns ``{name: [positional arguments of each call]}``.
+    """
+    calls = {key: [] for key in originals}
+
+    def recording(key, original):
+        def wrapper(*args, **kwargs):
+            calls[key].append(args)
+            return original(*args, **kwargs)
         return wrapper
 
     for name, module in list(sys.modules.items()):
@@ -241,11 +245,19 @@ def test_run_computes_each_k4_once(tmp_path, monkeypatch):
             for attr, value in list(vars(module).items()):
                 for key, original in originals.items():
                     if value is original:
-                        monkeypatch.setattr(module, attr, counting(key))
+                        monkeypatch.setattr(module, attr, recording(key, original))
+    return calls
+
+
+def test_run_computes_each_k4_once(tmp_path, monkeypatch):
+    # count K4_exact and K4_influence in every tclgen namespace that holds them
+    originals = {"exact": tclgen.exact.K4_exact, "influence": tclgen.tcl.K4_influence}
+    calls = _record_calls(monkeypatch, **originals)
     cfg_path = tmp_path / "scenario.ini"
     cfg_path.write_text(RUN_SMALL)
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    times = {key: [float(args[2]) for args in made] for key, made in calls.items()}
     # the 33 table nodes include both generator times; the quadrature table
     # runs only in the report's route check, once per generator time
     cfg = parse_config(RUN_SMALL)
@@ -257,6 +269,41 @@ def test_run_computes_each_k4_once(tmp_path, monkeypatch):
                     for row in k4]
         lines = (out / f"generator_K4_t{t:g}.csv").read_text().splitlines()
         assert lines[2:] == expected
+
+
+def test_route_check_reuses_a_quadrature_k4_from_the_memo(tmp_path, monkeypatch):
+    # five modes are past the exact route's cost limit at t = 0.5, so the
+    # generator's memo already holds K4_influence(0.5) on the run's grid
+    calls = _record_calls(monkeypatch, influence=tclgen.tcl.K4_influence)
+    cfg_path = tmp_path / "scenario.ini"
+    cfg_path.write_text(
+        "[model]\ndim = 2\nh_sys = 0.5, 0, 0, -0.5\ncoupling = 0, 1, 1, 0\n"
+        "alpha = 0.1\n[bath]\nbeta = 2.5\n"
+        "modes = " + "; ".join(f"0.3, {0.5 + 0.1 * k:g}, 1" for k in range(5)) + "\n"
+        "[run]\nt_max = 0.5\norder = 4\n"
+        "[outputs]\ngenerator_times = 0.5\ntrajectory = false\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert [float(args[2]) for args in calls["influence"]] == [0.5]
+    report = (out / "report.txt").read_text()
+    assert re.search(r"t= 5\.000000000000e-01  rel_diff= \S+  gen_diff= 0\.000e\+00", report)
+
+
+def test_order_two_run_uses_no_quadrature(tmp_path, monkeypatch):
+    # the diagnostic and the coupling scan take the forward map in closed form
+    calls = _record_calls(
+        monkeypatch,
+        simplex2=tclgen.quadrature.integrate_simplex2,
+        correction=tclgen.evolve.forward_map_correction,
+    )
+    cfg_path = tmp_path / "scenario.ini"
+    cfg_path.write_text(RUN_SMALL.replace("order = 4", "order = 2"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert (out / "diagnostic.csv").is_file()
+    assert "coupling scan of forward-map conditioning" in (out / "report.txt").read_text()
+    assert calls == {"simplex2": [], "correction": []}
 
 
 def test_run_trajectory_is_constant_when_uncoupled(tmp_path):
@@ -554,6 +601,14 @@ def test_scaling_study_rejects_an_oversized_purified_reference(monkeypatch, caps
     err = capsys.readouterr().err
     assert "dimension 20000 exceeds the cap 4096" in err
     assert "at most 6 Fock levels per mode fit" in err
+
+
+def test_scaling_study_takes_k2_in_closed_form(monkeypatch):
+    calls = _record_calls(monkeypatch, influence=tclgen.tcl.K2_influence)
+    res = tclgen.cli.scaling_study(alphas=(0.1, 0.2), t_max=0.5, fock_levels=4,
+                                   table_step=0.25, n_output=6)
+    assert calls["influence"] == []
+    assert np.all(np.isfinite(res.errors_order2 + res.errors_order4))
 
 
 def test_scaling_study_smoke(tmp_path, capsys):

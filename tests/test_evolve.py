@@ -201,24 +201,24 @@ def test_rk45_reports_failure():
 
 
 def test_diagnostic_time_zero_is_exact():
-    table = invertibility_diagnostic(spin_boson(0.3), BATH, np.array([0.0, 0.5]), GL8)
+    table = invertibility_diagnostic(spin_boson(0.3), BATH, np.array([0.0, 0.5]))
     assert table.sigma_min[0] == 1.0
     assert table.condition_number[0] == 1.0
 
 
 def test_diagnostic_uncoupled_is_identity():
-    table = invertibility_diagnostic(spin_boson(0.0), BATH, np.array([0.0, 0.7, 1.9]), GL8)
+    table = invertibility_diagnostic(spin_boson(0.0), BATH, np.array([0.0, 0.7, 1.9]))
     assert np.max(np.abs(table.sigma_min - 1.0)) < 1e-12
     assert np.max(np.abs(table.condition_number - 1.0)) < 1e-12
 
 
 def test_diagnostic_rejects_negative_times():
     with pytest.raises(ValueError, match="nonnegative"):
-        invertibility_diagnostic(spin_boson(0.3), BATH, np.array([-0.5, 0.5]), GL8)
+        invertibility_diagnostic(spin_boson(0.3), BATH, np.array([-0.5, 0.5]))
 
 
 def test_diagnostic_interacting_map_contracts():
-    table = invertibility_diagnostic(spin_boson(0.5), BATH, np.array([0.0, 1.0, 2.0]), GL8)
+    table = invertibility_diagnostic(spin_boson(0.5), BATH, np.array([0.0, 1.0, 2.0]))
     assert table.sigma_min[1] < 1.0
     assert table.sigma_min[2] < 1.0
     assert np.all(table.condition_number >= 1.0)

@@ -23,7 +23,9 @@ from test_acceptance import _random_instance
 import tclgen.exact
 from tclgen.algebra import SystemModel
 from tclgen.bath import BathSpec
-from tclgen.exact import K2_exact, K4_exact, _expm
+from tclgen.evolve import forward_map_correction
+from tclgen.exact import K2_exact, K4_exact, _expm, forward_map_exact
+from tclgen.models import get_preset
 from tclgen.quadrature import QuadratureSpec
 from tclgen.tcl import K2_influence, K4_influence
 
@@ -98,6 +100,38 @@ def test_chunked_block_exponentials_match_one_batch(monkeypatch):
     assert rel(K4_exact(model, bath, 1.3).matrix, whole) < 1e-13
 
 
+# --- forward map -----------------------------------------------------------------
+
+
+def test_forward_map_matches_quadrature_up_to_t_10():
+    rng = np.random.default_rng(23)
+    cases = [_random_instance(rng, 2) for _ in range(6)]
+    cases += [_random_instance(rng, 3) for _ in range(4)]
+    cases += [(p.model, p.bath) for p in map(get_preset, (
+        "spinboson-single-mode", "spinboson-two-mode"))]
+    quad = QuadratureSpec(GL, 16, 1e-8)
+    worst = max(rel(forward_map_exact(model, bath, t),
+                    forward_map_correction(model, bath, t, quad))
+                for model, bath in cases for t in (0.5, 2.0, 6.0, 10.0))
+    assert worst < 1e-12
+
+
+def test_forward_map_at_time_zero_is_exactly_zero():
+    preset = get_preset("spinboson-two-mode")
+    j = forward_map_exact(preset.model, preset.bath, 0.0)
+    assert j.shape == (4, 4)
+    assert not np.any(j)
+
+
+def test_forward_map_does_not_depend_on_the_coupling():
+    preset = get_preset("spinboson-single-mode")
+    h, x = preset.model.h_sys, preset.model.coupling
+    weak, strong = (forward_map_exact(SystemModel(2, h, x, alpha=a), preset.bath, 1.7)
+                    for a in (0.1, 0.9))
+    assert np.any(weak)
+    assert np.array_equal(weak, strong)
+
+
 # --- properties over random models ----------------------------------------------
 
 
@@ -162,6 +196,18 @@ def test_exact_generators_preserve_trace_and_hermiticity(instance, t):
         assert np.linalg.norm(vec_eye @ k) <= 1e-12 * scale
         assert np.linalg.norm(k.conj()[np.ix_(perm, perm)] - k) <= 1e-12 * scale
         assert not np.any(exact(model, bath, 0.0).matrix)
+
+
+@settings(DETERMINISTIC, max_examples=12)
+@given(instances((2, 3)), st.floats(0.05, 4.0))
+def test_forward_map_annihilates_the_trace_and_matches_quadrature(instance, t):
+    model, bath = instance
+    d = model.dim
+    j = forward_map_exact(model, bath, t)
+    ref = forward_map_correction(model, bath, t, QuadratureSpec(GL, 24, 1e-8))
+    scale = max(np.linalg.norm(ref), 1.0)  # absolute below norm 1: X = 0 is a draw
+    assert np.linalg.norm(np.eye(d).reshape(-1, order="F") @ j) <= 1e-12 * scale
+    assert np.linalg.norm(j - ref) <= 1e-12 * scale
 
 
 @settings(DETERMINISTIC, max_examples=15)
