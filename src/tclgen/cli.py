@@ -36,7 +36,7 @@ from . import __version__
 from .algebra import SuperOp, SystemModel
 from .bath import BathSpec, kernel_D, kernel_D1
 from .cumulant import K_n_cumulant, drop_odd_terms, enumerate_ordered_cumulant_terms
-from .exact import K2_exact, forward_map_exact
+from .exact import K2_exact, K4_exact, forward_map_exact
 from .evolve import (
     NumericsError,
     invertibility_diagnostic,
@@ -643,7 +643,6 @@ def scaling_study(
     alphas: Sequence[float] = (0.025, 0.05, 0.1, 0.2),
     t_max: float = 4.0,
     fock_levels: int | None = None,
-    quad: QuadratureSpec | None = None,
     table_step: float = 0.1,
     n_output: int = 81,
     atol: float = 1e-13,
@@ -652,9 +651,9 @@ def scaling_study(
     """Fit the error-vs-coupling slopes for order-2 and order-4 propagation.
 
     The fourth-order coefficient K4 does not depend on alpha, so it is
-    computed once on a uniform grid (spacing ``table_step``), interpolated
-    with a cubic spline, and reused across the whole coupling ladder; ``quad``
-    sets the quadrature of that table.  K2 comes from the closed form
+    computed once on a uniform grid (spacing ``table_step``) by the closed
+    form :func:`tclgen.exact.K4_exact`, interpolated with a cubic spline, and
+    reused across the whole coupling ladder.  K2 comes from the closed form
     :func:`tclgen.exact.K2_exact` at every stepper time; keeping it
     spline-free matters because a K2 table error would enter every trajectory
     at relative order alpha^2 and flatten the order-4 slope at the small end
@@ -677,14 +676,12 @@ def scaling_study(
     reference = TruncatedBathConfig(bath, n_fock, purified=True)
     d = base.dim
     reference.check_dim(d)
-    if quad is None:
-        quad = QuadratureSpec(nodes_per_unit_time=8)
 
     nodes = np.linspace(0.0, t_max, int(round(t_max / table_step)) + 1)
     k4_tab = np.empty((len(nodes), d * d, d * d), dtype=complex)
     for k, t in enumerate(nodes):
         _vlog(verbose, f"table node {k + 1}/{len(nodes)} (t={t:g})")
-        k4_tab[k] = K4_influence(base, bath, float(t), quad).matrix
+        k4_tab[k] = K4_exact(base, bath, float(t)).matrix
     s4 = CubicSpline(nodes, k4_tab, axis=0)
 
     def k2_exact(t: float) -> np.ndarray:
@@ -823,13 +820,11 @@ def _cmd_scaling_study(args) -> int:
     if problems:
         raise ConfigError(problems)
 
-    quad = QuadratureSpec(nodes_per_unit_time=args.quad_nodes or 8)
     res = scaling_study(
         preset_name=args.preset,
         alphas=alphas,
         t_max=args.t_max,
         fock_levels=args.fock,
-        quad=quad,
         table_step=args.table_step,
         n_output=args.n_output,
         verbose=args.verbose,
@@ -841,7 +836,7 @@ def _cmd_scaling_study(args) -> int:
         f"scaling preset={args.preset} "
         f"alphas={','.join(f'{a:g}' for a in res.alphas)} t_max={args.t_max:g} "
         f"fock={args.fock if args.fock is not None else 'preset'} "
-        f"table_step={args.table_step:g} npu={quad.nodes_per_unit_time} "
+        f"table_step={args.table_step:g} "
         f"n_output={args.n_output}"
     )
     h = hashlib.sha256(desc.encode()).hexdigest()[:12]
@@ -909,7 +904,6 @@ def _build_parser() -> _Parser:
                     help="spacing of the generator coefficient table")
     sp.add_argument("--n-output", type=int, default=81)
     sp.add_argument("--out", metavar="DIR")
-    sp.add_argument("--quad-nodes", type=int, metavar="N", default=None)
     sp.add_argument("--verbose", action="store_true")
     sp.set_defaults(func=_cmd_scaling_study)
 

@@ -24,19 +24,18 @@ chain, whose block exponential is elementwise a first divided difference of
 the exponential; it is evaluated that way, with ``expm1``.  J(t), whose
 derivative is K2(t), is the K2 chain with one more interval in front.
 
-The sixteen rows of the fourth-order kernel table factorise into four
-chains with prefactor 1/4:
+K4 is the paper's partially unordered cumulant form
 
-    + Xc(t) Xc(t1) W(t2) W(t3)      pairs (t, t2), (t1, t3) and (t, t3), (t1, t2)
-    - Xc(t) W(t2) Xc(t1) W(t3)      pairs (t, t2), (t1, t3)
-    - Xc(t) W(t3) Xc(t1) W(t2)      pairs (t, t3), (t1, t2)
+    K4(t) = J4'(t) - K2(t) J(t),
 
-In the interleaved chains the out-of-order slot is split into Bohr
-components W_{nu,w}, built from the parts of X that rotate as e^{iws} in the
-eigenbasis of H_S; each component is then a chronological chain whose
-intervals spanned by that slot carry an extra -iw.  Bohr frequencies that
-agree to round-off are merged; any wider grouping would shift a frequency
-and so cost accuracy.
+with J4'(t) the chronological four-point moment <L(t) L(t1) L(t2) L(t3)>
+integrated over t > t1 > t2 > t3 > 0.  The bath is Gaussian, so J4' is a sum
+over the three Wick pairings; in each pair the later slot carries Xc and the
+earlier one W, so every pairing is a chronological chain with prefactor 1/4:
+
+    pairs (t, t2), (t1, t3):   Xc(t) Xc(t1) W_nu(t2) W_mu(t3)
+    pairs (t, t3), (t1, t2):   Xc(t) Xc(t1) W_mu(t2) W_nu(t3)
+    pairs (t, t1), (t2, t3):   Xc(t) W_nu(t1) Xc(t2) W_mu(t3)
 
 All arithmetic runs in the eigenbasis of H_S, where G and U(s) are diagonal.
 """
@@ -45,48 +44,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import (
-    SuperOp,
-    SystemModel,
-    anticommutator_super_batch,
-    commutator_super_batch,
-)
+from .algebra import SuperOp, SystemModel
 from .bath import BathSpec
 
 __all__ = ["K2_exact", "K4_exact", "forward_map_exact", "k4_chain_count"]
 
 
 class _Eigenbasis:
-    """Eigenbasis data of one (model, bath) pair shared by K2 and K4."""
+    """Eigenbasis data of one (model, bath) pair shared by K2, J and K4."""
 
     def __init__(self, model: SystemModel, bath: BathSpec):
-        self.x = model._coupling_eigbasis
-        self.bohr = model._bohr_matrix
-        self.g = 1j * self.bohr.reshape(-1, order="F")  # diagonal of G
+        self.g = 1j * model._bohr_matrix.reshape(-1, order="F")  # diagonal of G
         self.to_site, self.xc, xa = model._eig_superops
         # kernel labels nu = +omega_n, -omega_n with W_nu = cc_nu Xc + ca_nu Xa
         half = bath.amplitudes / 2.0
         self.nu = np.concatenate([bath.omegas, -bath.omegas])
-        self.cc = np.tile(half * bath.coth_factors, 2)
-        self.ca = np.concatenate([-half, half])
-        self.w = self.cc[:, None, None] * self.xc + self.ca[:, None, None] * xa
-
-    def bohr_parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Bohr frequencies w of X and the brackets of the nonzero parts of X
-        rotating as e^{iws}: (w, Xc_w, Xa_w).  Frequencies equal to round-off
-        merge."""
-        flat = self.bohr.ravel()
-        order = np.argsort(flat)
-        tol = 16.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(flat))))
-        group = np.concatenate([[0], np.cumsum(np.diff(flat[order]) > tol)])
-        label = np.empty(flat.size, dtype=int)
-        label[order] = group
-        omega = np.bincount(group, flat[order]) / np.bincount(group)
-        masks = label.reshape(self.x.shape) == np.arange(omega.size)[:, None, None]
-        parts = self.x[None] * masks
-        keep = np.any(parts != 0, axis=(1, 2))
-        parts = parts[keep]
-        return omega[keep], commutator_super_batch(parts), anticommutator_super_batch(parts)
+        cc = np.tile(half * bath.coth_factors, 2)
+        ca = np.concatenate([-half, half])
+        self.w = cc[:, None, None] * self.xc + ca[:, None, None] * xa
 
     def lead(self, t: float, inner: np.ndarray) -> np.ndarray:
         """U(t) Xc applied to ``inner``, returned in the site basis."""
@@ -129,12 +104,12 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _chain_sum(t: float, g: np.ndarray, shifts: np.ndarray,
+def _chain_sum(t: float, g: np.ndarray, shifts: list[np.ndarray],
                blocks: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """Sum over a batch of chains of the integrals of
     e^{u0 A0} B1 e^{u1 A1} ... B_k e^{u_k A_k} over u0 + ... + u_k = t.
 
-    Chain b has A_i = i shifts[b, i] - G, with G diagonal (its diagonal is
+    Chain b has A_i = i shifts[i][b] - G, with G diagonal (its diagonal is
     ``g``), and B_i = table_i[index_i[b]] for ``blocks[i-1] = (table_i,
     index_i)``; an index of length 1 gives every chain the same B_i.  Each
     B_i enters its block matrix at unit norm and the result is rescaled, so
@@ -143,6 +118,7 @@ def _chain_sum(t: float, g: np.ndarray, shifts: np.ndarray,
     ``_CHUNK_ENTRIES`` entries, so memory stays bounded however many chains
     there are.  Returns the (n, n) sum.
     """
+    shifts = np.stack(shifts, axis=1)
     batch, k = shifts.shape[0], len(blocks)
     n = g.size
     size = (k + 1) * n
@@ -199,54 +175,38 @@ def forward_map_exact(model: SystemModel, bath: BathSpec, t: float) -> np.ndarra
     """
     c = _Eigenbasis(model, bath)
     zero = np.zeros(c.nu.size)
-    inner = _chain_sum(t, c.g, np.stack([zero, c.nu, zero], axis=1),
+    inner = _chain_sum(t, c.g, [zero, c.nu, zero],
                        [(c.xc[None], np.zeros(1, dtype=int)), (c.w, np.arange(c.nu.size))])
     out = -0.5 * np.exp(t * c.g)[:, None] * inner
     return c.to_site @ out @ c.to_site.conj().T
 
 
-def k4_chain_count(model: SystemModel, bath: BathSpec) -> int:
-    """Number of block exponentials one :func:`K4_exact` call evaluates.
-
-    2 (2M)^2 chronological chains and 2 (2M)^2 P interleaved ones, for M bath
-    modes and P Bohr components of X; each is a 4 d^2 square matrix.  The
-    cost of the exact route grows with this count, not with t.
+def k4_chain_count(bath: BathSpec) -> int:
+    """Number of block exponentials of size 4 d^2 one :func:`K4_exact` call
+    evaluates: 3 (2M)^2 for M bath modes, one per Wick pairing and pair of
+    kernel labels.  The cost of the exact route grows with this count, not
+    with t; the 2M smaller exponentials of J are not counted.
     """
-    m = 2 * len(bath.omegas)
-    return 2 * m * m * (1 + _Eigenbasis(model, bath).bohr_parts()[0].size)
+    return 3 * (2 * len(bath.omegas)) ** 2
 
 
 def K4_exact(model: SystemModel, bath: BathSpec, t: float) -> SuperOp:
-    """Fourth-order generator in closed form (the kernel table, integrated).
+    """Fourth-order generator in closed form, as the paper's partially
+    unordered cumulant form K4 = J4' - K2 J.
 
-    One block exponential per chain and label tuple, summed per chain.
+    J4' is (1/4) U(t) Xc times the sum of the three Wick-pairing chains, one
+    block exponential per pairing and pair of labels (nu, mu).
     """
     c = _Eigenbasis(model, bath)
-    m, n = c.nu.size, c.g.size
-    omega, xc_w, xa_w = c.bohr_parts()
-    p = omega.size
-    one = (c.xc[None], np.zeros(1, dtype=int))
-    eye = (np.eye(n, dtype=complex)[None], np.zeros(1, dtype=int))
-
-    def chain(shifts, blocks):
-        return _chain_sum(t, c.g, np.stack(shifts, axis=1), blocks)
-
-    # chronological chains: every (nu, mu) pair of labels, both lag patterns
+    m = c.nu.size
     i, j = (a.ravel() for a in np.indices((m, m)))
     nu, mu, zero = c.nu[i], c.nu[j], np.zeros(m * m)
-    # pairs (t, t2) ~ nu and (t1, t3) ~ mu, then (t, t3) ~ nu and (t1, t2) ~ mu
-    inner = chain([nu, nu + mu, mu, zero], [one, (c.w, i), (c.w, j)])
-    inner += chain([nu, nu + mu, nu, zero], [one, (c.w, j), (c.w, i)])
-    # interleaved chains: the out-of-order slot (label nu) split by Bohr
-    # frequency w, which shifts the intervals that slot spans by -w
-    i, j, q = (a.ravel() for a in np.indices((m, m, p)))
-    nu, mu, w, zero = c.nu[i], c.nu[j], omega[q], np.zeros(i.size)
-    # W_{nu,w} Xc for every label nu and Bohr part w, indexed by nu * p + w
-    table = ((c.cc[:, None, None, None] * xc_w + c.ca[:, None, None, None] * xa_w)
-             @ c.xc).reshape(m * p, n, n)
-    first = (table, i * p + q)
-    # -Xc(t) W(t2) Xc(t1) W(t3): nu on u0, u1; mu on u1, u2; -w on u1
-    inner -= chain([nu, nu + mu - w, mu, zero], [first, eye, (c.w, j)])
-    # -Xc(t) W(t3) Xc(t1) W(t2): nu on u0..u2; mu on u1; -w on u1, u2
-    inner -= chain([nu, nu + mu - w, nu - w, zero], [first, (c.w, j), eye])
-    return SuperOp(model.dim, 0.25 * c.lead(t, inner))
+    xc = (c.xc[None], np.zeros(1, dtype=int))
+    # each pair's label shifts the intervals between its two slots
+    inner = (
+        _chain_sum(t, c.g, [nu, nu + mu, mu, zero], [xc, (c.w, i), (c.w, j)])  # (t, t2) (t1, t3)
+        + _chain_sum(t, c.g, [nu, nu + mu, nu, zero], [xc, (c.w, j), (c.w, i)])  # (t, t3) (t1, t2)
+        + _chain_sum(t, c.g, [nu, zero, mu, zero], [(c.w, i), xc, (c.w, j)])  # (t, t1) (t2, t3)
+    )
+    k2_j = K2_exact(model, bath, t).matrix @ forward_map_exact(model, bath, t)
+    return SuperOp(model.dim, 0.25 * c.lead(t, inner) - k2_j)

@@ -14,12 +14,15 @@ audit through the CLI.
 :func:`build_generator` takes its coefficients from the closed forms of
 :mod:`tclgen.exact` (:func:`K2_exact`, :func:`K4_exact`), except K4 on baths
 with so many modes that the exact route would cost more than quadrature
-(:func:`_k4_exact_is_cheaper`).  The quadrature routes here are otherwise
-the independent checks: :func:`K2_influence` and :func:`K4_influence`
-integrate the kernel formulas numerically, and :func:`K4_cumulant_ordered`
-computes K4 along two routes built on the moment machinery -- the fully
-time-ordered cumulant sum and the partially unordered two-term form whose
-product part factorizes -- and raises
+(:func:`_k4_exact_is_cheaper`).  :func:`K4_exact` is the ordered-cumulant
+route (the partially unordered form J4' - K2 J), and the kernel table here
+stays as its check, so the ``gen_diff`` of a run's report (the generator's
+K4 against the kernel table) is a cross-route number.  The quadrature routes
+are otherwise the independent checks: :func:`K2_influence` and
+:func:`K4_influence` integrate the kernel formulas numerically, and
+:func:`K4_cumulant_ordered` computes K4 along two routes built on the moment
+machinery -- the fully time-ordered cumulant sum and the partially unordered
+two-term form whose product part factorizes -- and raises
 :class:`EquivalenceError` if they disagree beyond quadrature accuracy.
 """
 
@@ -224,19 +227,22 @@ def K4_cumulant_ordered(
     unordered form on the same quadrature settings; if they disagree by more
     than 10x the larger of the quadrature tolerance and the self-estimated
     refinement error, raises :class:`EquivalenceError`.  Returns the fully
-    ordered value.  Warns (``UserWarning``) when both Gauss grids sit at the
-    per-dimension node cap, where the self-estimate is exactly 0.
+    ordered value.  Warns (``UserWarning``) where the self-estimate is
+    exactly 0: at 4 nodes per unit time, which coarsening cannot halve, and
+    where both Gauss grids sit at the per-dimension node cap.
     """
     if t == 0.0:
         return SuperOp(model.dim, np.zeros((model.dim**2, model.dim**2), complex))
     coarse = quad.coarsened()
-    if quad.scheme == "gauss-legendre-nested" and (
+    if coarse == quad or quad.scheme == "gauss-legendre-nested" and (
         quad.gauss_points(t) == coarse.gauss_points(t) == GAUSS_POINT_CAP
     ):
         warnings.warn(
-            f"K4_cumulant_ordered at t = {t}: the fine and coarsened Gauss grids "
-            f"both sit at the {GAUSS_POINT_CAP}-node cap per dimension, so the "
-            f"refinement error estimate is 0 and the check uses the tolerance alone",
+            f"K4_cumulant_ordered at t = {t}: the coarsened grid equals the fine one "
+            f"({quad.points(t)} points per dimension at {quad.nodes_per_unit_time} nodes "
+            f"per unit time; the density floor is 4 and Gauss grids stop at the "
+            f"{GAUSS_POINT_CAP}-node cap), so the refinement error estimate is 0 and "
+            f"the check uses the tolerance alone",
             UserWarning,
             stacklevel=2,
         )
@@ -266,7 +272,7 @@ def _k4_exact_is_cheaper(dim: int, chains: int, points: int) -> bool:
     to 4: the exact route takes about 5e-6 s x chains x d^4, the quadrature
     about 1e-5 s x points^3 x d^2, so the exact route is the cheaper one while
     chains x d^2 <= 2 points^3.  For a two-level system at t = 2 and 16 nodes
-    per unit time that holds up to about 27 modes.
+    per unit time that holds up to about 36 modes.
     """
     return chains * dim**2 <= 2 * points**3
 
@@ -340,7 +346,7 @@ def build_generator(
         raise ValueError(f"unknown interpolation {interp!r}")
 
     memo: dict[float, Coefficients] = {}
-    chains = k4_chain_count(model, bath) if order == 4 else 0
+    chains = k4_chain_count(bath) if order == 4 else 0
 
     def fourth(t: float) -> tuple[np.ndarray | None, str | None]:
         if order == 2:

@@ -596,7 +596,7 @@ def test_scaling_study_rejects_an_oversized_purified_reference(monkeypatch, caps
     def no_table(*args, **kwargs):
         raise AssertionError("K4 table built before the dimension check")
 
-    monkeypatch.setattr(tclgen.cli, "K4_influence", no_table)
+    monkeypatch.setattr(tclgen.cli, "K4_exact", no_table)
     assert main(["scaling-study", "--preset", "spinboson-two-mode"]) == 1
     err = capsys.readouterr().err
     assert "dimension 20000 exceeds the cap 4096" in err
@@ -604,10 +604,12 @@ def test_scaling_study_rejects_an_oversized_purified_reference(monkeypatch, caps
 
 
 def test_scaling_study_takes_k2_in_closed_form(monkeypatch):
-    calls = _record_calls(monkeypatch, influence=tclgen.tcl.K2_influence)
+    # the K4 table comes from the closed form too: no quadrature route runs
+    calls = _record_calls(monkeypatch, k2=tclgen.tcl.K2_influence,
+                          k4=tclgen.tcl.K4_influence)
     res = tclgen.cli.scaling_study(alphas=(0.1, 0.2), t_max=0.5, fock_levels=4,
                                    table_step=0.25, n_output=6)
-    assert calls["influence"] == []
+    assert calls == {"k2": [], "k4": []}
     assert np.all(np.isfinite(res.errors_order2 + res.errors_order4))
 
 
@@ -616,7 +618,7 @@ def test_scaling_study_smoke(tmp_path, capsys):
     code = main([
         "scaling-study", "--alphas", "0.1,0.2", "--t-max", "1.0",
         "--table-step", "0.5", "--n-output", "11", "--fock", "6",
-        "--quad-nodes", "8", "--out", str(out),
+        "--out", str(out),
     ])
     assert code == 0
     stdout = capsys.readouterr().out

@@ -145,6 +145,18 @@ def test_self_estimate_at_the_node_cap_warns(monkeypatch):
             K4_cumulant_ordered(SPIN_BOSON, BATH, t, GL16)
 
 
+@pytest.mark.parametrize("scheme", ["gauss-legendre-nested", "simpson-uniform"])
+def test_self_estimate_without_a_coarser_grid_warns(monkeypatch, scheme):
+    # at 4 nodes per unit time, the smallest allowed, coarsening returns the
+    # same spec, so the self-estimate compares a grid with itself
+    pieces = (np.eye(4, dtype=complex), np.eye(4, dtype=complex))
+    monkeypatch.setattr(tclgen.tcl, "_k4_ordered_pieces", lambda *args: pieces)
+    quad = QuadratureSpec(scheme, 4, 1e-8)
+    assert quad.coarsened() == quad
+    with pytest.warns(UserWarning, match=r"t = 1\.0: the coarsened grid equals the fine one"):
+        K4_cumulant_ordered(SPIN_BOSON, BATH, 1.0, quad)
+
+
 def test_equivalence_error_is_a_runtime_error():
     assert issubclass(EquivalenceError, RuntimeError)
 
@@ -274,7 +286,7 @@ def test_fourth_order_source_follows_the_cost_of_the_exact_route(monkeypatch):
 
     monkeypatch.setattr(tclgen.tcl, "K4_exact", stub("exact"))
     monkeypatch.setattr(tclgen.tcl, "K4_influence", stub("quadrature"))
-    for n_modes in (1, 5, 40):
+    for n_modes in (1, 5, 30, 40):
         bath = BathSpec([(0.3, 0.5 + 0.1 * k, 1.0) for k in range(n_modes)], 1.0)
         gen = build_generator(SPIN_BOSON, bath, 4, GL16, 2.0, interp="direct")
         for t in (0.5, 2.0):
@@ -282,5 +294,6 @@ def test_fourth_order_source_follows_the_cost_of_the_exact_route(monkeypatch):
     assert used == [
         (1, 0.5, "exact"), (1, 2.0, "exact"),
         (5, 0.5, "quadrature"), (5, 2.0, "exact"),
+        (30, 0.5, "quadrature"), (30, 2.0, "exact"),
         (40, 0.5, "quadrature"), (40, 2.0, "quadrature"),
     ]
