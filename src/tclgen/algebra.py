@@ -115,12 +115,23 @@ class SystemModel:
                 anticommutator_super_batch(x)[0])
 
 
-def heisenberg_X_batch(model: SystemModel, ts: np.ndarray) -> np.ndarray:
-    """X(t) for an array of times; returns shape (len(ts), d, d)."""
+def heisenberg_X_batch(
+    model: SystemModel, ts: np.ndarray, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """X(t) for an array of times; returns shape (len(ts), d, d).
+
+    With ``weights`` of shape (..., B, C) and ``ts`` of shape (B, C), returns
+    the weighted sums ``sum_c weights[..., b, c] X(ts[b, c])``, shape
+    (..., B, d, d).  In the eigenbasis of H_S, X(s) has the entries
+    X_ab e^{i (w_a - w_b) s}, so the sum is taken on those phases before the
+    change of basis.
+    """
     ts = np.asarray(ts, dtype=float)
     _, v = model._eig
     phases = np.exp(1j * np.multiply.outer(ts, model._bohr_matrix))
-    return np.einsum("ab,tbc,dc->tad", v, model._coupling_eigbasis * phases, v.conj())
+    if weights is not None:
+        phases = np.einsum("...bc,bcij->...bij", weights, phases)
+    return np.einsum("ab,...tbc,dc->...tad", v, model._coupling_eigbasis * phases, v.conj())
 
 
 def _kron_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:

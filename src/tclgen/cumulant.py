@@ -27,7 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import SuperOp, SystemModel, heisenberg_X_batch
+from .algebra import SuperOp, SystemModel, _kron_batch, heisenberg_X_batch
 from .bath import BathSpec, bath_correlation
 from .quadrature import QuadratureSpec, integrate_interval, integrate_simplex3
 
@@ -163,39 +163,58 @@ def _pairings(k: int) -> tuple:
 
 
 def _moment_matrix_batch(
-    model: SystemModel, bath: BathSpec, times: list, batch: int
+    model: SystemModel, bath: BathSpec, times: list, batch: int,
+    weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Batched matrix of <L(times[0]) ... L(times[k-1])>, shape (B, d^2, d^2).
 
     Each entry of ``times`` is a scalar or a length-``batch`` array; scalars
     broadcast.  Times must be arranged non-increasing slotwise by the caller.
+    With ``weights`` of shape (B, C), the last slot is contracted:
+    ``times[-1]`` has that shape too (or broadcasts to it), and the result is
+    ``sum_c weights[:, c] <L(times[0]) ... L(times[-1][:, c])>``.  The Wick
+    pair through the last slot is summed with its operator at the d x d
+    level, so every superoperator is formed once per batch entry.
     """
     k = len(times)
     d = model.dim
-    tarrs = [np.broadcast_to(np.asarray(s, dtype=float), (batch,)) for s in times]
+    if weights is None:
+        weights = np.ones((batch, 1))
+        times = [*times[:-1], np.broadcast_to(times[-1], (batch,))[:, None]]
+    tarrs = [np.broadcast_to(np.asarray(s, dtype=float), (batch,)) for s in times[:-1]]
+    last = np.broadcast_to(np.asarray(times[-1], dtype=float), weights.shape)
     xs = [heisenberg_X_batch(model, ta) for ta in tarrs]
+    # the last slot's operator contracted with its pair's correlation, per
+    # partner slot j and order in the string: C(t_j - t_last) or C(t_last - t_j)
+    keys = [(j, last_first) for j in range(k - 1) for last_first in (False, True)]
+    taus = [last - tarrs[j][:, None] if lf else tarrs[j][:, None] - last for j, lf in keys]
+    pair_weights = np.stack([weights * bath_correlation(bath, tau) for tau in taus])
+    contracted = dict(zip(keys, heisenberg_X_batch(model, last, pair_weights)))
+    corr = {}
     eye = np.broadcast_to(np.eye(d, dtype=complex), (batch, d, d))
-    prefactor = 1j**k
     acc = np.zeros((batch, d * d, d * d), dtype=complex)
     for left, right, order, parity in _placements(k):
-        lmat = eye
-        for i in left:
-            lmat = lmat @ xs[i]
-        rmat = eye
-        for j in reversed(right):  # descending index: earliest-applied innermost
-            rmat = rmat @ xs[j]
-        weight = np.zeros(batch, dtype=complex)
+        # Wick sum over pairings, the pair through the last slot inside y
+        y = np.zeros((batch, d, d), dtype=complex)
         for pairing in _pairings(k):
             w = np.ones(batch, dtype=complex)
             for p, q in pairing:
-                tau = tarrs[order[p]] - tarrs[order[q]]
-                w = w * bath_correlation(bath, tau)
-            weight += w
-        scal = prefactor * parity * weight
-        rt = np.transpose(rmat, (0, 2, 1))
-        acc += scal[:, None, None] * np.einsum("bij,bkl->bikjl", rt, lmat).reshape(
-            batch, d * d, d * d
-        )
+                a, b = order[p], order[q]
+                if k - 1 in (a, b):  # partner slot, and whether the last slot comes first
+                    key = (a + b - (k - 1), a == k - 1)
+                else:
+                    if (a, b) not in corr:
+                        corr[a, b] = bath_correlation(bath, tarrs[a] - tarrs[b])
+                    w = w * corr[a, b]
+            y += w[:, None, None] * contracted[key]
+        ops = xs + [y]
+        lmat = eye
+        for i in left:
+            lmat = lmat @ ops[i]
+        rmat = eye
+        for j in reversed(right):  # descending index: earliest-applied innermost
+            rmat = rmat @ ops[j]
+        acc += (1j**k * parity) * _kron_batch(np.transpose(rmat, (0, 2, 1)), lmat)
     return acc
 
 
@@ -211,19 +230,26 @@ def moment_superop(model: SystemModel, bath: BathSpec, times) -> SuperOp:
 
 
 def _term_integrand(model, bath, term: CumulantTerm, t: float):
-    """Batched integrand for one order-4 term on the simplex (t1, t2, t3)."""
+    """Batched integrand for one order-4 term on the simplex (t1, t2, t3), in
+    the contracted form :func:`integrate_simplex3` calls.
 
-    def f(t1: float, t2: np.ndarray, t3: np.ndarray) -> np.ndarray:
+    Slot 3 is the last slot of exactly one substring, and the term is linear
+    in that factor, so its moment takes the t3 weights and the product is
+    formed once per (t1, t2) node.
+    """
+
+    def f(t1: float, t2: np.ndarray, t3: np.ndarray, w3: np.ndarray) -> np.ndarray:
         batch = t2.shape[0]
         slot_times = {0: t, 1: t1, 2: t2, 3: t3}
         prod = None
         for sub in term.substrings:
-            # factors depending only on the scalar slots are batch independent
-            nb = batch if any(i >= 2 for i in sub) else 1
-            fac = _moment_matrix_batch(model, bath, [slot_times[i] for i in sub], nb)
+            times = [slot_times[i] for i in sub]
+            if 3 in sub:
+                fac = _moment_matrix_batch(model, bath, times, batch, w3)
+            else:
+                # factors depending only on the scalar slots are batch independent
+                fac = _moment_matrix_batch(model, bath, times, batch if 2 in sub else 1)
             prod = fac if prod is None else prod @ fac
-        if prod.shape[0] != batch:
-            prod = np.broadcast_to(prod, (batch,) + prod.shape[1:])
         return float(term.sign) * prod
 
     return f

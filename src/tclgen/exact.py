@@ -171,8 +171,11 @@ def forward_map_exact(model: SystemModel, bath: BathSpec, t: float) -> np.ndarra
 
     over u0 + u1 + u2 = t, summed over the kernel labels nu.  One block
     exponential of size 3 d^2 per label, so cost is linear in the number of
-    modes.  Returns the (d^2, d^2) matrix in the site basis; J(0) is exactly 0.
+    modes.  Returns the (d^2, d^2) matrix in the site basis; J(0) is exactly 0,
+    returned without building a chain.
     """
+    if t == 0:
+        return np.zeros((model.dim**2, model.dim**2), dtype=complex)
     c = _Eigenbasis(model, bath)
     zero = np.zeros(c.nu.size)
     inner = _chain_sum(t, c.g, [zero, c.nu, zero],
@@ -195,8 +198,11 @@ def K4_exact(model: SystemModel, bath: BathSpec, t: float) -> SuperOp:
     unordered cumulant form K4 = J4' - K2 J.
 
     J4' is (1/4) U(t) Xc times the sum of the three Wick-pairing chains, one
-    block exponential per pairing and pair of labels (nu, mu).
+    block exponential per pairing and pair of labels (nu, mu).  K4(0) is
+    exactly 0, returned without building a chain.
     """
+    if t == 0:
+        return SuperOp(model.dim, np.zeros((model.dim**2, model.dim**2), dtype=complex))
     c = _Eigenbasis(model, bath)
     m = c.nu.size
     i, j = (a.ravel() for a in np.indices((m, m)))

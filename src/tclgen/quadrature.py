@@ -15,8 +15,14 @@ Two schemes:
   by discrete-mode baths this converges to machine precision at modest node
   counts.
 
-Integrand callables receive one scalar outer time plus flat arrays for the
-inner times and must return a stacked array of matrices, shape (B, D, D).
+Integrand callables receive one scalar outer time plus arrays for the inner
+times and return a stacked array of matrices, shape (B, D, D).  The
+triple-simplex integrand is contracted over its innermost slot: it receives
+``t2`` of shape (B,) and ``t3``, ``w3`` of shape (B, C), and returns
+``sum_c w3[:, c] g(t1, t2, t3[:, c])`` for the integrand ``g`` it represents.
+The matrix-valued integrands here are linear in the one factor that carries
+``t3``, so the caller sums the ``t3`` nodes on that factor before any other
+product, and a call costs O(B) products rather than O(B C).
 """
 
 from __future__ import annotations
@@ -173,14 +179,17 @@ def integrate_simplex2(f, t: float, quad: QuadratureSpec) -> np.ndarray:
 
 
 def integrate_simplex3(f, t: float, quad: QuadratureSpec) -> np.ndarray:
-    """Triple simplex integral int_0^t dt1 int_0^t1 dt2 int_0^t2 dt3 f.
+    """Triple simplex integral int_0^t dt1 int_0^t1 dt2 int_0^t2 dt3 g.
 
-    ``f(t1, t2_array, t3_array)`` is evaluated with flattened inner-node
-    batches (one call per outer node) and must broadcast elementwise over the
-    two arrays.
+    ``f(t1, t2, t3, w3)`` is called once per outer node with ``t2`` of shape
+    (B,) and ``t3``, ``w3`` of shape (B, C), and must return the innermost
+    integral as a quadrature sum, ``sum_c w3[:, c] g(t1, t2, t3[:, c])``,
+    shape (B, D, D); the engine applies the weights of ``t1`` and ``t2``.
+    Gauss rows are ``t3 = t2 x`` with ``w3 = t2 w``; Simpson rows are the
+    cumulative weights of the inner nodes, zero past each row's support.
     """
     if t == 0.0:
-        return _probe_zero(f, 0.0, np.zeros(1), np.zeros(1))
+        return _probe_zero(f, 0.0, np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1)))
     if quad.scheme == "simpson-uniform":
         n = quad.intervals(t)
         ts = np.linspace(0.0, t, n + 1)
@@ -188,28 +197,21 @@ def integrate_simplex3(f, t: float, quad: QuadratureSpec) -> np.ndarray:
         ends = _support_ends(cw)
         acc = None
         for i in range(n + 1):
-            wi = cw[n, i]
             si = ends[i]
-            sizes = ends[: si + 1] + 1
-            jj = np.repeat(np.arange(si + 1), sizes)
-            kk = np.concatenate([np.arange(sz) for sz in sizes])
-            wflat = cw[i, jj] * cw[jj, kk]
-            inner = np.einsum("b,bij->ij", wflat, f(ts[i], ts[jj], ts[kk]))
-            acc = wi * inner if acc is None else acc + wi * inner
+            c = ends[: si + 1].max() + 1
+            t3 = np.broadcast_to(ts[:c], (si + 1, c))
+            vals = f(ts[i], ts[: si + 1], t3, cw[: si + 1, :c])
+            inner = np.einsum("b,bij->ij", cw[i, : si + 1], vals)
+            acc = cw[n, i] * inner if acc is None else acc + cw[n, i] * inner
         return acc
-    npts = quad.gauss_points(t)
-    x, w = _gauss01(npts)
+    x, w = _gauss01(quad.gauss_points(t))
     # cube map: t1 = t x_a, t2 = t1 x_b, t3 = t2 x_c; Jacobian t * t1 * t2
-    t2_of_b = np.repeat(x, npts)  # index b, flattened over (b, c)
-    x_c = np.tile(x, npts)
-    w_bc = np.repeat(w, npts) * np.tile(w, npts)
     acc = None
-    for a in range(npts):
+    for a in range(len(x)):
         t1 = t * x[a]
-        t2 = t1 * t2_of_b
-        t3 = t2 * x_c
-        wflat = (t * w[a]) * (t1 * w_bc) * t2
-        inner = np.einsum("b,bij->ij", wflat, f(t1, t2, t3))
+        t2 = t1 * x
+        vals = f(t1, t2, np.outer(t2, x), np.outer(t2, w))
+        inner = np.einsum("b,bij->ij", (t * w[a]) * (t1 * w), vals)
         acc = inner if acc is None else acc + inner
     return acc
 

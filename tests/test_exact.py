@@ -23,6 +23,7 @@ from test_acceptance import _random_instance
 import tclgen.exact
 from tclgen.algebra import SystemModel
 from tclgen.bath import BathSpec
+from tclgen.cumulant import K_n_cumulant
 from tclgen.evolve import forward_map_correction
 from tclgen.exact import K2_exact, K4_exact, _expm, forward_map_exact
 from tclgen.models import get_preset
@@ -123,6 +124,19 @@ def test_forward_map_at_time_zero_is_exactly_zero():
     assert not np.any(j)
 
 
+def test_time_zero_builds_no_chain(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a chain was built at t = 0")
+
+    monkeypatch.setattr(tclgen.exact, "_chain_sum", refuse)
+    preset = get_preset("spinboson-two-mode")
+    k4 = K4_exact(preset.model, preset.bath, 0.0).matrix
+    j = forward_map_exact(preset.model, preset.bath, 0.0)
+    for m in (k4, j):
+        assert m.shape == (4, 4)
+        assert not np.any(m)
+
+
 def test_forward_map_does_not_depend_on_the_coupling():
     preset = get_preset("spinboson-single-mode")
     h, x = preset.model.h_sys, preset.model.coupling
@@ -180,6 +194,18 @@ def test_routes_agree_on_random_models(instance, t):
         a, b = exact(model, bath, t).matrix, influence(model, bath, t, quad).matrix
         # absolute below norm 1: K4 of a commuting draw is round-off
         assert np.linalg.norm(a - b) <= 1e-11 * max(np.linalg.norm(b), 1.0)
+
+
+@settings(DETERMINISTIC, max_examples=12)
+@given(instances((2, 3, 4)), st.floats(0.05, 1.0))
+def test_cumulant_route_agrees_with_exact_on_random_models(instance, t):
+    # route 2, the ordered cumulants, at the density and bound of the
+    # kernel-table property above
+    model, bath = instance
+    quad = QuadratureSpec(GL, 24, 1e-8)
+    a, b = K4_exact(model, bath, t).matrix, K_n_cumulant(model, bath, t, 4, quad).matrix
+    # absolute below norm 1: K4 of a commuting draw is round-off
+    assert np.linalg.norm(a - b) <= 1e-11 * max(np.linalg.norm(b), 1.0)
 
 
 @settings(DETERMINISTIC, max_examples=15)

@@ -23,6 +23,11 @@ def as_mats(values) -> np.ndarray:
     return np.asarray(values, dtype=complex)[:, None, None]
 
 
+def contracted(g):
+    """Triple-simplex integrand of a scalar g(t1, t2, t3), summed over the t3 nodes."""
+    return lambda t1, t2s, t3s, w3: as_mats(np.sum(w3 * g(t1, t2s[:, None], t3s), axis=1))
+
+
 # --- spec validation ---------------------------------------------------------------
 
 
@@ -85,9 +90,9 @@ def test_simplex3_volume_and_trilinear(quad):
     # The trilinear monomial makes the outer integrand degree 5, beyond the
     # uniform scheme's cubic rows, so only the Gauss rule is exact there.
     T = 0.9
-    vol = integrate_simplex3(lambda t1, t2s, t3s: as_mats(np.ones_like(t2s * t3s)), T, quad)
+    vol = integrate_simplex3(contracted(lambda t1, t2, t3: np.ones_like(t2 * t3)), T, quad)
     assert vol[0, 0] == pytest.approx(T**3 / 6.0, rel=1e-12)
-    prod = integrate_simplex3(lambda t1, t2s, t3s: as_mats(t1 * t2s * t3s), T, quad)
+    prod = integrate_simplex3(contracted(lambda t1, t2, t3: t1 * t2 * t3), T, quad)
     tol = 1e-5 if quad.scheme == "simpson-uniform" else 1e-12
     assert prod[0, 0] == pytest.approx(T**6 / 48.0, abs=tol)
 
@@ -108,11 +113,21 @@ def test_simplex2_difference_cosine(quad, T):
 def test_simplex3_difference_cosine(quad):
     # int over t >= t1 >= t2 >= t3 >= 0 of cos(t1 - t3) = 2 sin T - T cos T - T
     T = 1.0
-    out = integrate_simplex3(lambda t1, t2s, t3s: as_mats(np.cos(t1 - t3s)), T, quad)
+    out = integrate_simplex3(contracted(lambda t1, t2, t3: np.cos(t1 - t3)), T, quad)
     target = 2.0 * math.sin(T) - T * math.cos(T) - T
     assert target == pytest.approx(0.1426396637, abs=1e-9)
     tol = 1e-6 if quad.scheme == "simpson-uniform" else 1e-12
     assert out[0, 0] == pytest.approx(target, abs=tol)
+
+
+@pytest.mark.parametrize("quad", BOTH, ids=lambda q: q.scheme)
+def test_simplex3_inner_weight_couples_t2_and_t3(quad):
+    # int over t >= t1 >= t2 >= t3 >= 0 of cos(t2 - t3) = T - sin T; the
+    # innermost integral is sin t2, so the t3 weights must follow each t2 node
+    T = 1.0
+    out = integrate_simplex3(contracted(lambda t1, t2, t3: np.cos(t2 - t3)), T, quad)
+    tol = 1e-6 if quad.scheme == "simpson-uniform" else 1e-12
+    assert out[0, 0] == pytest.approx(T - math.sin(T), abs=tol)
 
 
 def test_simpson_fourth_order_on_simplex2():
@@ -149,7 +164,7 @@ def test_matrix_integrand(quad):
 def test_zero_time_returns_zero_matrix(quad):
     f1 = lambda ts: np.broadcast_to(np.eye(2), (len(ts), 2, 2))
     f2 = lambda t1, t2s: np.broadcast_to(np.eye(2), (len(t2s), 2, 2))
-    f3 = lambda t1, t2s, t3s: np.broadcast_to(np.eye(2), (len(t2s), 2, 2))
+    f3 = lambda t1, t2s, t3s, w3: np.broadcast_to(np.eye(2), (len(t2s), 2, 2))
     for out in (
         integrate_interval(f1, 0.0, quad),
         integrate_simplex2(f2, 0.0, quad),

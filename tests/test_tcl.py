@@ -1,11 +1,13 @@
 """Generator assembly: kernel-formula route, cumulant route, equivalence."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import tclgen.algebra
 import tclgen.tcl
 from tclgen.algebra import SuperOp, SystemModel
 from tclgen.bath import BathSpec
@@ -155,6 +157,49 @@ def test_self_estimate_without_a_coarser_grid_warns(monkeypatch, scheme):
     assert quad.coarsened() == quad
     with pytest.warns(UserWarning, match=r"t = 1\.0: the coarsened grid equals the fine one"):
         K4_cumulant_ordered(SPIN_BOSON, BATH, 1.0, quad)
+
+
+@pytest.mark.parametrize("npu, calls", [(4, 1), (16, 2)])
+def test_coarse_pass_runs_only_on_a_coarser_grid(monkeypatch, npu, calls):
+    # at 4 nodes per unit time the coarsened grid is the same grid, whose
+    # self-estimate is known to be 0 without computing it again
+    specs = []
+
+    def recording(model, bath, t, quad):
+        specs.append(quad)
+        return _k4_ordered_pieces(model, bath, t, quad)
+
+    monkeypatch.setattr(tclgen.tcl, "_k4_ordered_pieces", recording)
+    quad = QuadratureSpec("gauss-legendre-nested", npu, 1e-8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        K4_cumulant_ordered(SPIN_BOSON, BATH, 1.0, quad)
+    assert specs == [quad, quad.coarsened()][:calls]
+
+
+def test_k4_routes_sum_the_innermost_nodes_before_any_superoperator(monkeypatch):
+    # the t3 nodes are summed on a d x d operator first, so no superoperator
+    # batch is larger than the 32 points per dimension of GL16 at t = 2
+    # (summed afterwards, the batches would hold 32^2 = 1024)
+    sizes = []
+    modules = [m for n, m in sys.modules.items() if n == "tclgen" or n.startswith("tclgen.")]
+    for name in ("commutator_super_batch", "anticommutator_super_batch", "_kron_batch"):
+        original = getattr(tclgen.algebra, name)
+
+        def recording(*args, original=original):
+            sizes.append(args[0].shape[0])
+            return original(*args)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, recording)
+    assert GL16.points(2.0) == 32
+    for route in (lambda: K4_influence(SPIN_BOSON, BATH, 2.0, GL16),
+                  lambda: K_n_cumulant(SPIN_BOSON, BATH, 2.0, 4, GL16)):
+        sizes.clear()
+        route()
+        assert sizes and max(sizes) <= 32
 
 
 def test_equivalence_error_is_a_runtime_error():
