@@ -34,7 +34,7 @@ from scipy.interpolate import CubicSpline
 
 from . import __version__
 from .algebra import SuperOp, SystemModel
-from .bath import BathSpec, kernel_D, kernel_D1
+from .bath import BathSpec, tabulate_kernels
 from .cumulant import K_n_cumulant, drop_odd_terms, enumerate_ordered_cumulant_terms
 from .exact import K2_exact, K4_exact, forward_map_exact
 from .evolve import (
@@ -416,10 +416,8 @@ def _vlog(verbose: bool, msg: str) -> None:
 
 
 def _write_kernels_csv(cfg: ScenarioConfig, outdir: Path, meta: str) -> Path:
-    taus = np.linspace(0.0, cfg.t_max, cfg.n_output)
-    d = kernel_D(cfg.bath, taus)
-    d1 = kernel_D1(cfg.bath, taus)
-    rows = ([_fmt(t), _fmt(dv), _fmt(d1v)] for t, dv, d1v in zip(taus, d, d1))
+    k = tabulate_kernels(cfg.bath, cfg.t_max, cfg.n_output)
+    rows = ([_fmt(t), _fmt(a), _fmt(b)] for t, a, b in zip(k.tau_grid, k.D_values, k.D1_values))
     path = outdir / "kernels.csv"
     _write_csv(path, meta, ["tau", "D", "D1"], rows)
     return path

@@ -17,6 +17,9 @@ multiplications and weighting each of the 2^k placements by the thermal
 expectation of its bath-operator string, which Wick's theorem reduces to a
 sum over perfect pairings of two-point correlations (operator order taken
 from the string).
+
+The fully ordered order-4 sum and the partially unordered form J4' - K2 J,
+with J from :func:`forward_map_correction`, share one four-point integral.
 """
 
 from __future__ import annotations
@@ -29,7 +32,12 @@ import numpy as np
 
 from .algebra import SuperOp, SystemModel, _kron_batch, heisenberg_X_batch
 from .bath import BathSpec, bath_correlation
-from .quadrature import QuadratureSpec, integrate_interval, integrate_simplex3
+from .quadrature import (
+    QuadratureSpec,
+    integrate_interval,
+    integrate_simplex2,
+    integrate_simplex3,
+)
 
 __all__ = [
     "CumulantTerm",
@@ -37,6 +45,7 @@ __all__ = [
     "drop_odd_terms",
     "moment_superop",
     "K_n_cumulant",
+    "forward_map_correction",
 ]
 
 
@@ -255,6 +264,21 @@ def _term_integrand(model, bath, term: CumulantTerm, t: float):
     return f
 
 
+def _order4_pieces(
+    model: SystemModel, bath: BathSpec, t: float, quad: QuadratureSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """The even order-4 terms, each integrated once over the triple simplex:
+    (the chronological four-point term, the sum of the signed 2+2 products)."""
+    four_point = products = None
+    for term in drop_odd_terms(enumerate_ordered_cumulant_terms(4)):
+        part = integrate_simplex3(_term_integrand(model, bath, term, t), t, quad)
+        if term.partition == (4,):
+            four_point = part
+        else:
+            products = part if products is None else products + part
+    return four_point, products
+
+
 def K_n_cumulant(
     model: SystemModel, bath: BathSpec, t: float, n: int, quad: QuadratureSpec
 ) -> SuperOp:
@@ -272,10 +296,18 @@ def K_n_cumulant(
         )
         return SuperOp(model.dim, mat)
     if n == 4:
-        terms = drop_odd_terms(enumerate_ordered_cumulant_terms(4))
-        acc = None
-        for term in terms:
-            part = integrate_simplex3(_term_integrand(model, bath, term, t), t, quad)
-            acc = part if acc is None else acc + part
-        return SuperOp(model.dim, acc)
+        four_point, products = _order4_pieces(model, bath, t, quad)
+        return SuperOp(model.dim, four_point + products)
     raise ValueError(f"only orders 2 and 4 are implemented, got {n}")
+
+
+def forward_map_correction(
+    model: SystemModel, bath: BathSpec, t: float, quad: QuadratureSpec
+) -> np.ndarray:
+    """The coupling-independent double integral int_0^t int_0^t1 <L L>, by
+    quadrature (the check route for :func:`tclgen.exact.forward_map_exact`)."""
+    return integrate_simplex2(
+        lambda t1, t2: _moment_matrix_batch(model, bath, [t1, t2], t2.shape[0]),
+        float(t),
+        quad,
+    )

@@ -9,7 +9,8 @@ the smallest eigenvalue of the Hermitized state.
 The invertibility diagnostic conditions the lowest-order forward map, whose
 correction J(t) it takes in closed form
 (:func:`tclgen.exact.forward_map_exact`); :func:`forward_map_correction`
-integrates the same J by quadrature and stays as the check route.
+integrates J by quadrature as its check and for the K4 form J4' - K2 J,
+which shares one four-point integral with the fully ordered form.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from scipy.integrate import solve_ivp
 
 from .algebra import SuperOp, SystemModel, vec, unvec
 from .bath import BathSpec
-from .cumulant import _moment_matrix_batch
+from .cumulant import forward_map_correction
 from .exact import forward_map_exact
-from .quadrature import QuadratureSpec, integrate_simplex2
 from .tcl import Generator
 
 __all__ = [
@@ -163,18 +163,6 @@ class DiagnosticTable:
     times: np.ndarray
     sigma_min: np.ndarray
     condition_number: np.ndarray
-
-
-def forward_map_correction(
-    model: SystemModel, bath: BathSpec, t: float, quad: QuadratureSpec
-) -> np.ndarray:
-    """The coupling-independent double integral int_0^t int_0^t1 <L L>, by
-    quadrature (the check route for :func:`tclgen.exact.forward_map_exact`)."""
-    return integrate_simplex2(
-        lambda t1, t2: _moment_matrix_batch(model, bath, [t1, t2], t2.shape[0]),
-        float(t),
-        quad,
-    )
 
 
 def invertibility_diagnostic(

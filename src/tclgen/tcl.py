@@ -22,7 +22,7 @@ are otherwise the independent checks: :func:`K2_influence` and
 :func:`K4_influence` integrate the kernel formulas numerically, and
 :func:`K4_cumulant_ordered` computes K4 along two routes built on the moment
 machinery -- the fully time-ordered cumulant sum and the partially unordered
-two-term form whose product part factorizes -- and raises
+two-term form J4' - K2 J, which share one four-point integral -- and raises
 :class:`EquivalenceError` if they disagree beyond quadrature accuracy.
 """
 
@@ -43,15 +43,9 @@ from .algebra import (
     heisenberg_X_batch,
 )
 from .bath import BathSpec, kernel_D, kernel_D1
-from .cumulant import K_n_cumulant, _moment_matrix_batch
+from .cumulant import K_n_cumulant, _order4_pieces, forward_map_correction
 from .exact import K2_exact, K4_exact, k4_chain_count
-from .quadrature import (
-    GAUSS_POINT_CAP,
-    QuadratureSpec,
-    integrate_interval,
-    integrate_simplex2,
-    integrate_simplex3,
-)
+from .quadrature import GAUSS_POINT_CAP, QuadratureSpec, integrate_interval, integrate_simplex3
 
 __all__ = [
     "EquivalenceError",
@@ -212,24 +206,13 @@ def K4_influence(
 
 def _k4_ordered_pieces(
     model: SystemModel, bath: BathSpec, t: float, quad: QuadratureSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """(fully ordered cumulant sum, partially unordered two-term form)."""
-    ordered = K_n_cumulant(model, bath, t, 4, quad).matrix
-
-    def m4(t1, t2, t3, w3):
-        return _moment_matrix_batch(model, bath, [t, t1, t2, t3], t2.shape[0], w3)
-
-    four_point = integrate_simplex3(m4, t, quad)
-    # product term: the t1 and t2 integrals both run over [0, t], so it
-    # factorizes into <two-point at (t, .)> composed after the double simplex
-    first = integrate_interval(
-        lambda t1: _moment_matrix_batch(model, bath, [t, t1], t1.shape[0]), t, quad
-    )
-    second = integrate_simplex2(
-        lambda t1, t2: _moment_matrix_batch(model, bath, [t1, t2], t2.shape[0]), t, quad
-    )
-    unordered = four_point - first @ second
-    return ordered, unordered
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(fully ordered cumulant sum, partially unordered form J4' - K2 J, K2 J),
+    from one four-point integral J4'.  K2 J factorizes: t1, t2 span [0, t]."""
+    four_point, products = _order4_pieces(model, bath, t, quad)
+    k2j = K_n_cumulant(model, bath, t, 2, quad).matrix @ forward_map_correction(
+        model, bath, t, quad)
+    return four_point + products, four_point - k2j, k2j
 
 
 def K4_cumulant_ordered(
@@ -241,17 +224,18 @@ def K4_cumulant_ordered(
     unordered form on the same quadrature settings; if they disagree by more
     than 10x the larger of the quadrature tolerance and the self-estimated
     refinement error, raises :class:`EquivalenceError`.  Returns the fully
-    ordered value.  Warns (``UserWarning``) where the self-estimate is
-    exactly 0: at 4 nodes per unit time, which coarsening cannot halve (the
-    coarse pass is then skipped), and where both Gauss grids sit at the
-    per-dimension node cap.
+    ordered value.  Differences are relative to the larger form, or to
+    1e-6 ||K2 J|| where K4 vanishes and both forms are round-off.  The
+    coarse pass of the self-estimate runs only where the coarsened grid has
+    fewer points per dimension; elsewhere the estimate is exactly 0.  Warns
+    (``UserWarning``) at 4 nodes per unit time, which coarsening cannot
+    halve, and where both Gauss grids sit at the per-dimension node cap.
     """
     if t == 0.0:
         return SuperOp(model.dim, np.zeros((model.dim**2, model.dim**2), complex))
     coarse = quad.coarsened()
-    if coarse == quad or quad.scheme == "gauss-legendre-nested" and (
-        quad.gauss_points(t) == coarse.gauss_points(t) == GAUSS_POINT_CAP
-    ):
+    # only Gauss grids reach the cap together: distinct Simpson grids differ in size
+    if coarse == quad or quad.points(t) == coarse.points(t) == GAUSS_POINT_CAP:
         warnings.warn(
             f"K4_cumulant_ordered at t = {t}: the coarsened grid equals the fine one "
             f"({quad.points(t)} points per dimension at {quad.nodes_per_unit_time} nodes "
@@ -261,16 +245,15 @@ def K4_cumulant_ordered(
             UserWarning,
             stacklevel=2,
         )
-    ordered, unordered = _k4_ordered_pieces(model, bath, t, quad)
-    scale = max(np.linalg.norm(ordered), np.linalg.norm(unordered), 1e-300)
+    ordered, unordered, k2j = _k4_ordered_pieces(model, bath, t, quad)
+    scale = max(np.linalg.norm(ordered), np.linalg.norm(unordered),
+                1e-6 * np.linalg.norm(k2j), 1e-300)
     rel = np.linalg.norm(ordered - unordered) / scale
     est = 0.0
-    if coarse != quad:
-        coarse_ordered, coarse_unordered = _k4_ordered_pieces(model, bath, t, coarse)
-        est = max(
-            np.linalg.norm(ordered - coarse_ordered),
-            np.linalg.norm(unordered - coarse_unordered),
-        ) / scale
+    if quad.points(t) != coarse.points(t):
+        coarse_ordered, coarse_unordered, _ = _k4_ordered_pieces(model, bath, t, coarse)
+        est = max(np.linalg.norm(ordered - coarse_ordered),
+                  np.linalg.norm(unordered - coarse_unordered)) / scale
     threshold = 10.0 * max(quad.tolerance, est)
     if rel > threshold:
         raise EquivalenceError(
@@ -285,17 +268,14 @@ def _k4_exact_is_cheaper(dim: int, chains: int, points: int) -> bool:
 
     ``chains`` is :func:`k4_chain_count` and ``points`` the quadrature points
     per dimension at t (:meth:`QuadratureSpec.points`).  Measured on one BLAS
-    thread (Intel Xeon, 2.1 GHz) for d = 2, 3, 4, 1 to 40 modes and t = 0.5
-    to 4: the exact route takes about 5e-6 s x chains x d^4, the quadrature
-    about 1e-5 s x points^3 x d^2, so the exact route is the cheaper one while
-    chains x d^2 <= 2 points^3.  For a two-level system at t = 2 and 16 nodes
-    per unit time that holds up to about 36 modes.  The quadrature constant
-    predates the contracted triple-simplex integrands, which made
-    :func:`K4_influence` several times cheaper (0.08 s against 0.29 s for
-    the exact route at 20 modes, t = 2), so the rule keeps the exact route
-    past the point where it stops being the cheaper one.
+    thread (Intel Xeon) on discretized spectral densities for d = 2, 3, 4,
+    2 to 30 modes and 8 to 64 Gauss points: the exact route takes about
+    5e-6 s x chains x d^4, the quadrature about 6e-5 s x points^2 x d, so
+    the exact route is the cheaper one while chains x d^3 <= 12 points^2.
+    For a two-level system at t = 2 and 16 nodes per unit time that holds
+    up to 11 modes.
     """
-    return chains * dim**2 <= 2 * points**3
+    return chains * dim**3 <= 12 * points**2
 
 
 class Coefficients(NamedTuple):

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import tclgen.algebra
+import tclgen.quadrature
 import tclgen.tcl
 from tclgen.algebra import SuperOp, SystemModel
 from tclgen.bath import BathSpec
+from tclgen.models import get_preset
 from tclgen.quadrature import QuadratureSpec
 from tclgen.exact import K2_exact
 from tclgen.tcl import (
@@ -118,7 +120,7 @@ def test_fourth_order_routes_agree(d, modes, beta, npu):
 
 
 def test_ordered_and_unordered_pieces_agree():
-    ordered, unordered = _k4_ordered_pieces(SPIN_BOSON, BATH, 1.0, GL16)
+    ordered, unordered, _ = _k4_ordered_pieces(SPIN_BOSON, BATH, 1.0, GL16)
     scale = max(np.linalg.norm(ordered), 1e-300)
     assert np.linalg.norm(ordered - unordered) / scale < 1e-8
 
@@ -137,7 +139,7 @@ def test_equivalence_tripwire_fires(monkeypatch):
 
 def test_self_estimate_at_the_node_cap_warns(monkeypatch):
     # at 16 nodes per unit time both grids reach the 96-node cap from t = 12
-    pieces = (np.eye(4, dtype=complex), np.eye(4, dtype=complex))
+    pieces = (np.eye(4, dtype=complex),) * 3
     monkeypatch.setattr(tclgen.tcl, "_k4_ordered_pieces", lambda *args: pieces)
     with pytest.warns(UserWarning, match=r"t = 12\.0: .* 96-node cap"):
         K4_cumulant_ordered(SPIN_BOSON, BATH, 12.0, GL16)
@@ -151,7 +153,7 @@ def test_self_estimate_at_the_node_cap_warns(monkeypatch):
 def test_self_estimate_without_a_coarser_grid_warns(monkeypatch, scheme):
     # at 4 nodes per unit time, the smallest allowed, coarsening returns the
     # same spec, so the self-estimate compares a grid with itself
-    pieces = (np.eye(4, dtype=complex), np.eye(4, dtype=complex))
+    pieces = (np.eye(4, dtype=complex),) * 3
     monkeypatch.setattr(tclgen.tcl, "_k4_ordered_pieces", lambda *args: pieces)
     quad = QuadratureSpec(scheme, 4, 1e-8)
     assert quad.coarsened() == quad
@@ -159,22 +161,56 @@ def test_self_estimate_without_a_coarser_grid_warns(monkeypatch, scheme):
         K4_cumulant_ordered(SPIN_BOSON, BATH, 1.0, quad)
 
 
-@pytest.mark.parametrize("npu, calls", [(4, 1), (16, 2)])
-def test_coarse_pass_runs_only_on_a_coarser_grid(monkeypatch, npu, calls):
-    # at 4 nodes per unit time the coarsened grid is the same grid, whose
+@pytest.mark.parametrize(
+    "npu, t, calls",
+    [(4, 1.0, 1), (16, 1.0, 2), (8, 0.5, 1), (16, 12.0, 1)],
+)
+def test_coarse_pass_runs_only_on_a_coarser_grid(monkeypatch, npu, t, calls):
+    # where the coarsened grid has the fine grid's points per dimension (4
+    # nodes per unit time, the 8-point Gauss floor, the 96-point cap), its
     # self-estimate is known to be 0 without computing it again
     specs = []
 
     def recording(model, bath, t, quad):
         specs.append(quad)
-        return _k4_ordered_pieces(model, bath, t, quad)
+        return (np.eye(4, dtype=complex),) * 3
 
     monkeypatch.setattr(tclgen.tcl, "_k4_ordered_pieces", recording)
     quad = QuadratureSpec("gauss-legendre-nested", npu, 1e-8)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        K4_cumulant_ordered(SPIN_BOSON, BATH, 1.0, quad)
+        K4_cumulant_ordered(SPIN_BOSON, BATH, t, quad)
     assert specs == [quad, quad.coarsened()][:calls]
+
+
+@pytest.mark.parametrize("npu, t, calls", [(16, 1.0, 8), (8, 0.5, 4)])
+def test_ordered_check_integrates_each_triple_simplex_term_once(monkeypatch, npu, t, calls):
+    # four order-4 terms per grid, the four-point one shared by both forms;
+    # at GL8, t = 0.5 the coarsened grid is the fine one and is not rerun
+    original = tclgen.quadrature.integrate_simplex3
+    count = []
+
+    def recording(*args):
+        count.append(args[1])
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "tclgen" or name.startswith("tclgen."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, recording)
+    quad = QuadratureSpec("gauss-legendre-nested", npu, 1e-8)
+    K4_cumulant_ordered(SPIN_BOSON, BATH, t, quad)
+    assert len(count) == calls
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+def test_vanishing_k4_passes_the_route_check(t):
+    # H and X commute, so K4 is 0 and both forms are round-off; the check
+    # measures them against the K2 J term the unordered form cancels
+    preset = get_preset("dephasing-single-mode")
+    k4 = K4_cumulant_ordered(preset.model, preset.bath, t, QuadratureSpec())
+    assert k4.norm_fro() <= 1e-12
 
 
 def test_k4_routes_sum_the_innermost_nodes_before_any_superoperator(monkeypatch):
@@ -319,7 +355,7 @@ def test_direct_mode_memoizes(monkeypatch):
 
 def test_fourth_order_source_follows_the_cost_of_the_exact_route(monkeypatch):
     # the exact route's cost grows with (modes)^2 and not with t, the
-    # quadrature's with (points per dimension)^3: few modes take the exact
+    # quadrature's with (points per dimension)^2: few modes take the exact
     # route, many modes or short times fall back to the quadrature table
     used = []
 
@@ -331,7 +367,7 @@ def test_fourth_order_source_follows_the_cost_of_the_exact_route(monkeypatch):
 
     monkeypatch.setattr(tclgen.tcl, "K4_exact", stub("exact"))
     monkeypatch.setattr(tclgen.tcl, "K4_influence", stub("quadrature"))
-    for n_modes in (1, 5, 30, 40):
+    for n_modes in (1, 5, 20, 30, 40):
         bath = BathSpec([(0.3, 0.5 + 0.1 * k, 1.0) for k in range(n_modes)], 1.0)
         gen = build_generator(SPIN_BOSON, bath, 4, GL16, 2.0, interp="direct")
         for t in (0.5, 2.0):
@@ -339,6 +375,7 @@ def test_fourth_order_source_follows_the_cost_of_the_exact_route(monkeypatch):
     assert used == [
         (1, 0.5, "exact"), (1, 2.0, "exact"),
         (5, 0.5, "quadrature"), (5, 2.0, "exact"),
-        (30, 0.5, "quadrature"), (30, 2.0, "exact"),
+        (20, 0.5, "quadrature"), (20, 2.0, "quadrature"),
+        (30, 0.5, "quadrature"), (30, 2.0, "quadrature"),
         (40, 0.5, "quadrature"), (40, 2.0, "quadrature"),
     ]
