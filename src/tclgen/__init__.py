@@ -46,12 +46,14 @@ from .evolve import (
 )
 from .models import (
     PRESET_NAMES,
+    ScalingResult,
     TruncatedBathConfig,
     decoherence_exponent,
     dephasing_exact,
     exact_small_bath,
     get_preset,
     list_presets,
+    scaling_study,
     to_interaction_picture,
 )
 from .quadrature import QuadratureSpec
@@ -124,4 +126,6 @@ __all__ = [
     "get_preset",
     "list_presets",
     "PRESET_NAMES",
+    "ScalingResult",
+    "scaling_study",
 ]

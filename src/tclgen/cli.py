@@ -7,6 +7,7 @@ generator-dump  write generator coefficient matrices at selected times
 cumulant-terms  print the symbolic ordered-cumulant term list
 run             full scenario: kernels, generators, trajectory, diagnostics, report
 scaling-study   error-vs-coupling slope fit against the purified truncated oracle
+                (:func:`tclgen.models.scaling_study`)
 
 Scenario files use INI syntax (sections [model], [bath], [run], [outputs]);
 the README documents the schema and gives byte-level examples of every output
@@ -30,13 +31,12 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import __version__
-from .algebra import SuperOp, SystemModel
+from .algebra import SystemModel
 from .bath import BathSpec, tabulate_kernels
 from .cumulant import K_n_cumulant, drop_odd_terms, enumerate_ordered_cumulant_terms
-from .exact import K2_exact, K4_exact, forward_map_exact
+from .exact import forward_map_exact
 from .evolve import (
     NumericsError,
     invertibility_diagnostic,
@@ -45,9 +45,11 @@ from .evolve import (
 )
 from .models import (
     TruncatedBathConfig,
+    _default_rho0,
     dephasing_exact,
     exact_small_bath,
     get_preset,
+    scaling_study,
     to_interaction_picture,
 )
 from .quadrature import QuadratureSpec
@@ -62,10 +64,8 @@ from .tcl import (
 __all__ = [
     "ConfigError",
     "ScenarioConfig",
-    "ScalingResult",
     "parse_config",
     "run_scenario",
-    "scaling_study",
     "main",
 ]
 
@@ -139,11 +139,6 @@ class ScenarioConfig:
 
 
 # --- config parsing -----------------------------------------------------------
-
-
-def _default_rho0(dim: int) -> np.ndarray:
-    v = np.full(dim, 1.0 / math.sqrt(dim))
-    return np.outer(v, v).astype(complex)
 
 
 def _parse_complex_list(raw: str) -> list[complex]:
@@ -622,103 +617,6 @@ def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[
     return 0, paths
 
 
-# --- scaling study ---------------------------------------------------------------
-
-
-@dataclass
-class ScalingResult:
-    """Max trace-distance errors vs coupling and fitted log-log slopes."""
-
-    alphas: tuple[float, ...]
-    errors_order2: tuple[float, ...]
-    errors_order4: tuple[float, ...]
-    slope_order2: float
-    slope_order4: float
-
-
-def scaling_study(
-    preset_name: str = "spinboson-single-mode",
-    alphas: Sequence[float] = (0.025, 0.05, 0.1, 0.2),
-    t_max: float = 4.0,
-    fock_levels: int | None = None,
-    table_step: float = 0.1,
-    n_output: int = 81,
-    atol: float = 1e-13,
-    verbose: bool = False,
-) -> ScalingResult:
-    """Fit the error-vs-coupling slopes for order-2 and order-4 propagation.
-
-    The fourth-order coefficient K4 does not depend on alpha, so it is
-    computed once on a uniform grid (spacing ``table_step``) by the closed
-    form :func:`tclgen.exact.K4_exact`, interpolated with a cubic spline, and
-    reused across the whole coupling ladder.  K2 comes from the closed form
-    :func:`tclgen.exact.K2_exact` at every stepper time; keeping it
-    spline-free matters because a K2 table error would enter every trajectory
-    at relative order alpha^2 and flatten the order-4 slope at the small end
-    of the ladder.  Every run is compared on the same output grid against
-    the truncated product-space oracle with a thermofield-purified bath
-    (``TruncatedBathConfig(purified=True)``): each thermal mode becomes two
-    modes that start in their vacuum, truncated at ``fock_levels`` each, so
-    the reference converges at levels where a truncated Gibbs state does
-    not.  The purified dimension is checked against the oracle's cap before
-    any generator work.  The returned slopes are least-squares fits of
-    log(max error) against log(alpha).
-    """
-    if len(alphas) < 2:
-        raise ValueError("need at least two coupling values to fit a slope")
-    if any(a <= 0 for a in alphas):
-        raise ValueError("couplings must be positive")
-    preset = get_preset(preset_name)
-    base, bath = preset.model, preset.bath
-    n_fock = fock_levels if fock_levels is not None else preset.fock_levels
-    reference = TruncatedBathConfig(bath, n_fock, purified=True)
-    d = base.dim
-    reference.check_dim(d)
-
-    nodes = np.linspace(0.0, t_max, int(round(t_max / table_step)) + 1)
-    k4_tab = np.empty((len(nodes), d * d, d * d), dtype=complex)
-    for k, t in enumerate(nodes):
-        _vlog(verbose, f"table node {k + 1}/{len(nodes)} (t={t:g})")
-        k4_tab[k] = K4_exact(base, bath, float(t)).matrix
-    s4 = CubicSpline(nodes, k4_tab, axis=0)
-
-    def k2_exact(t: float) -> np.ndarray:
-        return K2_exact(base, bath, float(t)).matrix
-
-    t_grid = np.linspace(0.0, t_max, n_output)
-    rho0 = _default_rho0(d)
-    errs: dict[int, list[float]] = {2: [], 4: []}
-    for alpha in alphas:
-        model = SystemModel(d, base.h_sys, base.coupling, float(alpha))
-        oracle = exact_small_bath(
-            rho0, model, reference, t_grid, check_truncation=False
-        )
-        for order in (2, 4):
-            if order == 2:
-                def ev(t, a2=alpha**2):
-                    return SuperOp(d, a2 * k2_exact(t))
-            else:
-                def ev(t, a2=alpha**2, a4=alpha**4):
-                    return SuperOp(d, a2 * k2_exact(t) + a4 * s4(t))
-            gen = Generator(order, float(alpha), d, ev, nodes, "cubic")
-            traj = propagate(rho0, gen, t_grid, stepper="rk45-adaptive", atol=atol)
-            err = max(trace_distance(a, b)
-                      for a, b in zip(traj.states, oracle.states))
-            errs[order].append(err)
-            _vlog(verbose, f"alpha={alpha:g} order={order}: max error {err:.3e}")
-
-    la = np.log(np.asarray(alphas, dtype=float))
-    slope2 = float(np.polyfit(la, np.log(errs[2]), 1)[0])
-    slope4 = float(np.polyfit(la, np.log(errs[4]), 1)[0])
-    return ScalingResult(
-        tuple(float(a) for a in alphas),
-        tuple(errs[2]),
-        tuple(errs[4]),
-        slope2,
-        slope4,
-    )
-
-
 # --- subcommands -----------------------------------------------------------------
 
 
@@ -809,8 +707,6 @@ def _cmd_scaling_study(args) -> int:
         problems.append("--alphas: need >= 2 positive values")
     if args.t_max <= 0:
         problems.append(f"--t-max: must be positive, got {args.t_max}")
-    if args.table_step <= 0:
-        problems.append(f"--table-step: must be positive, got {args.table_step}")
     if args.n_output < 2:
         problems.append(f"--n-output: must be >= 2, got {args.n_output}")
     if args.fock is not None and args.fock < 2:
@@ -823,7 +719,6 @@ def _cmd_scaling_study(args) -> int:
         alphas=alphas,
         t_max=args.t_max,
         fock_levels=args.fock,
-        table_step=args.table_step,
         n_output=args.n_output,
         verbose=args.verbose,
     )
@@ -834,7 +729,6 @@ def _cmd_scaling_study(args) -> int:
         f"scaling preset={args.preset} "
         f"alphas={','.join(f'{a:g}' for a in res.alphas)} t_max={args.t_max:g} "
         f"fock={args.fock if args.fock is not None else 'preset'} "
-        f"table_step={args.table_step:g} "
         f"n_output={args.n_output}"
     )
     h = hashlib.sha256(desc.encode()).hexdigest()[:12]
@@ -898,8 +792,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--fock", type=int, default=None, metavar="N",
                     help="oracle Fock levels per purified mode "
                          "(default: preset value)")
-    sp.add_argument("--table-step", type=float, default=0.1,
-                    help="spacing of the generator coefficient table")
     sp.add_argument("--n-output", type=int, default=81)
     sp.add_argument("--out", metavar="DIR")
     sp.add_argument("--verbose", action="store_true")

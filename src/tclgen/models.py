@@ -21,20 +21,27 @@ validated:
   weight n̄.  A mode in its vacuum is converged at far fewer Fock levels than
   a truncated Gibbs state, whose renormalization leaves ⟨a a†⟩ short of n̄+1.
 
-Plus a small registry of named benchmark scenarios.
+Plus a small registry of named benchmark scenarios, and
+:func:`scaling_study`, which propagates the generator :func:`build_generator`
+builds across a coupling ladder and fits the error-vs-coupling slopes
+against the purified oracle.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from .algebra import SystemModel
 from .bath import BathSpec
-from .evolve import Trajectory, _monitors, trace_distance
+from .evolve import Trajectory, _monitors, propagate, trace_distance
+from .quadrature import QuadratureSpec
+from .tcl import build_generator
 
 __all__ = [
     "TruncatedBathConfig",
@@ -45,6 +52,8 @@ __all__ = [
     "get_preset",
     "list_presets",
     "PRESET_NAMES",
+    "ScalingResult",
+    "scaling_study",
 ]
 
 _DIM_CAP = 4096
@@ -358,3 +367,77 @@ def get_preset(name: str) -> Preset:
 
 def list_presets() -> tuple[str, ...]:
     return PRESET_NAMES
+
+
+# --- error scaling in the coupling ---------------------------------------------
+
+
+def _default_rho0(dim: int) -> np.ndarray:
+    """The pure state with equal amplitudes on every basis vector."""
+    v = np.full(dim, 1.0 / math.sqrt(dim))
+    return np.outer(v, v).astype(complex)
+
+
+@dataclass
+class ScalingResult:
+    """Max trace-distance errors vs coupling and fitted log-log slopes."""
+
+    alphas: tuple[float, ...]
+    errors_order2: tuple[float, ...]
+    errors_order4: tuple[float, ...]
+    slope_order2: float
+    slope_order4: float
+
+
+def scaling_study(
+    preset_name: str = "spinboson-single-mode",
+    alphas: Sequence[float] = (0.025, 0.05, 0.1, 0.2),
+    t_max: float = 4.0,
+    fock_levels: int | None = None,
+    n_output: int = 81,
+    atol: float = 1e-13,
+    verbose: bool = False,
+) -> ScalingResult:
+    """Fit the error-vs-coupling slopes for order-2 and order-4 propagation.
+
+    Every rung is the generator ``tclgen run`` propagates:
+    :func:`build_generator` at the default :class:`QuadratureSpec` with
+    ``interp="cubic"``, so K2 and K4 come from their closed forms on a grid
+    of ``nodes_per_unit_time`` nodes per unit time and are spline-interpolated
+    between them.  Every run is compared on the same output grid against
+    the truncated product-space oracle with a thermofield-purified bath
+    (``TruncatedBathConfig(purified=True)``): each thermal mode becomes two
+    modes that start in their vacuum, truncated at ``fock_levels`` each, so
+    the reference converges at levels where a truncated Gibbs state does
+    not.  The purified dimension is checked against the oracle's cap before
+    any generator work.  The returned slopes are least-squares fits of
+    log(max error) against log(alpha).
+    """
+    if len(alphas) < 2:
+        raise ValueError("need at least two coupling values to fit a slope")
+    if any(a <= 0 for a in alphas):
+        raise ValueError("couplings must be positive")
+    preset = get_preset(preset_name)
+    base, bath = preset.model, preset.bath
+    n_fock = fock_levels if fock_levels is not None else preset.fock_levels
+    reference = TruncatedBathConfig(bath, n_fock, purified=True)
+    reference.check_dim(base.dim)
+
+    t_grid = np.linspace(0.0, t_max, n_output)
+    rho0 = _default_rho0(base.dim)
+    errs: dict[int, list[float]] = {2: [], 4: []}
+    for alpha in alphas:
+        model = replace(base, alpha=alpha)
+        oracle = exact_small_bath(rho0, model, reference, t_grid, check_truncation=False)
+        for order in (2, 4):
+            gen = build_generator(model, bath, order, QuadratureSpec(), t_max, interp="cubic")
+            traj = propagate(rho0, gen, t_grid, stepper="rk45-adaptive", atol=atol)
+            err = max(trace_distance(a, b) for a, b in zip(traj.states, oracle.states))
+            errs[order].append(err)
+            if verbose:
+                print(f"alpha={alpha:g} order={order}: max error {err:.3e}", file=sys.stderr)
+
+    la = np.log(np.asarray(alphas, dtype=float))
+    slope2, slope4 = (float(np.polyfit(la, np.log(errs[n]), 1)[0]) for n in (2, 4))
+    return ScalingResult(tuple(float(a) for a in alphas), tuple(errs[2]), tuple(errs[4]),
+                         slope2, slope4)

@@ -29,7 +29,7 @@ two-term form J4' - K2 J, which share one four-point integral -- and raises
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -226,34 +226,36 @@ def K4_cumulant_ordered(
     refinement error, raises :class:`EquivalenceError`.  Returns the fully
     ordered value.  Differences are relative to the larger form, or to
     1e-6 ||K2 J|| where K4 vanishes and both forms are round-off.  The
-    coarse pass of the self-estimate runs only where the coarsened grid has
-    fewer points per dimension; elsewhere the estimate is exactly 0.  Warns
-    (``UserWarning``) at 4 nodes per unit time, which coarsening cannot
-    halve, and where both Gauss grids sit at the per-dimension node cap.
+    estimate can only raise the threshold, so it is computed only where the
+    forms differ by more than 10x the tolerance: from the coarsened grid, or,
+    where that has the fine grid's points per dimension (4 nodes per unit
+    time, the node floor of short intervals), from the grid at twice the
+    density.  Where neither differs (the per-dimension node cap of the Gauss
+    rule, or the node floor of a very short interval), the check uses the
+    tolerance alone and warns (``UserWarning``).
     """
     if t == 0.0:
         return SuperOp(model.dim, np.zeros((model.dim**2, model.dim**2), complex))
-    coarse = quad.coarsened()
-    # only Gauss grids reach the cap together: distinct Simpson grids differ in size
-    if coarse == quad or quad.points(t) == coarse.points(t) == GAUSS_POINT_CAP:
-        warnings.warn(
-            f"K4_cumulant_ordered at t = {t}: the coarsened grid equals the fine one "
-            f"({quad.points(t)} points per dimension at {quad.nodes_per_unit_time} nodes "
-            f"per unit time; the density floor is 4 and Gauss grids stop at the "
-            f"{GAUSS_POINT_CAP}-node cap), so the refinement error estimate is 0 and "
-            f"the check uses the tolerance alone",
-            UserWarning,
-            stacklevel=2,
-        )
     ordered, unordered, k2j = _k4_ordered_pieces(model, bath, t, quad)
     scale = max(np.linalg.norm(ordered), np.linalg.norm(unordered),
                 1e-6 * np.linalg.norm(k2j), 1e-300)
     rel = np.linalg.norm(ordered - unordered) / scale
     est = 0.0
-    if quad.points(t) != coarse.points(t):
-        coarse_ordered, coarse_unordered, _ = _k4_ordered_pieces(model, bath, t, coarse)
-        est = max(np.linalg.norm(ordered - coarse_ordered),
-                  np.linalg.norm(unordered - coarse_unordered)) / scale
+    if rel > 10.0 * quad.tolerance:
+        other = quad.coarsened()
+        if other.points(t) == quad.points(t):
+            other = replace(quad, nodes_per_unit_time=2 * quad.nodes_per_unit_time)
+        if other.points(t) == quad.points(t):
+            warnings.warn(
+                f"K4_cumulant_ordered at t = {t}: neither the coarsened nor the doubled "
+                f"grid differs from the fine one ({quad.points(t)} points per dimension; "
+                f"short intervals sit at the node floor and Gauss grids stop at the "
+                f"{GAUSS_POINT_CAP}-node cap), so the check uses the tolerance alone",
+                UserWarning, stacklevel=2)
+        else:
+            other_ordered, other_unordered, _ = _k4_ordered_pieces(model, bath, t, other)
+            est = max(np.linalg.norm(ordered - other_ordered),
+                      np.linalg.norm(unordered - other_unordered)) / scale
     threshold = 10.0 * max(quad.tolerance, est)
     if rel > threshold:
         raise EquivalenceError(

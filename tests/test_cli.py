@@ -11,9 +11,10 @@ import pytest
 import tclgen.cli
 import tclgen.evolve
 import tclgen.exact
+import tclgen.models
 import tclgen.quadrature
 import tclgen.tcl
-from tclgen.algebra import SuperOp
+from tclgen.algebra import SuperOp, SystemModel
 from tclgen.bath import BathSpec
 from tclgen.cli import ConfigError, main, parse_config
 from tclgen.cumulant import K_n_cumulant
@@ -584,19 +585,19 @@ def test_cumulant_terms_rejects_nonpositive(capsys):
 
 def test_scaling_study_flag_validation(capsys):
     assert main(["scaling-study", "--alphas", "0.1", "--t-max", "0",
-                 "--table-step", "0", "--n-output", "1", "--fock", "1"]) == 1
+                 "--n-output", "1", "--fock", "1"]) == 1
     err = capsys.readouterr().err
-    for frag in ("--alphas", "--t-max", "--table-step", "--n-output", "--fock"):
+    for frag in ("--alphas", "--t-max", "--n-output", "--fock"):
         assert frag in err
 
 
 def test_scaling_study_rejects_an_oversized_purified_reference(monkeypatch, capsys):
     # Two thermal modes purify to four, so the preset's 10 levels would need
-    # dimension 2 * 10^4; the check fires before any K4 table work.
-    def no_table(*args, **kwargs):
-        raise AssertionError("K4 table built before the dimension check")
+    # dimension 2 * 10^4; the check fires before any generator is built.
+    def no_generator(*args, **kwargs):
+        raise AssertionError("generator built before the dimension check")
 
-    monkeypatch.setattr(tclgen.cli, "K4_exact", no_table)
+    monkeypatch.setattr(tclgen.models, "build_generator", no_generator)
     assert main(["scaling-study", "--preset", "spinboson-two-mode"]) == 1
     err = capsys.readouterr().err
     assert "dimension 20000 exceeds the cap 4096" in err
@@ -604,20 +605,52 @@ def test_scaling_study_rejects_an_oversized_purified_reference(monkeypatch, caps
 
 
 def test_scaling_study_takes_k2_in_closed_form(monkeypatch):
-    # the K4 table comes from the closed form too: no quadrature route runs
+    # K4 comes from the closed form too: no quadrature route runs
     calls = _record_calls(monkeypatch, k2=tclgen.tcl.K2_influence,
                           k4=tclgen.tcl.K4_influence)
     res = tclgen.cli.scaling_study(alphas=(0.1, 0.2), t_max=0.5, fock_levels=4,
-                                   table_step=0.25, n_output=6)
+                                   n_output=6)
     assert calls == {"k2": [], "k4": []}
     assert np.all(np.isfinite(res.errors_order2 + res.errors_order4))
+
+
+def test_scaling_study_propagates_the_generator_of_build_generator(monkeypatch):
+    # every rung is build_generator's cubic generator, the one `tclgen run`
+    # can propagate; a hand run of one rung reproduces its error bitwise
+    alphas, t_max, n_output = (0.1, 0.2), 0.5, 6
+    made = []
+    original = tclgen.tcl.build_generator
+
+    def recording(*args, **kwargs):
+        made.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tclgen.models, "build_generator", recording)
+    res = tclgen.cli.scaling_study(alphas=alphas, t_max=t_max, fock_levels=4,
+                                   n_output=n_output)
+    assert len(made) == 2 * len(alphas)
+    assert all(kwargs == {"interp": "cubic"} for _, kwargs in made)
+    assert [args[2] for args, _ in made] == [2, 4, 2, 4]
+    assert [args[0].alpha for args, _ in made] == [0.1, 0.1, 0.2, 0.2]
+
+    preset = tclgen.get_preset("spinboson-single-mode")
+    model = SystemModel(2, preset.model.h_sys, preset.model.coupling, 0.2)
+    t_grid = np.linspace(0.0, t_max, n_output)
+    rho0 = tclgen.models._default_rho0(2)
+    oracle = tclgen.exact_small_bath(
+        rho0, model, tclgen.TruncatedBathConfig(preset.bath, 4, purified=True),
+        t_grid, check_truncation=False)
+    gen = original(model, preset.bath, 4, QuadratureSpec(), t_max, interp="cubic")
+    traj = tclgen.propagate(rho0, gen, t_grid, stepper="rk45-adaptive", atol=1e-13)
+    err = max(tclgen.trace_distance(a, b) for a, b in zip(traj.states, oracle.states))
+    assert err == res.errors_order4[1]
 
 
 def test_scaling_study_smoke(tmp_path, capsys):
     out = tmp_path / "out"
     code = main([
         "scaling-study", "--alphas", "0.1,0.2", "--t-max", "1.0",
-        "--table-step", "0.5", "--n-output", "11", "--fock", "6",
+        "--n-output", "11", "--fock", "6",
         "--out", str(out),
     ])
     assert code == 0

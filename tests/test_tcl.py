@@ -14,7 +14,7 @@ from tclgen.algebra import SuperOp, SystemModel
 from tclgen.bath import BathSpec
 from tclgen.models import get_preset
 from tclgen.quadrature import QuadratureSpec
-from tclgen.exact import K2_exact
+from tclgen.exact import K2_exact, K4_exact
 from tclgen.tcl import (
     EquivalenceError,
     K2_influence,
@@ -26,6 +26,7 @@ from tclgen.tcl import (
     format_k4_table,
 )
 from tclgen.cumulant import K_n_cumulant
+from test_acceptance import _random_instance
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -137,28 +138,52 @@ def test_equivalence_tripwire_fires(monkeypatch):
         K4_cumulant_ordered(SPIN_BOSON, BATH, 1.0, GL8)
 
 
+def _agreeing_pieces(model, bath, t, quad):
+    return (np.eye(4, dtype=complex),) * 3
+
+
+def _disagreeing_pieces(model, bath, t, quad):
+    # the forms differ by 1/density, so halving or doubling the density
+    # moves them by about as much as they differ: a real estimate passes
+    eye = np.eye(4, dtype=complex)
+    return eye, (1.0 + 1.0 / quad.nodes_per_unit_time) * eye, eye
+
+
+def _recording(specs, pieces):
+    def stub(model, bath, t, quad):
+        specs.append(quad)
+        return pieces(model, bath, t, quad)
+    return stub
+
+
 def test_self_estimate_at_the_node_cap_warns(monkeypatch):
-    # at 16 nodes per unit time both grids reach the 96-node cap from t = 12
-    pieces = (np.eye(4, dtype=complex),) * 3
-    monkeypatch.setattr(tclgen.tcl, "_k4_ordered_pieces", lambda *args: pieces)
+    # at 16 nodes per unit time the fine, coarsened and doubled grids all
+    # reach the 96-node cap from t = 12, so forms that disagree get no estimate
+    monkeypatch.setattr(tclgen.tcl, "_k4_ordered_pieces", _disagreeing_pieces)
     with pytest.warns(UserWarning, match=r"t = 12\.0: .* 96-node cap"):
-        K4_cumulant_ordered(SPIN_BOSON, BATH, 12.0, GL16)
+        with pytest.raises(EquivalenceError):
+            K4_cumulant_ordered(SPIN_BOSON, BATH, 12.0, GL16)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for t in (0.1, 11.0):  # 8/8-node floor (documented), 96/88 nodes
+        K4_cumulant_ordered(SPIN_BOSON, BATH, 11.0, GL16)  # 96/88 nodes
+        # forms that agree need no estimate: 8/8/8-node floor, 96-node cap
+        monkeypatch.setattr(tclgen.tcl, "_k4_ordered_pieces", _agreeing_pieces)
+        for t in (0.1, 12.0):
             K4_cumulant_ordered(SPIN_BOSON, BATH, t, GL16)
 
 
 @pytest.mark.parametrize("scheme", ["gauss-legendre-nested", "simpson-uniform"])
 def test_self_estimate_without_a_coarser_grid_warns(monkeypatch, scheme):
     # at 4 nodes per unit time, the smallest allowed, coarsening returns the
-    # same spec, so the self-estimate compares a grid with itself
-    pieces = (np.eye(4, dtype=complex),) * 3
-    monkeypatch.setattr(tclgen.tcl, "_k4_ordered_pieces", lambda *args: pieces)
+    # same spec, and at t = 0.5 doubling the density still gives the floor's
+    # 8 Gauss points or 4 Simpson intervals, so no grid can estimate the error
+    monkeypatch.setattr(tclgen.tcl, "_k4_ordered_pieces", _disagreeing_pieces)
     quad = QuadratureSpec(scheme, 4, 1e-8)
     assert quad.coarsened() == quad
-    with pytest.warns(UserWarning, match=r"t = 1\.0: the coarsened grid equals the fine one"):
-        K4_cumulant_ordered(SPIN_BOSON, BATH, 1.0, quad)
+    match = r"t = 0\.5: neither the coarsened nor the doubled grid differs"
+    with pytest.warns(UserWarning, match=match):
+        with pytest.raises(EquivalenceError):
+            K4_cumulant_ordered(SPIN_BOSON, BATH, 0.5, quad)
 
 
 @pytest.mark.parametrize(
@@ -166,27 +191,67 @@ def test_self_estimate_without_a_coarser_grid_warns(monkeypatch, scheme):
     [(4, 1.0, 1), (16, 1.0, 2), (8, 0.5, 1), (16, 12.0, 1)],
 )
 def test_coarse_pass_runs_only_on_a_coarser_grid(monkeypatch, npu, t, calls):
-    # where the coarsened grid has the fine grid's points per dimension (4
-    # nodes per unit time, the 8-point Gauss floor, the 96-point cap), its
-    # self-estimate is known to be 0 without computing it again
+    # forms that disagree get a second pass on the coarsened grid where it has
+    # fewer points per dimension; none runs where neither it nor the doubled
+    # grid differs from the fine one (4 nodes per unit time and the 8-point
+    # Gauss floor at these t, the 96-point cap), and none for forms that agree
     specs = []
-
-    def recording(model, bath, t, quad):
-        specs.append(quad)
-        return (np.eye(4, dtype=complex),) * 3
-
-    monkeypatch.setattr(tclgen.tcl, "_k4_ordered_pieces", recording)
     quad = QuadratureSpec("gauss-legendre-nested", npu, 1e-8)
+    monkeypatch.setattr(tclgen.tcl, "_k4_ordered_pieces",
+                        _recording(specs, _disagreeing_pieces))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        K4_cumulant_ordered(SPIN_BOSON, BATH, t, quad)
+        if calls == 1:
+            with pytest.raises(EquivalenceError):
+                K4_cumulant_ordered(SPIN_BOSON, BATH, t, quad)
+        else:
+            K4_cumulant_ordered(SPIN_BOSON, BATH, t, quad)
     assert specs == [quad, quad.coarsened()][:calls]
+    specs.clear()
+    monkeypatch.setattr(tclgen.tcl, "_k4_ordered_pieces",
+                        _recording(specs, _agreeing_pieces))
+    K4_cumulant_ordered(SPIN_BOSON, BATH, t, quad)
+    assert specs == [quad]
 
 
-@pytest.mark.parametrize("npu, t, calls", [(16, 1.0, 8), (8, 0.5, 4)])
-def test_ordered_check_integrates_each_triple_simplex_term_once(monkeypatch, npu, t, calls):
-    # four order-4 terms per grid, the four-point one shared by both forms;
-    # at GL8, t = 0.5 the coarsened grid is the fine one and is not rerun
+@pytest.mark.parametrize(
+    "scheme, npu, t",
+    [("gauss-legendre-nested", 8, 1.0), ("gauss-legendre-nested", 4, 2.0),
+     ("simpson-uniform", 8, 0.5), ("simpson-uniform", 4, 1.0)],
+)
+def test_self_estimate_doubles_the_density_where_coarsening_cannot_thin_the_grid(
+    monkeypatch, scheme, npu, t
+):
+    specs = []
+    quad = QuadratureSpec(scheme, npu, 1e-8)
+    assert quad.coarsened().points(t) == quad.points(t)
+    monkeypatch.setattr(tclgen.tcl, "_k4_ordered_pieces",
+                        _recording(specs, _disagreeing_pieces))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        K4_cumulant_ordered(SPIN_BOSON, BATH, t, quad)
+    assert specs == [quad, QuadratureSpec(scheme, 2 * npu, 1e-8)]
+
+
+def test_simpson_floor_instances_pass_the_route_check():
+    # the six two-level criterion-3 instances with 8 Simpson intervals per
+    # unit time at t = 0.5: the fine and coarsened grids both hold the floor's
+    # 4 intervals, where the two forms differ by 1.2e-2 to 6.0e-2, and the
+    # estimate comes from 8 intervals instead
+    rng = np.random.default_rng(23)
+    quad = QuadratureSpec("simpson-uniform", 8, 1e-8)
+    assert quad.coarsened().points(0.5) == quad.points(0.5) == 5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(6):
+            model, bath = _random_instance(rng, 2)
+            k4 = K4_cumulant_ordered(model, bath, 0.5, quad).matrix
+            exact = K4_exact(model, bath, 0.5).matrix
+            assert np.linalg.norm(k4 - exact) <= 2e-2 * np.linalg.norm(exact)
+
+
+def _record_simplex3_calls(monkeypatch):
+    """Record the t of every integrate_simplex3 call, in every tclgen namespace."""
     original = tclgen.quadrature.integrate_simplex3
     count = []
 
@@ -199,9 +264,25 @@ def test_ordered_check_integrates_each_triple_simplex_term_once(monkeypatch, npu
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, recording)
+    return count
+
+
+@pytest.mark.parametrize("npu, t, calls", [(16, 1.0, 4), (8, 0.5, 4)])
+def test_ordered_check_integrates_each_triple_simplex_term_once(monkeypatch, npu, t, calls):
+    # four order-4 terms, the four-point one shared by both forms; the forms
+    # agree to the tolerance, so no second grid runs for an estimate
+    count = _record_simplex3_calls(monkeypatch)
     quad = QuadratureSpec("gauss-legendre-nested", npu, 1e-8)
     K4_cumulant_ordered(SPIN_BOSON, BATH, t, quad)
     assert len(count) == calls
+
+
+def test_second_grid_integrates_each_triple_simplex_term_once(monkeypatch):
+    # with 8 Simpson intervals per unit time the forms differ by 1.7e-3 at
+    # t = 1, past 10x the tolerance, so the coarsened grid runs too
+    count = _record_simplex3_calls(monkeypatch)
+    K4_cumulant_ordered(SPIN_BOSON, BATH, 1.0, QuadratureSpec("simpson-uniform", 8, 1e-8))
+    assert len(count) == 8
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
