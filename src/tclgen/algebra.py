@@ -81,6 +81,8 @@ class SystemModel:
         for name, m in (("h_sys", h), ("coupling", x)):
             if m.shape != (self.dim, self.dim):
                 raise ValueError(f"{name} must be {self.dim} x {self.dim}, got {m.shape}")
+            if not np.all(np.isfinite(m)):
+                raise ValueError(f"{name} entries must be finite")
             if np.max(np.abs(m - m.conj().T)) > _HERM_TOL:
                 raise ValueError(f"{name} is not Hermitian within {_HERM_TOL}")
         if not np.isfinite(self.alpha):

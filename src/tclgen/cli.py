@@ -54,6 +54,7 @@ from .models import (
 )
 from .quadrature import QuadratureSpec
 from .tcl import (
+    ORDERS,
     EquivalenceError,
     Generator,
     K4_influence,
@@ -194,6 +195,10 @@ def _get(cp, section, key, conv, default, errors, check=None):
     return val
 
 
+def _not_positive(v: float) -> str | None:
+    return None if math.isfinite(v) and v > 0 else f"must be positive and finite, got {v}"
+
+
 def _name_clash(times: Iterable[float]) -> str | None:
     """Complaint about two distinct times whose generator CSVs share a name."""
     seen: dict[str, float] = {}
@@ -294,19 +299,16 @@ def parse_config(text: str) -> ScenarioConfig:
     if preset_name is not None and model is not None and alpha is not None:
         model = SystemModel(model.dim, model.h_sys, model.coupling, alpha)
 
-    t_max = _get(cp, "run", "t_max", float, 2.0, errors,
-                 lambda v: None if v > 0 else f"must be positive, got {v}")
+    t_max = _get(cp, "run", "t_max", float, 2.0, errors, _not_positive)
     n_output = _get(cp, "run", "n_output", int, 41, errors,
                     lambda v: None if v >= 2 else f"must be >= 2, got {v}")
     order = _get(cp, "run", "order", int, 4, errors,
-                 lambda v: None if v in (2, 4) else f"must be 2 or 4, got {v}")
+                 lambda v: None if v in ORDERS else f"must be 2 or 4, got {v}")
     stepper = _get(cp, "run", "stepper", str.strip, "rk45-adaptive", errors,
                    lambda v: None if v in _STEPPERS
                    else f"must be one of {', '.join(_STEPPERS)}, got {v!r}")
-    max_step = _get(cp, "run", "max_step", float, 0.01, errors,
-                    lambda v: None if v > 0 else f"must be positive, got {v}")
-    atol = _get(cp, "run", "atol", float, 1e-10, errors,
-                lambda v: None if v > 0 else f"must be positive, got {v}")
+    max_step = _get(cp, "run", "max_step", float, 0.01, errors, _not_positive)
+    atol = _get(cp, "run", "atol", float, 1e-10, errors, _not_positive)
     scheme = _get(cp, "run", "quad_scheme", str.strip, "gauss-legendre-nested", errors)
     npu = _get(cp, "run", "quad_nodes_per_unit_time", int, 16, errors)
     tol = _get(cp, "run", "quad_tolerance", float, 1e-8, errors)
@@ -326,7 +328,9 @@ def parse_config(text: str) -> ScenarioConfig:
             )
         else:
             cand = np.array(rho_raw, complex).reshape(d, d)
-            if np.linalg.norm(cand - cand.conj().T) > 1e-10:
+            if not np.all(np.isfinite(cand)):
+                errors.append("[run] rho0: entries must be finite")
+            elif np.linalg.norm(cand - cand.conj().T) > 1e-10:
                 errors.append("[run] rho0: not Hermitian")
             elif abs(np.trace(cand).real - 1.0) > 1e-10 or abs(np.trace(cand).imag) > 1e-10:
                 errors.append("[run] rho0: trace is not 1")
@@ -343,8 +347,8 @@ def parse_config(text: str) -> ScenarioConfig:
         cp, "outputs", "generator_times",
         lambda raw: tuple(float(p) for p in raw.split(",")),
         (0.5, 1.0, 2.0), errors,
-        lambda ts: _name_clash(ts) if all(t >= 0 for t in ts)
-        else "times must be nonnegative",
+        lambda ts: _name_clash(ts) if all(math.isfinite(t) and t >= 0 for t in ts)
+        else "times must be nonnegative and finite",
     )
 
     if errors or model is None or bath is None:
@@ -665,8 +669,8 @@ def _cmd_generator_dump(args) -> int:
             times = tuple(float(p) for p in args.times.split(","))
         except ValueError:
             raise ConfigError([f"--times: cannot parse {args.times!r}"]) from None
-        if any(t < 0 for t in times):
-            raise ConfigError(["--times: times must be nonnegative"])
+        if not all(math.isfinite(t) and t >= 0 for t in times):
+            raise ConfigError(["--times: times must be nonnegative and finite"])
         clash = _name_clash(times)
         if clash:
             raise ConfigError([f"--times: {clash}"])
@@ -703,10 +707,10 @@ def _cmd_scaling_study(args) -> int:
     except ValueError:
         problems.append(f"--alphas: cannot parse {args.alphas!r}")
         alphas = ()
-    if alphas and (len(alphas) < 2 or any(a <= 0 for a in alphas)):
-        problems.append("--alphas: need >= 2 positive values")
-    if args.t_max <= 0:
-        problems.append(f"--t-max: must be positive, got {args.t_max}")
+    if alphas and (len(alphas) < 2 or any(_not_positive(a) for a in alphas)):
+        problems.append("--alphas: need >= 2 positive finite values")
+    if _not_positive(args.t_max):
+        problems.append(f"--t-max: {_not_positive(args.t_max)}")
     if args.n_output < 2:
         problems.append(f"--n-output: must be >= 2, got {args.n_output}")
     if args.fock is not None and args.fock < 2:
@@ -746,7 +750,7 @@ def _add_common_flags(sp) -> None:
     sp.add_argument("--config", metavar="PATH", help="scenario config file")
     sp.add_argument("--out", metavar="DIR",
                     help=f"output directory (overrides config and ${_ENV_OUT})")
-    sp.add_argument("--order", type=int, choices=(2, 4),
+    sp.add_argument("--order", type=int, choices=ORDERS,
                     help="override the run order")
     sp.add_argument("--quad-nodes", type=int, metavar="N",
                     help="override quadrature nodes per unit time")

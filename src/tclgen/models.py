@@ -404,19 +404,19 @@ def scaling_study(
     :func:`build_generator` at the default :class:`QuadratureSpec` with
     ``interp="cubic"``, so K2 and K4 come from their closed forms on a grid
     of ``nodes_per_unit_time`` nodes per unit time and are spline-interpolated
-    between them.  Every run is compared on the same output grid against
-    the truncated product-space oracle with a thermofield-purified bath
-    (``TruncatedBathConfig(purified=True)``): each thermal mode becomes two
-    modes that start in their vacuum, truncated at ``fock_levels`` each, so
-    the reference converges at levels where a truncated Gibbs state does
-    not.  The purified dimension is checked against the oracle's cap before
-    any generator work.  The returned slopes are least-squares fits of
-    log(max error) against log(alpha).
+    between them.  They do not depend on the coupling, so one order-4 build
+    serves every rung through ``dataclasses.replace``.  Every run is compared,
+    on the same output grid, with the truncated product-space oracle for a
+    thermofield-purified bath (``TruncatedBathConfig(purified=True)``): each
+    thermal mode becomes two vacuum-started modes of ``fock_levels`` levels,
+    which converge where a truncated Gibbs state does not.  The purified
+    dimension is checked against the oracle's cap before any generator work.
+    The slopes are least-squares fits of log(max error) against log(alpha).
     """
     if len(alphas) < 2:
         raise ValueError("need at least two coupling values to fit a slope")
-    if any(a <= 0 for a in alphas):
-        raise ValueError("couplings must be positive")
+    if not all(math.isfinite(a) and a > 0 for a in alphas):
+        raise ValueError("couplings must be positive and finite")
     preset = get_preset(preset_name)
     base, bath = preset.model, preset.bath
     n_fock = fock_levels if fock_levels is not None else preset.fock_levels
@@ -426,11 +426,12 @@ def scaling_study(
     t_grid = np.linspace(0.0, t_max, n_output)
     rho0 = _default_rho0(base.dim)
     errs: dict[int, list[float]] = {2: [], 4: []}
+    table = build_generator(base, bath, 4, QuadratureSpec(), t_max, interp="cubic")
     for alpha in alphas:
         model = replace(base, alpha=alpha)
         oracle = exact_small_bath(rho0, model, reference, t_grid, check_truncation=False)
         for order in (2, 4):
-            gen = build_generator(model, bath, order, QuadratureSpec(), t_max, interp="cubic")
+            gen = replace(table, alpha=alpha, order=order)
             traj = propagate(rho0, gen, t_grid, stepper="rk45-adaptive", atol=atol)
             err = max(trace_distance(a, b) for a, b in zip(traj.states, oracle.states))
             errs[order].append(err)

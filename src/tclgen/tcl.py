@@ -28,6 +28,7 @@ two-term form J4' - K2 J, which share one four-point integral -- and raises
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
@@ -47,7 +48,10 @@ from .cumulant import K_n_cumulant, _order4_pieces, forward_map_correction
 from .exact import K2_exact, K4_exact, k4_chain_count
 from .quadrature import GAUSS_POINT_CAP, QuadratureSpec, integrate_interval, integrate_simplex3
 
+ORDERS = (2, 4)  # the orders of the generator series
+
 __all__ = [
+    "ORDERS",
     "EquivalenceError",
     "K4_TERM_TABLE",
     "K4Term",
@@ -229,10 +233,9 @@ def K4_cumulant_ordered(
     estimate can only raise the threshold, so it is computed only where the
     forms differ by more than 10x the tolerance: from the coarsened grid, or,
     where that has the fine grid's points per dimension (4 nodes per unit
-    time, the node floor of short intervals), from the grid at twice the
-    density.  Where neither differs (the per-dimension node cap of the Gauss
-    rule, or the node floor of a very short interval), the check uses the
-    tolerance alone and warns (``UserWarning``).
+    time, the node floor of short intervals), from a grid with twice the
+    fine grid's points.  At the Gauss rule's 96-node cap no second grid
+    differs: the check uses the tolerance alone and warns (``UserWarning``).
     """
     if t == 0.0:
         return SuperOp(model.dim, np.zeros((model.dim**2, model.dim**2), complex))
@@ -244,13 +247,11 @@ def K4_cumulant_ordered(
     if rel > 10.0 * quad.tolerance:
         other = quad.coarsened()
         if other.points(t) == quad.points(t):
-            other = replace(quad, nodes_per_unit_time=2 * quad.nodes_per_unit_time)
+            other = replace(quad, nodes_per_unit_time=max(4, math.ceil(2 * quad.points(t) / t)))
         if other.points(t) == quad.points(t):
             warnings.warn(
-                f"K4_cumulant_ordered at t = {t}: neither the coarsened nor the doubled "
-                f"grid differs from the fine one ({quad.points(t)} points per dimension; "
-                f"short intervals sit at the node floor and Gauss grids stop at the "
-                f"{GAUSS_POINT_CAP}-node cap), so the check uses the tolerance alone",
+                f"K4_cumulant_ordered at t = {t}: the Gauss grid sits at its "
+                f"{GAUSS_POINT_CAP}-node cap, so the check uses the tolerance alone",
                 UserWarning, stacklevel=2)
         else:
             other_ordered, other_unordered, _ = _k4_ordered_pieces(model, bath, t, other)
@@ -296,22 +297,54 @@ class Coefficients(NamedTuple):
 class Generator:
     """Evaluable time-local generator K(t) = alpha^2 K2(t) [+ alpha^4 K4(t)].
 
-    ``evaluator(t)`` returns the fully scaled SuperOp.  ``grid`` records the
-    cache nodes; ``interp`` the interpolation rule between them.
-    ``coefficients(t)``, set by :func:`build_generator`, returns the unscaled
-    :class:`Coefficients` at t from the generator's memo (the arrays are
-    shared, not copied); it accepts any time, including times past the grid.
+    ``coefficients(t)`` returns the unscaled :class:`Coefficients` at any t
+    (for :func:`build_generator`, from its memo), which the generator scales
+    by its own ``alpha`` and ``order``: ``dataclasses.replace`` re-couples it,
+    or takes order 2 from order 4, without recomputing a coefficient.  With a
+    ``grid``, ``interp`` (``"linear"`` or ``"cubic"``) interpolates the scaled
+    matrices tabulated on its nodes and raises ``ValueError`` outside them;
+    without one, ``evaluator(t)`` evaluates at t directly.
     """
 
     order: int
     alpha: float
     dim: int
-    evaluator: Callable[[float], SuperOp] = field(repr=False)
+    coefficients: Callable[[float], Coefficients] = field(repr=False)
     grid: np.ndarray | None = None
     interp: str = "linear"
-    coefficients: Callable[[float], Coefficients] | None = field(
-        default=None, init=False, repr=False
-    )
+
+    def __post_init__(self):
+        if self.order not in ORDERS:
+            raise ValueError(f"order must be 2 or 4, got {self.order}")
+        if self.interp not in ("linear", "cubic", "direct"):
+            raise ValueError(f"unknown interpolation {self.interp!r}")
+        if self.grid is not None:
+            self._values = np.stack([self._scaled(t) for t in self.grid])
+            self._spline = (CubicSpline(self.grid, self._values, axis=0)
+                            if self.interp == "cubic" else None)
+
+    def _scaled(self, t: float) -> np.ndarray:
+        k2, k4, _ = self.coefficients(t)
+        if self.order == 2:
+            return self.alpha**2 * k2
+        if k4 is None:
+            raise ValueError("an order-4 generator needs K4 in its coefficients")
+        return self.alpha**2 * k2 + self.alpha**4 * k4
+
+    def evaluator(self, t: float) -> SuperOp:
+        """The fully scaled generator at t."""
+        if self.grid is None:
+            return SuperOp(self.dim, self._scaled(t))
+        if t < self.grid[0] or t > self.grid[-1]:
+            raise ValueError(f"time {t} outside cached range [0, {self.grid[-1]}]")
+        if self._spline is not None:
+            return SuperOp(self.dim, np.asarray(self._spline(t)))
+        idx = np.searchsorted(self.grid, t)
+        if self.grid[idx] == t:
+            return SuperOp(self.dim, self._values[idx].copy())
+        lo = idx - 1
+        theta = (t - self.grid[lo]) / (self.grid[idx] - self.grid[lo])
+        return SuperOp(self.dim, (1 - theta) * self._values[lo] + theta * self._values[idx])
 
     def __call__(self, t: float) -> SuperOp:
         return self.evaluator(t)
@@ -323,30 +356,23 @@ def build_generator(
     order: int,
     quad: QuadratureSpec,
     t_max: float,
-    n_cache: int | None = None,
     interp: str = "linear",
 ) -> Generator:
-    """Precompute the generator on a time grid and wrap an evaluator.
+    """The :class:`Generator` of ``model`` on ``bath`` over ``[0, t_max]``.
 
     ``interp`` is one of ``"linear"`` (default), ``"cubic"`` (spline through
-    the cached matrices, useful when the stepper error budget is tighter than
-    linear interpolation allows) or ``"direct"`` (no grid: every evaluation
-    computes the coefficients at the requested time).  Every mode draws on
-    one memo of the unscaled coefficients, so each K2(t) and K4(t) is
-    computed at most once per time.  K2 always comes from :func:`K2_exact`.
-    K4 comes from :func:`K4_exact` where :func:`_k4_exact_is_cheaper`, else
-    from :func:`K4_influence` on ``quad``; the two agree to about 1e-12
-    relative at the default quadrature.  ``quad`` also sets the grid density
-    (``nodes_per_unit_time``).  Grid nodes always return the directly
-    computed values; ``"linear"`` and ``"cubic"`` raise ``ValueError``
-    outside ``[0, t_max]``.
+    the tabulated matrices, useful when the stepper error budget is tighter
+    than linear interpolation allows) or ``"direct"`` (no grid: every
+    evaluation computes the coefficients at the requested time); the grid has
+    ``max(33, ceil(t_max * nodes_per_unit_time) + 1)`` uniform nodes.  Every
+    mode draws on one memo of the unscaled coefficients, so each K2(t) and
+    K4(t) is computed at most once per time, whatever the coupling.  K2
+    always comes from :func:`K2_exact`, K4 from :func:`K4_exact` where
+    :func:`_k4_exact_is_cheaper`, else from :func:`K4_influence` on ``quad``
+    (the two agree to about 1e-12 relative at the default quadrature).
     """
-    if order not in (2, 4):
-        raise ValueError(f"order must be 2 or 4, got {order}")
-    if t_max <= 0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
-    if interp not in ("linear", "cubic", "direct"):
-        raise ValueError(f"unknown interpolation {interp!r}")
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
 
     memo: dict[float, Coefficients] = {}
     chains = k4_chain_count(bath) if order == 4 else 0
@@ -363,39 +389,6 @@ def build_generator(
             memo[t] = Coefficients(K2_exact(model, bath, t).matrix, *fourth(t))
         return memo[t]
 
-    def compute(t: float) -> np.ndarray:
-        k2, k4, _ = coefficients(t)
-        mat = model.alpha**2 * k2
-        if k4 is not None:
-            mat = mat + model.alpha**4 * k4
-        return mat
-
-    if interp == "direct":
-        grid = None
-
-        def evaluator(t: float) -> SuperOp:
-            return SuperOp(model.dim, compute(t))
-
-    else:
-        n_nodes = n_cache if n_cache is not None else max(
-            33, int(np.ceil(t_max * quad.nodes_per_unit_time)) + 1
-        )
-        grid = np.linspace(0.0, t_max, n_nodes)
-        values = np.stack([compute(t) for t in grid])
-        spline = CubicSpline(grid, values, axis=0) if interp == "cubic" else None
-
-        def evaluator(t: float) -> SuperOp:
-            if t < grid[0] or t > grid[-1]:
-                raise ValueError(f"time {t} outside cached range [0, {grid[-1]}]")
-            if spline is not None:
-                return SuperOp(model.dim, np.asarray(spline(t)))
-            idx = np.searchsorted(grid, t)
-            if grid[idx] == t:
-                return SuperOp(model.dim, values[idx].copy())
-            lo = idx - 1
-            theta = (t - grid[lo]) / (grid[idx] - grid[lo])
-            return SuperOp(model.dim, (1 - theta) * values[lo] + theta * values[idx])
-
-    gen = Generator(order, model.alpha, model.dim, evaluator, grid, interp)
-    gen.coefficients = coefficients
-    return gen
+    n_nodes = max(33, math.ceil(t_max * quad.nodes_per_unit_time) + 1)
+    grid = None if interp == "direct" else np.linspace(0.0, t_max, n_nodes)
+    return Generator(order, model.alpha, model.dim, coefficients, grid, interp)

@@ -154,6 +154,15 @@ def test_model_rejects_bad_input():
         SystemModel(2, 0.5 * SZ, SX, math.inf)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_model_rejects_non_finite_matrices(bad):
+    # NaN fails every comparison, so the Hermiticity check alone lets it by
+    with pytest.raises(ValueError, match="h_sys entries must be finite"):
+        SystemModel(2, np.diag([bad, 0.0]), SX, 0.1)
+    with pytest.raises(ValueError, match="coupling entries must be finite"):
+        SystemModel(2, 0.5 * SZ, np.diag([0.0, bad]), 0.1)
+
+
 # --- interaction picture ----------------------------------------------------------
 
 

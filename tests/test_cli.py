@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tclgen.cli
 import tclgen.evolve
@@ -21,6 +23,7 @@ from tclgen.cumulant import K_n_cumulant
 from tclgen.evolve import NumericsError
 from tclgen.quadrature import QuadratureSpec
 from tclgen.tcl import K2_influence
+from test_exact import DETERMINISTIC
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
@@ -178,6 +181,57 @@ def test_config_hash_tracks_text():
     c = parse_config(PRESET_MIN + "alpha = 0.2\n")
     assert a.config_hash == b.config_hash
     assert a.config_hash != c.config_hash
+
+
+# every numeric key of an explicit config, with a finite value
+_NUMERIC_KEYS = {
+    ("model", "dim"): "2",
+    ("model", "h_sys"): "0.5, 0, 0, -0.5",
+    ("model", "coupling"): "0, 1, 1, 0",
+    ("model", "alpha"): "0.1",
+    ("bath", "modes"): "1, 1, 1; 0.6, 1.7, 1",
+    ("bath", "beta"): "2.5",
+    ("bath", "fock_levels"): "6",
+    ("run", "t_max"): "1.0",
+    ("run", "n_output"): "6",
+    ("run", "order"): "2",
+    ("run", "max_step"): "0.01",
+    ("run", "atol"): "1e-10",
+    ("run", "quad_nodes_per_unit_time"): "8",
+    ("run", "quad_tolerance"): "1e-8",
+    ("run", "rho0"): "1, 0, 0, 0",
+    ("outputs", "generator_times"): "0.5, 1.0",
+}
+_NON_FINITE = st.sampled_from(["inf", "-inf", "nan", "1e309", "infj", "1+nanj"])
+
+
+@DETERMINISTIC
+@given(st.fixed_dictionaries({
+    key: st.none() | st.tuples(st.integers(0, 5), _NON_FINITE) for key in _NUMERIC_KEYS
+}))
+def test_config_numbers_are_finite_or_rejected(swaps):
+    # one entry of any numeric key may be infinite or NaN; the config is
+    # then rejected as a whole, or every number that comes back is finite
+    sections: dict[str, list[str]] = {}
+    for (section, key), value in _NUMERIC_KEYS.items():
+        if swaps[section, key] is not None:
+            index, bad = swaps[section, key]
+            parts = re.split(r"([,;])", value)
+            parts[2 * (index % ((len(parts) + 1) // 2))] = bad
+            value = "".join(parts)
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    text = "".join(f"[{name}]\n" + "\n".join(lines) + "\n"
+                   for name, lines in sections.items())
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    numbers = [cfg.model.h_sys, cfg.model.coupling, cfg.model.alpha, cfg.bath.modes,
+               cfg.fock_levels, cfg.t_max, cfg.n_output, cfg.order, cfg.max_step, cfg.atol,
+               cfg.quad.nodes_per_unit_time, cfg.quad.tolerance, cfg.rho0,
+               cfg.generator_times]
+    assert all(np.all(np.isfinite(np.asarray(x))) for x in numbers)
+    assert cfg.bath.beta > 0  # inf is the zero-temperature limit
 
 
 def test_non_commuting_matrix_errors_surface():
@@ -397,6 +451,19 @@ def test_order2_run_skips_route_comparison(tmp_path):
 # --- exit codes ------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("line, complaint", [
+    ("t_max = inf", "[run] t_max: must be positive and finite, got inf"),
+    ("rho0 = nan, 0, 0, 1", "[run] rho0: entries must be finite"),
+], ids=["t_max", "rho0"])
+def test_non_finite_input_exits_one_before_any_output(tmp_path, capsys, line, complaint):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(PRESET_MIN + f"[run]\n{line}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert complaint in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_flag_is_usage_error(tmp_path, capsys):
     assert main(["run"]) == 1
     assert "--config PATH is required" in capsys.readouterr().err
@@ -591,6 +658,13 @@ def test_scaling_study_flag_validation(capsys):
         assert frag in err
 
 
+def test_scaling_study_rejects_non_finite_flags(capsys):
+    for flags, complaint in ((["--t-max", "inf"], "--t-max: must be positive and finite"),
+                             (["--alphas", "0.1,nan"], "--alphas: need >= 2 positive finite")):
+        assert main(["scaling-study", *flags]) == 1
+        assert complaint in capsys.readouterr().err
+
+
 def test_scaling_study_rejects_an_oversized_purified_reference(monkeypatch, capsys):
     # Two thermal modes purify to four, so the preset's 10 levels would need
     # dimension 2 * 10^4; the check fires before any generator is built.
@@ -616,7 +690,8 @@ def test_scaling_study_takes_k2_in_closed_form(monkeypatch):
 
 def test_scaling_study_propagates_the_generator_of_build_generator(monkeypatch):
     # every rung is build_generator's cubic generator, the one `tclgen run`
-    # can propagate; a hand run of one rung reproduces its error bitwise
+    # can propagate, re-coupled from one order-4 build; a hand run of one
+    # rung reproduces its error bitwise
     alphas, t_max, n_output = (0.1, 0.2), 0.5, 6
     made = []
     original = tclgen.tcl.build_generator
@@ -628,10 +703,10 @@ def test_scaling_study_propagates_the_generator_of_build_generator(monkeypatch):
     monkeypatch.setattr(tclgen.models, "build_generator", recording)
     res = tclgen.cli.scaling_study(alphas=alphas, t_max=t_max, fock_levels=4,
                                    n_output=n_output)
-    assert len(made) == 2 * len(alphas)
-    assert all(kwargs == {"interp": "cubic"} for _, kwargs in made)
-    assert [args[2] for args, _ in made] == [2, 4, 2, 4]
-    assert [args[0].alpha for args, _ in made] == [0.1, 0.1, 0.2, 0.2]
+    assert len(made) == 1
+    args, kwargs = made[0]
+    assert kwargs == {"interp": "cubic"}
+    assert args[2] == 4
 
     preset = tclgen.get_preset("spinboson-single-mode")
     model = SystemModel(2, preset.model.h_sys, preset.model.coupling, 0.2)

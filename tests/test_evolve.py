@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tclgen.algebra import SuperOp, SystemModel
+from tclgen.algebra import SystemModel
 from tclgen.bath import BathSpec
 from tclgen.evolve import (
     NumericsError,
@@ -16,7 +16,7 @@ from tclgen.evolve import (
 )
 from tclgen.models import dephasing_exact, to_interaction_picture
 from tclgen.quadrature import QuadratureSpec
-from tclgen.tcl import Generator, build_generator
+from tclgen.tcl import Coefficients, Generator, build_generator
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -39,14 +39,14 @@ def dephasing(alpha):
 def constant_generator(matrix):
     matrix = np.asarray(matrix, dtype=complex)
     dim = int(math.isqrt(matrix.shape[0]))
-    return Generator(2, 1.0, dim, lambda t: SuperOp(dim, matrix), None, "direct")
+    return Generator(2, 1.0, dim, lambda t: Coefficients(matrix, None, None))
 
 
 # --- input validation ---------------------------------------------------------------
 
 
 def test_time_grid_validation():
-    gen = build_generator(spin_boson(0.1), BATH, 2, GL8, 1.0, n_cache=5)
+    gen = build_generator(spin_boson(0.1), BATH, 2, GL8, 1.0)
     with pytest.raises(ValueError, match="at least two"):
         propagate(PLUS, gen, np.array([0.0]))
     with pytest.raises(ValueError, match="strictly increasing"):
@@ -56,7 +56,7 @@ def test_time_grid_validation():
 
 
 def test_initial_state_validation():
-    gen = build_generator(spin_boson(0.1), BATH, 2, GL8, 1.0, n_cache=5)
+    gen = build_generator(spin_boson(0.1), BATH, 2, GL8, 1.0)
     grid = np.array([0.0, 1.0])
     with pytest.raises(ValueError, match="must be 2 x 2"):
         propagate(np.eye(3) / 3.0, gen, grid)
@@ -71,7 +71,7 @@ def test_initial_state_validation():
 
 
 def test_rk4_max_step_validation():
-    gen = build_generator(spin_boson(0.1), BATH, 2, GL8, 1.0, n_cache=5)
+    gen = build_generator(spin_boson(0.1), BATH, 2, GL8, 1.0)
     with pytest.raises(ValueError, match="max_step"):
         propagate(PLUS, gen, np.array([0.0, 1.0]), stepper="rk4-fixed", max_step=0.0)
 
@@ -81,7 +81,7 @@ def test_rk4_max_step_validation():
 
 @pytest.mark.parametrize("stepper", ["rk4-fixed", "rk45-adaptive"])
 def test_uncoupled_state_is_constant(stepper):
-    gen = build_generator(spin_boson(0.0), BATH, 2, GL8, 2.0, n_cache=5)
+    gen = build_generator(spin_boson(0.0), BATH, 2, GL8, 2.0)
     grid = np.linspace(0.0, 2.0, 9)
     traj = propagate(PLUS, gen, grid, stepper=stepper)
     assert np.max(np.abs(traj.states - PLUS)) < 1e-12
@@ -89,13 +89,13 @@ def test_uncoupled_state_is_constant(stepper):
 
 
 def test_initial_state_is_kept_bitwise():
-    gen = build_generator(spin_boson(0.3), BATH, 2, GL8, 1.0, n_cache=5)
+    gen = build_generator(spin_boson(0.3), BATH, 2, GL8, 1.0)
     traj = propagate(PLUS, gen, np.linspace(0.0, 1.0, 5))
     assert np.array_equal(traj.states[0], PLUS)
 
 
 def test_propagation_is_linear_in_the_state():
-    gen = build_generator(spin_boson(0.4), BATH, 2, GL8, 1.0, n_cache=9)
+    gen = build_generator(spin_boson(0.4), BATH, 2, GL8, 1.0)
     grid = np.linspace(0.0, 1.0, 5)
     rho_a = np.diag([1.0, 0.0]).astype(complex)
     rho_b = PLUS
@@ -135,7 +135,7 @@ def test_dephasing_recoherence_at_the_mode_period():
 
 def test_populations_frozen_under_dephasing():
     model = dephasing(0.7)
-    gen = build_generator(model, BATH, 2, GL16, 3.0, n_cache=17)
+    gen = build_generator(model, BATH, 2, GL16, 3.0)
     rho0 = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
     traj = propagate(rho0, gen, np.linspace(0.0, 3.0, 7))
     assert np.max(np.abs(traj.states[:, 0, 0] - 0.7)) < 1e-9
@@ -188,11 +188,11 @@ def test_rk4_reports_blowup():
 def test_rk45_reports_failure():
     # A rate that diverges at the endpoint forces the step size below the
     # floating-point spacing, which the adaptive stepper reports as failure.
-    def evaluator(t):
+    def coefficients(t):
         rate = np.float64(1.0) / np.float64(1.0 - min(float(t), 1.0))
-        return SuperOp(2, rate * np.eye(4, dtype=complex))
+        return Coefficients(rate * np.eye(4, dtype=complex), None, None)
 
-    gen = Generator(2, 1.0, 2, evaluator, None, "direct")
+    gen = Generator(2, 1.0, 2, coefficients)
     with pytest.raises(NumericsError, match="adaptive stepper failed"):
         propagate(PLUS, gen, np.array([0.0, 1.0]))
 

@@ -3,6 +3,7 @@
 import math
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,8 +79,8 @@ def test_pure_decoherence_fourth_order_vanishes():
 
 
 def test_pure_decoherence_order4_generator_equals_order2():
-    g2 = build_generator(DEPHASING, BATH, 2, GL16, 1.5, n_cache=7)
-    g4 = build_generator(DEPHASING, BATH, 4, GL16, 1.5, n_cache=7)
+    g2 = build_generator(DEPHASING, BATH, 2, GL16, 1.5)
+    g4 = build_generator(DEPHASING, BATH, 4, GL16, 1.5)
     for t in (0.5, 1.0, 1.5):
         diff = np.max(np.abs(g2(t).matrix - g4(t).matrix))
         assert diff < 1e-9
@@ -173,28 +174,33 @@ def test_self_estimate_at_the_node_cap_warns(monkeypatch):
 
 
 @pytest.mark.parametrize("scheme", ["gauss-legendre-nested", "simpson-uniform"])
-def test_self_estimate_without_a_coarser_grid_warns(monkeypatch, scheme):
+def test_self_estimate_at_the_node_floor_takes_twice_the_points(monkeypatch, scheme):
     # at 4 nodes per unit time, the smallest allowed, coarsening returns the
     # same spec, and at t = 0.5 doubling the density still gives the floor's
-    # 8 Gauss points or 4 Simpson intervals, so no grid can estimate the error
-    monkeypatch.setattr(tclgen.tcl, "_k4_ordered_pieces", _disagreeing_pieces)
+    # 8 Gauss points or 4 Simpson intervals; the second grid has twice the
+    # fine grid's points instead (16 Gauss points, 10 Simpson intervals)
+    specs = []
+    monkeypatch.setattr(tclgen.tcl, "_k4_ordered_pieces",
+                        _recording(specs, _disagreeing_pieces))
     quad = QuadratureSpec(scheme, 4, 1e-8)
     assert quad.coarsened() == quad
-    match = r"t = 0\.5: neither the coarsened nor the doubled grid differs"
-    with pytest.warns(UserWarning, match=match):
-        with pytest.raises(EquivalenceError):
-            K4_cumulant_ordered(SPIN_BOSON, BATH, 0.5, quad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        K4_cumulant_ordered(SPIN_BOSON, BATH, 0.5, quad)
+    second = {"gauss-legendre-nested": 32, "simpson-uniform": 20}[scheme]
+    assert specs == [quad, QuadratureSpec(scheme, second, 1e-8)]
+    assert specs[1].points(0.5) >= 2 * quad.points(0.5)
 
 
 @pytest.mark.parametrize(
     "npu, t, calls",
-    [(4, 1.0, 1), (16, 1.0, 2), (8, 0.5, 1), (16, 12.0, 1)],
+    [(4, 1.0, 2), (16, 1.0, 2), (8, 0.5, 2), (16, 12.0, 1), (16, 100.0, 1)],
 )
 def test_coarse_pass_runs_only_on_a_coarser_grid(monkeypatch, npu, t, calls):
-    # forms that disagree get a second pass on the coarsened grid where it has
-    # fewer points per dimension; none runs where neither it nor the doubled
-    # grid differs from the fine one (4 nodes per unit time and the 8-point
-    # Gauss floor at these t, the 96-point cap), and none for forms that agree
+    # forms that disagree get a second pass: on the coarsened grid where it has
+    # fewer points per dimension, else on one with twice the fine grid's points
+    # (4 nodes per unit time and the 8-point Gauss floor at these t); none runs
+    # at the 96-point cap, and none for forms that agree
     specs = []
     quad = QuadratureSpec("gauss-legendre-nested", npu, 1e-8)
     monkeypatch.setattr(tclgen.tcl, "_k4_ordered_pieces",
@@ -206,7 +212,10 @@ def test_coarse_pass_runs_only_on_a_coarser_grid(monkeypatch, npu, t, calls):
                 K4_cumulant_ordered(SPIN_BOSON, BATH, t, quad)
         else:
             K4_cumulant_ordered(SPIN_BOSON, BATH, t, quad)
-    assert specs == [quad, quad.coarsened()][:calls]
+    second = quad.coarsened()
+    if calls == 2 and second.points(t) == quad.points(t):
+        second = QuadratureSpec("gauss-legendre-nested", math.ceil(16 / t), 1e-8)
+    assert specs == [quad, second][:calls]
     specs.clear()
     monkeypatch.setattr(tclgen.tcl, "_k4_ordered_pieces",
                         _recording(specs, _agreeing_pieces))
@@ -222,6 +231,11 @@ def test_coarse_pass_runs_only_on_a_coarser_grid(monkeypatch, npu, t, calls):
 def test_self_estimate_doubles_the_density_where_coarsening_cannot_thin_the_grid(
     monkeypatch, scheme, npu, t
 ):
+    # the second grid has twice the fine grid's points per dimension: twice
+    # the density on the 8-point Gauss floor, at least 10 Simpson intervals
+    # for the floor's 5 points
+    second = {("gauss-legendre-nested", 8): 16, ("gauss-legendre-nested", 4): 8,
+              ("simpson-uniform", 8): 20, ("simpson-uniform", 4): 10}[scheme, npu]
     specs = []
     quad = QuadratureSpec(scheme, npu, 1e-8)
     assert quad.coarsened().points(t) == quad.points(t)
@@ -230,7 +244,7 @@ def test_self_estimate_doubles_the_density_where_coarsening_cannot_thin_the_grid
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         K4_cumulant_ordered(SPIN_BOSON, BATH, t, quad)
-    assert specs == [quad, QuadratureSpec(scheme, 2 * npu, 1e-8)]
+    assert specs == [quad, QuadratureSpec(scheme, second, 1e-8)]
 
 
 def test_simpson_floor_instances_pass_the_route_check():
@@ -376,36 +390,70 @@ def test_format_k4_table_layout():
 def test_build_generator_validation():
     with pytest.raises(ValueError, match="order must be 2 or 4"):
         build_generator(SPIN_BOSON, BATH, 3, GL8, 1.0)
-    with pytest.raises(ValueError, match="t_max must be positive"):
-        build_generator(SPIN_BOSON, BATH, 2, GL8, 0.0)
+    for t_max in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_max must be positive and finite"):
+            build_generator(SPIN_BOSON, BATH, 2, GL8, t_max)
     with pytest.raises(ValueError, match="unknown interpolation"):
         build_generator(SPIN_BOSON, BATH, 2, GL8, 1.0, interp="quadratic")
 
 
 def test_default_grid_sizing():
-    gen = build_generator(SPIN_BOSON, BATH, 2, GL8, 1.0, n_cache=None)
+    gen = build_generator(SPIN_BOSON, BATH, 2, GL8, 1.0)
     assert len(gen.grid) == 33  # floor for short windows
-    gen2 = build_generator(SPIN_BOSON, BATH, 2, GL8, 5.0, n_cache=5)
-    assert np.array_equal(gen2.grid, np.linspace(0.0, 5.0, 5))
+    gen2 = build_generator(SPIN_BOSON, BATH, 2, GL8, 5.0)  # ceil(5 * 8) + 1 nodes
+    assert np.array_equal(gen2.grid, np.linspace(0.0, 5.0, 41))
 
 
 def test_uncoupled_generator_is_zero():
     model = SystemModel(2, 0.5 * SZ, SX, 0.0)
-    gen = build_generator(model, BATH, 4, GL8, 1.0, n_cache=5)
+    gen = build_generator(model, BATH, 4, GL8, 1.0)
     for t in (0.0, 0.5, 1.0):
         assert gen(t).norm_fro() == 0.0
 
 
 def test_linear_interpolation_is_exact_on_nodes():
-    gen = build_generator(SPIN_BOSON, BATH, 2, GL8, 1.0, n_cache=9)
+    gen = build_generator(SPIN_BOSON, BATH, 2, GL8, 1.0)
     for t in gen.grid:
         direct = SPIN_BOSON.alpha**2 * K2_exact(SPIN_BOSON, BATH, float(t)).matrix
         assert np.array_equal(gen(float(t)).matrix, direct)
 
 
+@pytest.mark.parametrize("interp", ["linear", "cubic", "direct"])
+@pytest.mark.parametrize("order", [2, 4])
+def test_replace_recouples_from_the_same_memo(interp, order):
+    # the memo holds no coupling: re-coupling a build, or taking order 2 from
+    # an order-4 build, is bitwise the build at that coupling and order
+    gen = build_generator(SPIN_BOSON, BATH, order, GL8, 1.0, interp=interp)
+    times = [0.0, 0.5, 1.0] if gen.grid is None else list(gen.grid)
+    times += [0.13, 0.777, 0.999]
+    for alpha in (0.05, 0.7):
+        recoupled = replace(gen, alpha=alpha)
+        fresh = build_generator(replace(SPIN_BOSON, alpha=alpha), BATH, order, GL8, 1.0,
+                                interp=interp)
+        for t in times:
+            assert np.array_equal(recoupled(t).matrix, fresh(t).matrix)
+    if order == 4:
+        lowered = replace(gen, order=2)
+        fresh = build_generator(SPIN_BOSON, BATH, 2, GL8, 1.0, interp=interp)
+        for t in times:
+            assert np.array_equal(lowered(t).matrix, fresh(t).matrix)
+
+
+def test_an_order_two_memo_cannot_serve_order_four():
+    for interp in ("linear", "cubic"):
+        gen = build_generator(SPIN_BOSON, BATH, 2, GL8, 1.0, interp=interp)
+        with pytest.raises(ValueError, match="needs K4"):
+            replace(gen, order=4)
+    direct = replace(build_generator(SPIN_BOSON, BATH, 2, GL8, 1.0, interp="direct"), order=4)
+    with pytest.raises(ValueError, match="needs K4"):
+        direct(0.5)
+    with pytest.raises(ValueError, match="order must be 2 or 4"):
+        replace(direct, order=3)
+
+
 def test_linear_interpolation_range_check():
     for interp in ("linear", "cubic"):
-        gen = build_generator(SPIN_BOSON, BATH, 2, GL8, 1.0, n_cache=9, interp=interp)
+        gen = build_generator(SPIN_BOSON, BATH, 2, GL8, 1.0, interp=interp)
         with pytest.raises(ValueError, match="outside cached range"):
             gen(1.5)
 
