@@ -34,7 +34,7 @@ from .cumulant import (
     enumerate_ordered_cumulant_terms,
     moment_superop,
 )
-from .exact import K2_exact, K4_exact, forward_map_exact
+from .exact import K2_exact, K4_exact, K4_table_exact, forward_map_exact
 from .evolve import (
     DiagnosticTable,
     NumericsError,
@@ -98,6 +98,7 @@ __all__ = [
     # exact
     "K2_exact",
     "K4_exact",
+    "K4_table_exact",
     "forward_map_exact",
     # tcl
     "EquivalenceError",

@@ -36,7 +36,7 @@ from . import __version__
 from .algebra import SystemModel
 from .bath import BathSpec, tabulate_kernels
 from .cumulant import K_n_cumulant, drop_odd_terms, enumerate_ordered_cumulant_terms
-from .exact import forward_map_exact
+from .exact import K4_table_exact, forward_map_exact
 from .evolve import (
     NumericsError,
     invertibility_diagnostic,
@@ -57,7 +57,6 @@ from .tcl import (
     ORDERS,
     EquivalenceError,
     Generator,
-    K4_influence,
     build_generator,
     format_k4_table,
 )
@@ -72,6 +71,8 @@ __all__ = [
 
 _ENV_OUT = "TCLGEN_OUT"
 _STEPPERS = ("rk4-fixed", "rk45-adaptive")
+# quadrature nodes per unit time, which also set the generator grid's density
+_NODES_PER_UNIT_TIME = (4, 96)
 
 _KNOWN_KEYS = {
     "model": {"preset", "dim", "h_sys", "coupling", "alpha"},
@@ -199,6 +200,11 @@ def _not_positive(v: float) -> str | None:
     return None if math.isfinite(v) and v > 0 else f"must be positive and finite, got {v}"
 
 
+def _node_range(v: int) -> str | None:
+    lo, hi = _NODES_PER_UNIT_TIME
+    return None if lo <= v <= hi else f"must be from {lo} to {hi}, got {v}"
+
+
 def _name_clash(times: Iterable[float]) -> str | None:
     """Complaint about two distinct times whose generator CSVs share a name."""
     seen: dict[str, float] = {}
@@ -310,7 +316,7 @@ def parse_config(text: str) -> ScenarioConfig:
     max_step = _get(cp, "run", "max_step", float, 0.01, errors, _not_positive)
     atol = _get(cp, "run", "atol", float, 1e-10, errors, _not_positive)
     scheme = _get(cp, "run", "quad_scheme", str.strip, "gauss-legendre-nested", errors)
-    npu = _get(cp, "run", "quad_nodes_per_unit_time", int, 16, errors)
+    npu = _get(cp, "run", "quad_nodes_per_unit_time", int, 16, errors, _node_range)
     tol = _get(cp, "run", "quad_tolerance", float, 1e-8, errors)
     quad = QuadratureSpec()
     try:
@@ -545,20 +551,23 @@ def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[
     equivalence_failure = None
     if cfg.write_report:
         if cfg.order == 4:
-            # both quadrature routes on one grid, so rel_diff is free of
-            # quadrature error; gen_diff sets the generator's K4 against them.
-            # A K4 the memo took from K4_influence on this grid is reused.
+            # Where the memo's K4 is closed-form, the closed-form table is set
+            # against the generator's J4' - K2 J (gen_diff is then rel_diff).
+            # Where the memo took K4 from K4_influence, that K4 is set against
+            # K_n_cumulant on the same grid, so rel_diff is free of quadrature
+            # error.
             report.append(
                 "fourth-order route comparison (kernel table vs ordered cumulant):")
             trip = max(1e-6, 100.0 * cfg.quad.tolerance)
             for t in cfg.generator_times:
                 _vlog(verbose, f"route comparison at t={t:g}")
                 coeffs = gen.coefficients(float(t))
-                if coeffs.k4_route == "K4_influence":
-                    a = coeffs.k4
+                if coeffs.k4_route == "K4_exact":
+                    a = K4_table_exact(cfg.model, cfg.bath, float(t)).matrix
+                    b = coeffs.k4
                 else:
-                    a = K4_influence(cfg.model, cfg.bath, float(t), cfg.quad).matrix
-                b = K_n_cumulant(cfg.model, cfg.bath, float(t), 4, cfg.quad).matrix
+                    a = coeffs.k4
+                    b = K_n_cumulant(cfg.model, cfg.bath, float(t), 4, cfg.quad).matrix
                 scale = max(np.linalg.norm(a), np.linalg.norm(b), 1e-6)
                 rel = np.linalg.norm(a - b) / scale
                 gen_diff = np.linalg.norm(coeffs.k4 - a) / scale
@@ -639,10 +648,10 @@ def _load_config(args) -> ScenarioConfig:
     if getattr(args, "order", None) is not None:
         cfg.order = args.order
     if getattr(args, "quad_nodes", None) is not None:
-        try:
-            cfg.quad = replace(cfg.quad, nodes_per_unit_time=args.quad_nodes)
-        except ValueError as exc:
-            raise ConfigError([f"--quad-nodes: {exc}"]) from None
+        problem = _node_range(args.quad_nodes)
+        if problem:
+            raise ConfigError([f"--quad-nodes: {problem}"])
+        cfg.quad = replace(cfg.quad, nodes_per_unit_time=args.quad_nodes)
     out = args.out or os.environ.get(_ENV_OUT)
     if out:
         cfg.out_dir = out
@@ -753,7 +762,7 @@ def _add_common_flags(sp) -> None:
     sp.add_argument("--order", type=int, choices=ORDERS,
                     help="override the run order")
     sp.add_argument("--quad-nodes", type=int, metavar="N",
-                    help="override quadrature nodes per unit time")
+                    help="override quadrature nodes per unit time (4 to 96)")
     sp.add_argument("--verbose", action="store_true",
                     help="progress messages on stderr")
 

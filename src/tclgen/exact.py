@@ -37,6 +37,23 @@ earlier one W, so every pairing is a chronological chain with prefactor 1/4:
     pairs (t, t3), (t1, t2):   Xc(t) Xc(t1) W_mu(t2) W_nu(t3)
     pairs (t, t1), (t2, t3):   Xc(t) W_nu(t1) Xc(t2) W_mu(t3)
 
+:func:`K4_table_exact` integrates the fourth-order kernel table instead,
+which is term for term the fully ordered cumulant sum: there the
+(t, t1)(t2, t3) product cancels the third pairing, and the sixteen table
+rows factorise into four chains with prefactor 1/4,
+
+    + Xc(t) Xc(t1) W(t2) W(t3)      pairs (t, t2), (t1, t3) and (t, t3), (t1, t2)
+    - Xc(t) W(t2) Xc(t1) W(t3)      pairs (t, t2), (t1, t3)
+    - Xc(t) W(t3) Xc(t1) W(t2)      pairs (t, t3), (t1, t2)
+
+In the two interleaved chains the out-of-order slot is split into Bohr
+components W_{nu,w}, built from the parts of X that rotate as e^{iws} in the
+eigenbasis of H_S; each component is then a chronological chain whose
+intervals spanned by that slot carry an extra -iw.  Bohr frequencies that
+agree to round-off are merged; any wider grouping would shift a frequency
+and so cost accuracy.  The two forms of K4 share no chain, so each checks
+the other.
+
 All arithmetic runs in the eigenbasis of H_S, where G and U(s) are diagonal.
 """
 
@@ -44,10 +61,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import SuperOp, SystemModel
+from .algebra import SuperOp, SystemModel, anticommutator_super_batch, commutator_super_batch
 from .bath import BathSpec
 
-__all__ = ["K2_exact", "K4_exact", "forward_map_exact", "k4_chain_count"]
+__all__ = ["K2_exact", "K4_exact", "K4_table_exact", "forward_map_exact", "k4_chain_count"]
+
+
+def _bohr_parts(model: SystemModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bohr frequencies w of X and the brackets of the nonzero parts of X
+    rotating as e^{iws} in the eigenbasis of H_S: (w, Xc_w, Xa_w).
+    Frequencies equal to round-off merge."""
+    x, flat = model._coupling_eigbasis, model._bohr_matrix.ravel()
+    order = np.argsort(flat)
+    tol = 16.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(flat))))
+    group = np.concatenate([[0], np.cumsum(np.diff(flat[order]) > tol)])
+    label = np.empty(flat.size, dtype=int)
+    label[order] = group
+    omega = np.bincount(group, flat[order]) / np.bincount(group)
+    parts = x[None] * (label.reshape(x.shape) == np.arange(omega.size)[:, None, None])
+    keep = np.any(parts != 0, axis=(1, 2))
+    parts = parts[keep]
+    return omega[keep], commutator_super_batch(parts), anticommutator_super_batch(parts)
 
 
 class _Eigenbasis:
@@ -59,9 +93,9 @@ class _Eigenbasis:
         # kernel labels nu = +omega_n, -omega_n with W_nu = cc_nu Xc + ca_nu Xa
         half = bath.amplitudes / 2.0
         self.nu = np.concatenate([bath.omegas, -bath.omegas])
-        cc = np.tile(half * bath.coth_factors, 2)
-        ca = np.concatenate([-half, half])
-        self.w = cc[:, None, None] * self.xc + ca[:, None, None] * xa
+        self.cc = np.tile(half * bath.coth_factors, 2)
+        self.ca = np.concatenate([-half, half])
+        self.w = self.cc[:, None, None] * self.xc + self.ca[:, None, None] * xa
 
     def lead(self, t: float, inner: np.ndarray) -> np.ndarray:
         """U(t) Xc applied to ``inner``, returned in the site basis."""
@@ -216,3 +250,44 @@ def K4_exact(model: SystemModel, bath: BathSpec, t: float) -> SuperOp:
     )
     k2_j = K2_exact(model, bath, t).matrix @ forward_map_exact(model, bath, t)
     return SuperOp(model.dim, 0.25 * c.lead(t, inner) - k2_j)
+
+
+def K4_table_exact(model: SystemModel, bath: BathSpec, t: float) -> SuperOp:
+    """The fourth-order kernel table (:data:`tclgen.tcl.K4_TERM_TABLE`, the
+    quadrature route :func:`tclgen.tcl.K4_influence`) integrated in closed
+    form; at order 4 it is the fully ordered cumulant sum.
+
+    (1/4) U(t) Xc times two chronological chains and two interleaved chains
+    whose out-of-order slot is split into Bohr components, one block
+    exponential per chain and label tuple.  It shares no chain with
+    :func:`K4_exact`, so the two check each other.  K4(0) is exactly 0,
+    returned without building a chain.
+    """
+    if t == 0:
+        return SuperOp(model.dim, np.zeros((model.dim**2, model.dim**2), dtype=complex))
+    c = _Eigenbasis(model, bath)
+    m, n = c.nu.size, c.g.size
+    omega, xc_w, xa_w = _bohr_parts(model)
+    p = omega.size
+    xc = (c.xc[None], np.zeros(1, dtype=int))
+    eye = (np.eye(n, dtype=complex)[None], np.zeros(1, dtype=int))
+    # chronological chains: every (nu, mu) pair of labels, both lag patterns
+    i, j = (a.ravel() for a in np.indices((m, m)))
+    nu, mu, zero = c.nu[i], c.nu[j], np.zeros(m * m)
+    inner = (
+        _chain_sum(t, c.g, [nu, nu + mu, mu, zero], [xc, (c.w, i), (c.w, j)])  # (t, t2) (t1, t3)
+        + _chain_sum(t, c.g, [nu, nu + mu, nu, zero], [xc, (c.w, j), (c.w, i)])  # (t, t3) (t1, t2)
+    )
+    # interleaved chains: the out-of-order slot (label nu) split by Bohr
+    # frequency w, which shifts the intervals that slot spans by -w
+    i, j, q = (a.ravel() for a in np.indices((m, m, p)))
+    nu, mu, w, zero = c.nu[i], c.nu[j], omega[q], np.zeros(i.size)
+    # W_{nu,w} Xc for every label nu and Bohr part w, indexed by nu * p + w
+    table = ((c.cc[:, None, None, None] * xc_w + c.ca[:, None, None, None] * xa_w)
+             @ c.xc).reshape(m * p, n, n)
+    first = (table, i * p + q)
+    # -Xc(t) W(t2) Xc(t1) W(t3): nu on u0, u1; mu on u1, u2; -w on u1
+    inner -= _chain_sum(t, c.g, [nu, nu + mu - w, mu, zero], [first, eye, (c.w, j)])
+    # -Xc(t) W(t3) Xc(t1) W(t2): nu on u0..u2; mu on u1; -w on u1, u2
+    inner -= _chain_sum(t, c.g, [nu, nu + mu - w, nu - w, zero], [first, (c.w, j), eye])
+    return SuperOp(model.dim, 0.25 * c.lead(t, inner))

@@ -16,8 +16,9 @@ audit through the CLI.
 with so many modes that the exact route would cost more than quadrature
 (:func:`_k4_exact_is_cheaper`).  :func:`K4_exact` is the ordered-cumulant
 route (the partially unordered form J4' - K2 J), and the kernel table here
-stays as its check, so the ``gen_diff`` of a run's report (the generator's
-K4 against the kernel table) is a cross-route number.  The quadrature routes
+stays as its check, in closed form (:func:`tclgen.exact.K4_table_exact`) or
+by quadrature, so the ``gen_diff`` of a run's report (the generator's K4
+against the kernel table) is a cross-route number.  The quadrature routes
 are otherwise the independent checks: :func:`K2_influence` and
 :func:`K4_influence` integrate the kernel formulas numerically, and
 :func:`K4_cumulant_ordered` computes K4 along two routes built on the moment

@@ -19,7 +19,6 @@ import tclgen.tcl
 from tclgen.algebra import SuperOp, SystemModel
 from tclgen.bath import BathSpec
 from tclgen.cli import ConfigError, main, parse_config
-from tclgen.cumulant import K_n_cumulant
 from tclgen.evolve import NumericsError
 from tclgen.quadrature import QuadratureSpec
 from tclgen.tcl import K2_influence
@@ -134,6 +133,17 @@ def test_errors_are_aggregated():
     msg = str(exc_info.value)
     assert msg.count("\n  - ") == 3
     assert "order" in msg and "t_max" in msg and "stepper" in msg
+
+
+def test_quad_nodes_above_96_rejected_with_other_errors():
+    text = PRESET_MIN + "[run]\nquad_nodes_per_unit_time = 100000\norder = 3\n"
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(text)
+    msg = str(exc_info.value)
+    assert msg.count("\n  - ") == 2
+    assert "[run] quad_nodes_per_unit_time: must be from 4 to 96, got 100000" in msg
+    cfg = parse_config(PRESET_MIN + "[run]\nquad_nodes_per_unit_time = 96\n")
+    assert cfg.quad.nodes_per_unit_time == 96
 
 
 def test_colliding_generator_times_rejected():
@@ -305,19 +315,22 @@ def _record_calls(monkeypatch, **originals):
 
 
 def test_run_computes_each_k4_once(tmp_path, monkeypatch):
-    # count K4_exact and K4_influence in every tclgen namespace that holds them
-    originals = {"exact": tclgen.exact.K4_exact, "influence": tclgen.tcl.K4_influence}
+    # count the K4 routes in every tclgen namespace that holds them
+    originals = {"exact": tclgen.exact.K4_exact, "influence": tclgen.tcl.K4_influence,
+                 "table": tclgen.exact.K4_table_exact}
     calls = _record_calls(monkeypatch, **originals)
     cfg_path = tmp_path / "scenario.ini"
     cfg_path.write_text(RUN_SMALL)
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
     times = {key: [float(args[2]) for args in made] for key, made in calls.items()}
-    # the 33 table nodes include both generator times; the quadrature table
-    # runs only in the report's route check, once per generator time
+    # the 33 table nodes include both generator times; the closed-form
+    # kernel table runs only in the report's route check, once per generator
+    # time, and the quadrature table not at all
     cfg = parse_config(RUN_SMALL)
     assert len(times["exact"]) == len(set(times["exact"])) == 33
-    assert times["influence"] == [float(t) for t in cfg.generator_times]
+    assert times["table"] == [float(t) for t in cfg.generator_times]
+    assert times["influence"] == []
     for t in cfg.generator_times:
         k4 = originals["exact"](cfg.model, cfg.bath, t).matrix
         expected = [",".join(f"{v:.12e}" for z in row for v in (z.real, z.imag))
@@ -326,23 +339,42 @@ def test_run_computes_each_k4_once(tmp_path, monkeypatch):
         assert lines[2:] == expected
 
 
+FIVE_MODES = (
+    "[model]\ndim = 2\nh_sys = 0.5, 0, 0, -0.5\ncoupling = 0, 1, 1, 0\n"
+    "alpha = 0.1\n[bath]\nbeta = 2.5\n"
+    "modes = " + "; ".join(f"0.3, {0.5 + 0.1 * k:g}, 1" for k in range(5)) + "\n"
+    "[run]\nt_max = 0.5\norder = 4\n"
+    "[outputs]\ngenerator_times = 0.5\ntrajectory = false\n"
+)
+
+
 def test_route_check_reuses_a_quadrature_k4_from_the_memo(tmp_path, monkeypatch):
     # five modes are past the exact route's cost limit at t = 0.5, so the
     # generator's memo already holds K4_influence(0.5) on the run's grid
     calls = _record_calls(monkeypatch, influence=tclgen.tcl.K4_influence)
     cfg_path = tmp_path / "scenario.ini"
-    cfg_path.write_text(
-        "[model]\ndim = 2\nh_sys = 0.5, 0, 0, -0.5\ncoupling = 0, 1, 1, 0\n"
-        "alpha = 0.1\n[bath]\nbeta = 2.5\n"
-        "modes = " + "; ".join(f"0.3, {0.5 + 0.1 * k:g}, 1" for k in range(5)) + "\n"
-        "[run]\nt_max = 0.5\norder = 4\n"
-        "[outputs]\ngenerator_times = 0.5\ntrajectory = false\n"
-    )
+    cfg_path.write_text(FIVE_MODES)
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert [float(args[2]) for args in calls["influence"]] == [0.5]
     report = (out / "report.txt").read_text()
     assert re.search(r"t= 5\.000000000000e-01  rel_diff= \S+  gen_diff= 0\.000e\+00", report)
+
+
+def test_order_four_run_uses_no_quadrature(tmp_path, monkeypatch):
+    # the generator and both sides of the route check are closed-form
+    calls = _record_calls(
+        monkeypatch,
+        interval=tclgen.quadrature.integrate_interval,
+        simplex2=tclgen.quadrature.integrate_simplex2,
+        simplex3=tclgen.quadrature.integrate_simplex3,
+    )
+    cfg_path = tmp_path / "scenario.ini"
+    cfg_path.write_text(RUN_SMALL)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert len(re.findall(r"rel_diff= ", (out / "report.txt").read_text())) == 2
+    assert calls == {"interval": [], "simplex2": [], "simplex3": []}
 
 
 def test_order_two_run_uses_no_quadrature(tmp_path, monkeypatch):
@@ -414,10 +446,10 @@ def test_report_route_agreement_for_spinboson(tmp_path):
 
 @pytest.mark.parametrize("npu", [8, 16])
 def test_route_check_ignores_simpson_quadrature_error(tmp_path, npu):
-    # the generator's K4 is exact while the check routes carry the Simpson
-    # rule's error (about 3e-3 relative at t = 0.5 with 8 nodes per unit
-    # time); the route check must compare the two quadrature routes, which
-    # share that error, and report the generator's distance separately
+    # the quadrature routes would carry the Simpson rule's error (about 3e-3
+    # relative at t = 0.5 with 8 nodes per unit time); the route check sets
+    # the closed-form kernel table against the generator's closed-form K4,
+    # so neither column carries any quadrature error
     cfg_path = tmp_path / "s.ini"
     cfg_path.write_text(
         PRESET_MIN
@@ -430,8 +462,7 @@ def test_route_check_ignores_simpson_quadrature_error(tmp_path, npu):
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
     rows = re.findall(r"rel_diff= (\S+)\s+gen_diff= (\S+)", (out / "report.txt").read_text())
     assert len(rows) == 2
-    assert all(float(rel) < 1e-12 for rel, _ in rows)
-    assert 1e-8 < float(rows[0][1]) < 1e-2  # the quadrature error, reported
+    assert all(float(rel) < 1e-12 and float(gen) < 1e-12 for rel, gen in rows)
 
 
 def test_order2_run_skips_route_comparison(tmp_path):
@@ -487,14 +518,28 @@ def test_bad_quad_nodes_override(tmp_path, capsys):
     assert "--quad-nodes" in capsys.readouterr().err
 
 
-def test_equivalence_violation_exits_two_after_writing_report(tmp_path, capsys, monkeypatch):
-    original = K_n_cumulant
+def test_quad_nodes_override_above_96_rejected(tmp_path, capsys):
+    cfg_path = tmp_path / "s.ini"
+    cfg_path.write_text(PRESET_MIN)
+    assert main(["run", "--config", str(cfg_path), "--quad-nodes", "97",
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "--quad-nodes: must be from 4 to 96, got 97" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
-    def perturbed(model, bath, t, n, quad):
-        out = original(model, bath, t, n, quad)
+
+def _perturb(monkeypatch, name):
+    """Shift the K4 that ``tclgen.cli.<name>`` returns by 1e-3 times the identity."""
+    original = getattr(tclgen.cli, name)
+
+    def perturbed(*args):
+        out = original(*args)
         return SuperOp(out.dim, out.matrix + 1e-3 * np.eye(out.dim**2))
 
-    monkeypatch.setattr(tclgen.cli, "K_n_cumulant", perturbed)
+    monkeypatch.setattr(tclgen.cli, name, perturbed)
+
+
+def test_equivalence_violation_exits_two_after_writing_report(tmp_path, capsys, monkeypatch):
+    _perturb(monkeypatch, "K4_table_exact")
     cfg_path = tmp_path / "s.ini"
     cfg_path.write_text(
         PRESET_MIN
@@ -502,6 +547,19 @@ def test_equivalence_violation_exits_two_after_writing_report(tmp_path, capsys, 
         "[outputs]\nkernels = false\ngenerator = false\ntrajectory = false\n"
         "diagnostic = false\ngenerator_times = 1.0\n"
     )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "equivalence violation:" in capsys.readouterr().err
+    report = (out / "report.txt").read_text()
+    assert "rel_diff" in report  # forensics stay on disk
+
+
+def test_quadrature_route_violation_exits_two_after_writing_report(
+        tmp_path, capsys, monkeypatch):
+    # five modes take the quadrature pair, whose ordered-cumulant side is perturbed
+    _perturb(monkeypatch, "K_n_cumulant")
+    cfg_path = tmp_path / "s.ini"
+    cfg_path.write_text(FIVE_MODES)
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "equivalence violation:" in capsys.readouterr().err

@@ -25,7 +25,7 @@ from tclgen.algebra import SystemModel
 from tclgen.bath import BathSpec
 from tclgen.cumulant import K_n_cumulant
 from tclgen.evolve import forward_map_correction
-from tclgen.exact import K2_exact, K4_exact, _expm, forward_map_exact
+from tclgen.exact import K2_exact, K4_exact, K4_table_exact, _expm, forward_map_exact
 from tclgen.models import get_preset
 from tclgen.quadrature import QuadratureSpec
 from tclgen.tcl import K2_influence, K4_influence
@@ -36,7 +36,7 @@ set_hypothesis_home_dir(_home)
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
 
 GL = "gauss-legendre-nested"
-ROUTES = ((K2_exact, K2_influence), (K4_exact, K4_influence))
+ROUTES = ((K2_exact, K2_influence), (K4_exact, K4_influence), (K4_table_exact, K4_influence))
 
 
 def rel(a, b):
@@ -131,8 +131,9 @@ def test_time_zero_builds_no_chain(monkeypatch):
     monkeypatch.setattr(tclgen.exact, "_chain_sum", refuse)
     preset = get_preset("spinboson-two-mode")
     k4 = K4_exact(preset.model, preset.bath, 0.0).matrix
+    table = K4_table_exact(preset.model, preset.bath, 0.0).matrix
     j = forward_map_exact(preset.model, preset.bath, 0.0)
-    for m in (k4, j):
+    for m in (k4, table, j):
         assert m.shape == (4, 4)
         assert not np.any(m)
 
@@ -204,6 +205,17 @@ def test_cumulant_route_agrees_with_exact_on_random_models(instance, t):
     model, bath = instance
     quad = QuadratureSpec(GL, 24, 1e-8)
     a, b = K4_exact(model, bath, t).matrix, K_n_cumulant(model, bath, t, 4, quad).matrix
+    # absolute below norm 1: K4 of a commuting draw is round-off
+    assert np.linalg.norm(a - b) <= 1e-11 * max(np.linalg.norm(b), 1.0)
+
+
+@settings(DETERMINISTIC, max_examples=20)
+@given(st.one_of(instances((2, 3, 4)), commuting_instances((2, 3, 4))), st.floats(0.05, 3.0))
+def test_kernel_table_agrees_with_exact_on_random_models(instance, t):
+    # the two closed forms of K4 (fully ordered table, partially unordered
+    # J4' - K2 J) share no chain; the route check of `tclgen run` rests on them
+    model, bath = instance
+    a, b = K4_table_exact(model, bath, t).matrix, K4_exact(model, bath, t).matrix
     # absolute below norm 1: K4 of a commuting draw is round-off
     assert np.linalg.norm(a - b) <= 1e-11 * max(np.linalg.norm(b), 1.0)
 
