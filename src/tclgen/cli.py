@@ -35,8 +35,8 @@ import numpy as np
 from . import __version__
 from .algebra import SystemModel
 from .bath import BathSpec, tabulate_kernels
-from .cumulant import K_n_cumulant, drop_odd_terms, enumerate_ordered_cumulant_terms
-from .exact import K4_table_exact, forward_map_exact
+from .cumulant import drop_odd_terms, enumerate_ordered_cumulant_terms
+from .exact import forward_map_exact
 from .evolve import (
     NumericsError,
     invertibility_diagnostic,
@@ -58,6 +58,7 @@ from .tcl import (
     EquivalenceError,
     Generator,
     build_generator,
+    check_k4_routes,
     format_k4_table,
 )
 
@@ -205,15 +206,19 @@ def _node_range(v: int) -> str | None:
     return None if lo <= v <= hi else f"must be from {lo} to {hi}, got {v}"
 
 
-def _name_clash(times: Iterable[float]) -> str | None:
-    """Complaint about two distinct times whose generator CSVs share a name."""
+def _parse_times(raw: str) -> tuple[float, ...]:
+    """Comma-separated generator times: nonnegative, finite, and no two
+    distinct times whose generator CSVs share a name."""
+    times = tuple(float(p) for p in raw.split(","))
+    if not all(math.isfinite(t) and t >= 0 for t in times):
+        raise ValueError("times must be nonnegative and finite")
     seen: dict[str, float] = {}
     for t in times:
         first = seen.setdefault(f"{t:g}", t)
         if first != t:
-            return (f"times {first!r} and {t!r} would write the same generator "
-                    "CSV (file names keep 6 significant digits)")
-    return None
+            raise ValueError(f"times {first!r} and {t!r} would write the same generator "
+                             "CSV (file names keep 6 significant digits)")
+    return times
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -349,13 +354,7 @@ def parse_config(text: str) -> ScenarioConfig:
     flags = {}
     for name in ("kernels", "generator", "trajectory", "diagnostic", "report"):
         flags[name] = _get(cp, "outputs", name, _parse_bool, True, errors)
-    gen_times = _get(
-        cp, "outputs", "generator_times",
-        lambda raw: tuple(float(p) for p in raw.split(",")),
-        (0.5, 1.0, 2.0), errors,
-        lambda ts: _name_clash(ts) if all(math.isfinite(t) and t >= 0 for t in ts)
-        else "times must be nonnegative and finite",
-    )
+    gen_times = _get(cp, "outputs", "generator_times", _parse_times, (0.5, 1.0, 2.0), errors)
 
     if errors or model is None or bath is None:
         if not errors:
@@ -417,6 +416,13 @@ def _vlog(verbose: bool, msg: str) -> None:
         print(msg, file=sys.stderr)
 
 
+def _output_dir(cfg: ScenarioConfig) -> tuple[Path, str]:
+    """Create the output directory; return it with the CSV metadata line."""
+    outdir = Path(cfg.out_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir, f"config={cfg.config_hash} version={__version__}"
+
+
 # --- artifact writers -----------------------------------------------------------
 
 
@@ -451,16 +457,11 @@ def _write_generator_csvs(gen: Generator, outdir: Path, meta: str,
 
 
 def _trajectory_rows(traj) -> Iterable[list[str]]:
-    for k, t in enumerate(traj.times):
-        row = [_fmt(t)]
-        for z in traj.states[k].ravel():
-            row.extend((_fmt(z.real), _fmt(z.imag)))
-        row.extend((
-            _fmt(traj.trace_deviation[k]),
-            _fmt(traj.herm_deviation[k]),
-            _fmt(traj.min_eigenvalue[k]),
-        ))
-        yield row
+    """Time, the state flattened as re/im pairs, then the three monitors."""
+    states = _matrix_rows(traj.states.reshape(len(traj.times), -1))
+    monitors = zip(traj.trace_deviation, traj.herm_deviation, traj.min_eigenvalue)
+    for t, state, mon in zip(traj.times, states, monitors):
+        yield [_fmt(t), *state, *map(_fmt, mon)]
 
 
 def _oracle_trajectory(cfg: ScenarioConfig, t_grid: np.ndarray):
@@ -487,9 +488,7 @@ def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[
     Equivalence violations and numeric failures raise after all files that
     could be produced were written, so the report stays available forensically.
     """
-    outdir = Path(cfg.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    meta = f"config={cfg.config_hash} version={__version__}"
+    outdir, meta = _output_dir(cfg)
     t_grid = np.linspace(0.0, cfg.t_max, cfg.n_output)
     paths: list[Path] = []
     report: list[str] = [
@@ -523,12 +522,9 @@ def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[
         _vlog(verbose, "propagating")
         traj = propagate(cfg.rho0, gen, t_grid, stepper=cfg.stepper,
                          max_step=cfg.max_step, atol=cfg.atol)
-        d = cfg.model.dim
-        header = ["time"]
-        for i in range(d):
-            for j in range(d):
-                header.extend((f"re_{i}_{j}", f"im_{i}_{j}"))
-        header.extend(("trace_dev", "herm_dev", "min_eig"))
+        d = range(cfg.model.dim)
+        header = ["time", *(f"{p}_{i}_{j}" for i in d for j in d for p in ("re", "im")),
+                  "trace_dev", "herm_dev", "min_eig"]
         path = outdir / "trajectory.csv"
         _write_csv(path, meta, header, _trajectory_rows(traj))
         paths.append(path)
@@ -551,34 +547,19 @@ def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[
     equivalence_failure = None
     if cfg.write_report:
         if cfg.order == 4:
-            # Where the memo's K4 is closed-form, the closed-form table is set
-            # against the generator's J4' - K2 J (gen_diff is then rel_diff).
-            # Where the memo took K4 from K4_influence, that K4 is set against
-            # K_n_cumulant on the same grid, so rel_diff is free of quadrature
-            # error.
             report.append(
                 "fourth-order route comparison (kernel table vs ordered cumulant):")
-            trip = max(1e-6, 100.0 * cfg.quad.tolerance)
-            for t in cfg.generator_times:
+            for t in map(float, cfg.generator_times):
                 _vlog(verbose, f"route comparison at t={t:g}")
-                coeffs = gen.coefficients(float(t))
-                if coeffs.k4_route == "K4_exact":
-                    a = K4_table_exact(cfg.model, cfg.bath, float(t)).matrix
-                    b = coeffs.k4
-                else:
-                    a = coeffs.k4
-                    b = K_n_cumulant(cfg.model, cfg.bath, float(t), 4, cfg.quad).matrix
-                scale = max(np.linalg.norm(a), np.linalg.norm(b), 1e-6)
-                rel = np.linalg.norm(a - b) / scale
-                gen_diff = np.linalg.norm(coeffs.k4 - a) / scale
+                rel, trip = check_k4_routes(
+                    cfg.model, cfg.bath, t, cfg.quad, gen.coefficients(t).k4)
                 report.append(
-                    f"  t= {_fmt(t)}  rel_diff= {rel:.3e}  gen_diff= {gen_diff:.3e}")
+                    f"  t= {_fmt(t)}  rel_diff= {rel:.3e}  margin= {rel / trip:.3e}")
                 if rel > trip and equivalence_failure is None:
-                    equivalence_failure = (float(t), rel, trip)
-            report.append("")
+                    equivalence_failure = (t, rel, trip)
         else:
             report.append("(order-2 run: fourth-order routes not exercised)")
-            report.append("")
+        report.append("")
 
         if traj is not None:
             exact_states, label = _oracle_trajectory(cfg, t_grid)
@@ -592,10 +573,9 @@ def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[
                     coh = max(abs(a[0, 1] - b[0, 1])
                               for a, b in zip(traj.states, exact_states))
                     report.append(f"  max coherence error          = {coh:.3e}")
-                report.append("")
             else:
                 report.append("(no exact reference for this scenario)")
-                report.append("")
+            report.append("")
 
         j = forward_map_exact(cfg.model, cfg.bath, cfg.t_max)
         eye = np.eye(cfg.model.dim**2)
@@ -660,10 +640,7 @@ def _load_config(args) -> ScenarioConfig:
 
 def _cmd_kernels(args) -> int:
     cfg = _load_config(args)
-    outdir = Path(cfg.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    meta = f"config={cfg.config_hash} version={__version__}"
-    path = _write_kernels_csv(cfg, outdir, meta)
+    path = _write_kernels_csv(cfg, *_output_dir(cfg))
     _vlog(args.verbose, f"wrote {path}")
     return 0
 
@@ -675,20 +652,12 @@ def _cmd_generator_dump(args) -> int:
     times = cfg.generator_times
     if args.times is not None:
         try:
-            times = tuple(float(p) for p in args.times.split(","))
-        except ValueError:
-            raise ConfigError([f"--times: cannot parse {args.times!r}"]) from None
-        if not all(math.isfinite(t) and t >= 0 for t in times):
-            raise ConfigError(["--times: times must be nonnegative and finite"])
-        clash = _name_clash(times)
-        if clash:
-            raise ConfigError([f"--times: {clash}"])
-    outdir = Path(cfg.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    meta = f"config={cfg.config_hash} version={__version__}"
+            times = _parse_times(args.times)
+        except ValueError as exc:
+            raise ConfigError([f"--times: {exc}"]) from None
     gen = build_generator(cfg.model, cfg.bath, cfg.order, cfg.quad, cfg.t_max,
                           interp="direct")
-    _write_generator_csvs(gen, outdir, meta, times, args.verbose)
+    _write_generator_csvs(gen, *_output_dir(cfg), times, args.verbose)
     return 0
 
 
@@ -704,9 +673,7 @@ def _cmd_cumulant_terms(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args)
-    status, _ = run_scenario(cfg, verbose=args.verbose)
-    return status
+    return run_scenario(_load_config(args), verbose=args.verbose)[0]
 
 
 def _cmd_scaling_study(args) -> int:

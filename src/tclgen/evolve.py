@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .algebra import SuperOp, SystemModel, vec, unvec
+from .algebra import SystemModel, vec, unvec
 from .bath import BathSpec
 from .cumulant import forward_map_correction
 from .exact import forward_map_exact
@@ -107,6 +107,11 @@ def propagate(
     return Trajectory(t_grid.copy(), states, tr, herm, mins)
 
 
+def _rhs(gen: Generator):
+    """The right-hand side of both steppers: d vec(rho)/dt = K(t) vec(rho)."""
+    return lambda t, v: gen.evaluator(t) @ v
+
+
 def _run_rk4(rho: np.ndarray, gen: Generator, t_grid: np.ndarray, max_step: float):
     if max_step <= 0:
         raise ValueError(f"max_step must be positive, got {max_step}")
@@ -114,10 +119,7 @@ def _run_rk4(rho: np.ndarray, gen: Generator, t_grid: np.ndarray, max_step: floa
     y = vec(rho)
     out = np.empty((len(t_grid), d, d), dtype=complex)
     out[0] = rho
-
-    def rhs(t: float, v: np.ndarray) -> np.ndarray:
-        return gen.evaluator(t).matrix @ v
-
+    rhs = _rhs(gen)
     for k in range(len(t_grid) - 1):
         t0, t1 = t_grid[k], t_grid[k + 1]
         nsub = max(1, int(np.ceil((t1 - t0) / max_step)))
@@ -137,13 +139,8 @@ def _run_rk4(rho: np.ndarray, gen: Generator, t_grid: np.ndarray, max_step: floa
 
 
 def _run_rk45(rho: np.ndarray, gen: Generator, t_grid: np.ndarray, atol: float):
-    d = gen.dim
-
-    def rhs(t: float, v: np.ndarray) -> np.ndarray:
-        return gen.evaluator(t).matrix @ v
-
     sol = solve_ivp(
-        rhs,
+        _rhs(gen),
         (t_grid[0], t_grid[-1]),
         vec(rho),
         method="RK45",
@@ -153,7 +150,7 @@ def _run_rk45(rho: np.ndarray, gen: Generator, t_grid: np.ndarray, atol: float):
     )
     if not sol.success:
         raise NumericsError(f"adaptive stepper failed: {sol.message}")
-    return np.stack([unvec(sol.y[:, k], d) for k in range(sol.y.shape[1])])
+    return np.stack([unvec(sol.y[:, k], gen.dim) for k in range(sol.y.shape[1])])
 
 
 @dataclass

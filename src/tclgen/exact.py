@@ -51,8 +51,9 @@ components W_{nu,w}, built from the parts of X that rotate as e^{iws} in the
 eigenbasis of H_S; each component is then a chronological chain whose
 intervals spanned by that slot carry an extra -iw.  Bohr frequencies that
 agree to round-off are merged; any wider grouping would shift a frequency
-and so cost accuracy.  The two forms of K4 share no chain, so each checks
-the other.
+and so cost accuracy.  Both forms of K4 hold the pairing chains
+(t, t2)(t1, t3) and (t, t3)(t1, t2), so each checks the other's remainder:
+the third pairing minus K2 J against the two interleaved chains.
 
 All arithmetic runs in the eigenbasis of H_S, where G and U(s) are diagonal.
 """
@@ -259,9 +260,9 @@ def K4_table_exact(model: SystemModel, bath: BathSpec, t: float) -> SuperOp:
 
     (1/4) U(t) Xc times two chronological chains and two interleaved chains
     whose out-of-order slot is split into Bohr components, one block
-    exponential per chain and label tuple.  It shares no chain with
-    :func:`K4_exact`, so the two check each other.  K4(0) is exactly 0,
-    returned without building a chain.
+    exponential per chain and label tuple.  Against :func:`K4_exact`, whose
+    chronological chains it shares, it checks the third Wick pairing minus
+    K2 J.  K4(0) is exactly 0, returned without building a chain.
     """
     if t == 0:
         return SuperOp(model.dim, np.zeros((model.dim**2, model.dim**2), dtype=complex))

@@ -15,11 +15,9 @@ audit through the CLI.
 :mod:`tclgen.exact` (:func:`K2_exact`, :func:`K4_exact`), except K4 on baths
 with so many modes that the exact route would cost more than quadrature
 (:func:`_k4_exact_is_cheaper`).  :func:`K4_exact` is the ordered-cumulant
-route (the partially unordered form J4' - K2 J), and the kernel table here
-stays as its check, in closed form (:func:`tclgen.exact.K4_table_exact`) or
-by quadrature, so the ``gen_diff`` of a run's report (the generator's K4
-against the kernel table) is a cross-route number.  The quadrature routes
-are otherwise the independent checks: :func:`K2_influence` and
+route (the partially unordered form J4' - K2 J); :func:`check_k4_routes`
+sets the generator's K4 against the other route, chosen by the same rule.
+The quadrature routes are otherwise the independent checks: :func:`K2_influence` and
 :func:`K4_influence` integrate the kernel formulas numerically, and
 :func:`K4_cumulant_ordered` computes K4 along two routes built on the moment
 machinery -- the fully time-ordered cumulant sum and the partially unordered
@@ -46,7 +44,7 @@ from .algebra import (
 )
 from .bath import BathSpec, kernel_D, kernel_D1
 from .cumulant import K_n_cumulant, _order4_pieces, forward_map_correction
-from .exact import K2_exact, K4_exact, k4_chain_count
+from .exact import K2_exact, K4_exact, K4_table_exact, k4_chain_count
 from .quadrature import GAUSS_POINT_CAP, QuadratureSpec, integrate_interval, integrate_simplex3
 
 ORDERS = (2, 4)  # the orders of the generator series
@@ -62,6 +60,7 @@ __all__ = [
     "K4_influence",
     "K4_cumulant_ordered",
     "build_generator",
+    "check_k4_routes",
     "format_k4_table",
 ]
 
@@ -220,6 +219,13 @@ def _k4_ordered_pieces(
     return four_point + products, four_point - k2j, k2j
 
 
+def _relative_difference(a: np.ndarray, b: np.ndarray, floor: float) -> tuple[float, float]:
+    """(||a - b|| / scale, scale), with scale the largest of ||a||, ||b|| and
+    ``floor``: the one formula of both route checks."""
+    scale = max(np.linalg.norm(a), np.linalg.norm(b), floor)
+    return np.linalg.norm(a - b) / scale, scale
+
+
 def K4_cumulant_ordered(
     model: SystemModel, bath: BathSpec, t: float, quad: QuadratureSpec
 ) -> SuperOp:
@@ -241,9 +247,8 @@ def K4_cumulant_ordered(
     if t == 0.0:
         return SuperOp(model.dim, np.zeros((model.dim**2, model.dim**2), complex))
     ordered, unordered, k2j = _k4_ordered_pieces(model, bath, t, quad)
-    scale = max(np.linalg.norm(ordered), np.linalg.norm(unordered),
-                1e-6 * np.linalg.norm(k2j), 1e-300)
-    rel = np.linalg.norm(ordered - unordered) / scale
+    rel, scale = _relative_difference(
+        ordered, unordered, max(1e-6 * np.linalg.norm(k2j), 1e-300))
     est = 0.0
     if rel > 10.0 * quad.tolerance:
         other = quad.coarsened()
@@ -282,16 +287,40 @@ def _k4_exact_is_cheaper(dim: int, chains: int, points: int) -> bool:
     return chains * dim**3 <= 12 * points**2
 
 
-class Coefficients(NamedTuple):
-    """Unscaled generator coefficients at one time, as memoized.
+def check_k4_routes(
+    model: SystemModel, bath: BathSpec, t: float, quad: QuadratureSpec, k4: np.ndarray
+) -> tuple[float, float]:
+    """A run's route check at t: (relative difference, trip).
 
-    ``k4_route`` names the function that filled ``k4``: ``"K4_exact"``, or
-    ``"K4_influence"`` on the generator's quadrature; None at order 2.
+    ``k4`` is the generator's K4(t); the rule that chose its route
+    (:func:`_k4_exact_is_cheaper`) chooses the other.  Against
+    :func:`K4_exact` (J4' - K2 J) it sets the kernel table in closed form
+    (:func:`tclgen.exact.K4_table_exact`), which shares two pairing chains,
+    so this tests the third pairing minus K2 J against the Bohr-split
+    interleaved chains; against :func:`K4_influence`, :func:`K_n_cumulant`
+    on the same grid, so no quadrature error enters.
+
+    Floor 1e-6 and trip max(1e-6, 100 tol) are not those of
+    :func:`K4_cumulant_ordered`, which would trip here: on
+    ``dephasing-single-mode`` K4 vanishes and the closed forms differ by
+    round-off, 6.5e-7 at t = 16 (9.6e-7 at t = 32 over its floor
+    1e-6 ||K2 J||), past its 10 tol = 1e-7.  This trip would loosen that
+    check tenfold.
     """
+    if _k4_exact_is_cheaper(model.dim, k4_chain_count(bath), quad.points(t)):
+        other = K4_table_exact(model, bath, t).matrix
+    else:
+        other = K_n_cumulant(model, bath, t, 4, quad).matrix
+    rel, _ = _relative_difference(other, k4, 1e-6)
+    return rel, max(1e-6, 100.0 * quad.tolerance)
+
+
+class Coefficients(NamedTuple):
+    """Unscaled generator coefficients at one time, as memoized; ``k4`` is
+    None at order 2."""
 
     k2: np.ndarray
     k4: np.ndarray | None
-    k4_route: str | None
 
 
 @dataclass
@@ -325,30 +354,32 @@ class Generator:
                             if self.interp == "cubic" else None)
 
     def _scaled(self, t: float) -> np.ndarray:
-        k2, k4, _ = self.coefficients(t)
+        k2, k4 = self.coefficients(t)
         if self.order == 2:
             return self.alpha**2 * k2
         if k4 is None:
             raise ValueError("an order-4 generator needs K4 in its coefficients")
         return self.alpha**2 * k2 + self.alpha**4 * k4
 
-    def evaluator(self, t: float) -> SuperOp:
-        """The fully scaled generator at t."""
+    def evaluator(self, t: float) -> np.ndarray:
+        """The matrix of the fully scaled generator at t, unvalidated: the
+        stepper's right-hand side calls this."""
         if self.grid is None:
-            return SuperOp(self.dim, self._scaled(t))
+            return self._scaled(t)
         if t < self.grid[0] or t > self.grid[-1]:
             raise ValueError(f"time {t} outside cached range [0, {self.grid[-1]}]")
         if self._spline is not None:
-            return SuperOp(self.dim, np.asarray(self._spline(t)))
+            return np.asarray(self._spline(t))
         idx = np.searchsorted(self.grid, t)
         if self.grid[idx] == t:
-            return SuperOp(self.dim, self._values[idx].copy())
+            return self._values[idx].copy()
         lo = idx - 1
         theta = (t - self.grid[lo]) / (self.grid[idx] - self.grid[lo])
-        return SuperOp(self.dim, (1 - theta) * self._values[lo] + theta * self._values[idx])
+        return (1 - theta) * self._values[lo] + theta * self._values[idx]
 
     def __call__(self, t: float) -> SuperOp:
-        return self.evaluator(t)
+        """The fully scaled generator at t."""
+        return SuperOp(self.dim, self.evaluator(t))
 
 
 def build_generator(
@@ -378,16 +409,16 @@ def build_generator(
     memo: dict[float, Coefficients] = {}
     chains = k4_chain_count(bath) if order == 4 else 0
 
-    def fourth(t: float) -> tuple[np.ndarray | None, str | None]:
+    def fourth(t: float) -> np.ndarray | None:
         if order == 2:
-            return None, None
+            return None
         if _k4_exact_is_cheaper(model.dim, chains, quad.points(t)):
-            return K4_exact(model, bath, t).matrix, "K4_exact"
-        return K4_influence(model, bath, t, quad).matrix, "K4_influence"
+            return K4_exact(model, bath, t).matrix
+        return K4_influence(model, bath, t, quad).matrix
 
     def coefficients(t: float) -> Coefficients:
         if t not in memo:
-            memo[t] = Coefficients(K2_exact(model, bath, t).matrix, *fourth(t))
+            memo[t] = Coefficients(K2_exact(model, bath, t).matrix, fourth(t))
         return memo[t]
 
     n_nodes = max(33, math.ceil(t_max * quad.nodes_per_unit_time) + 1)

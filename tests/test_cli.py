@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tclgen.cli
+import tclgen.cumulant
 import tclgen.evolve
 import tclgen.exact
 import tclgen.models
@@ -358,7 +359,40 @@ def test_route_check_reuses_a_quadrature_k4_from_the_memo(tmp_path, monkeypatch)
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert [float(args[2]) for args in calls["influence"]] == [0.5]
     report = (out / "report.txt").read_text()
-    assert re.search(r"t= 5\.000000000000e-01  rel_diff= \S+  gen_diff= 0\.000e\+00", report)
+    row = re.search(r"t= 5\.000000000000e-01  rel_diff= (\S+)  margin= (\S+)", report)
+    assert row is not None
+    assert float(row.group(2)) == pytest.approx(float(row.group(1)) / 1e-6, rel=1e-3)
+
+
+def test_route_check_follows_the_cost_rule_at_each_time(tmp_path, monkeypatch):
+    # three modes: chains d^3 = 864 is past 12 points^2 = 768 at t = 0.5 but
+    # not 3072 at t = 1, so the memo holds K4_influence(0.5) and K4_exact(1);
+    # the check reuses each and runs the other route at that time only
+    calls = _record_calls(
+        monkeypatch, exact=tclgen.exact.K4_exact, influence=tclgen.tcl.K4_influence,
+        table=tclgen.exact.K4_table_exact, cumulant=tclgen.cumulant.K_n_cumulant)
+    cfg_path = tmp_path / "scenario.ini"
+    cfg_path.write_text(
+        "[model]\ndim = 2\nh_sys = 0.5, 0, 0, -0.5\ncoupling = 0, 1, 1, 0\n"
+        "alpha = 0.1\n[bath]\nbeta = 2.5\n"
+        "modes = 0.3, 0.5, 1; 0.3, 0.7, 1; 0.3, 0.9, 1\n"
+        "[run]\nt_max = 1.0\norder = 4\n"
+        "[outputs]\ngenerator_times = 0.5, 1.0\ntrajectory = false\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    times = {key: [float(args[2]) for args in made] for key, made in calls.items()}
+    assert times == {"exact": [1.0], "influence": [0.5], "table": [1.0], "cumulant": [0.5]}
+    assert len(re.findall(r"rel_diff= \S+  margin= \S+", (out / "report.txt").read_text())) == 2
+
+
+def test_cli_holds_no_k4_route():
+    # the route choice and both route checks live in tclgen.tcl
+    routes = ("K4_exact", "K4_table_exact", "K4_influence", "K_n_cumulant")
+    source = Path(tclgen.cli.__file__).read_text()
+    for name in routes:
+        assert name not in vars(tclgen.cli) and name not in source
+    objects = {id(getattr(tclgen, name)) for name in routes}
+    assert not objects & {id(value) for value in vars(tclgen.cli).values()}
 
 
 def test_order_four_run_uses_no_quadrature(tmp_path, monkeypatch):
@@ -460,9 +494,9 @@ def test_route_check_ignores_simpson_quadrature_error(tmp_path, npu):
     )
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-    rows = re.findall(r"rel_diff= (\S+)\s+gen_diff= (\S+)", (out / "report.txt").read_text())
+    rows = re.findall(r"rel_diff= (\S+)\s+margin= (\S+)", (out / "report.txt").read_text())
     assert len(rows) == 2
-    assert all(float(rel) < 1e-12 and float(gen) < 1e-12 for rel, gen in rows)
+    assert all(float(rel) < 1e-12 and float(margin) < 1e-6 for rel, margin in rows)
 
 
 def test_order2_run_skips_route_comparison(tmp_path):
@@ -528,14 +562,14 @@ def test_quad_nodes_override_above_96_rejected(tmp_path, capsys):
 
 
 def _perturb(monkeypatch, name):
-    """Shift the K4 that ``tclgen.cli.<name>`` returns by 1e-3 times the identity."""
-    original = getattr(tclgen.cli, name)
+    """Shift the K4 that ``tclgen.tcl.<name>`` returns by 1e-3 times the identity."""
+    original = getattr(tclgen.tcl, name)
 
     def perturbed(*args):
         out = original(*args)
         return SuperOp(out.dim, out.matrix + 1e-3 * np.eye(out.dim**2))
 
-    monkeypatch.setattr(tclgen.cli, name, perturbed)
+    monkeypatch.setattr(tclgen.tcl, name, perturbed)
 
 
 def test_equivalence_violation_exits_two_after_writing_report(tmp_path, capsys, monkeypatch):

@@ -39,7 +39,7 @@ def dephasing(alpha):
 def constant_generator(matrix):
     matrix = np.asarray(matrix, dtype=complex)
     dim = int(math.isqrt(matrix.shape[0]))
-    return Generator(2, 1.0, dim, lambda t: Coefficients(matrix, None, None))
+    return Generator(2, 1.0, dim, lambda t: Coefficients(matrix, None))
 
 
 # --- input validation ---------------------------------------------------------------
@@ -190,7 +190,7 @@ def test_rk45_reports_failure():
     # floating-point spacing, which the adaptive stepper reports as failure.
     def coefficients(t):
         rate = np.float64(1.0) / np.float64(1.0 - min(float(t), 1.0))
-        return Coefficients(rate * np.eye(4, dtype=complex), None, None)
+        return Coefficients(rate * np.eye(4, dtype=complex), None)
 
     gen = Generator(2, 1.0, 2, coefficients)
     with pytest.raises(NumericsError, match="adaptive stepper failed"):

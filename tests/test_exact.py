@@ -213,7 +213,9 @@ def test_cumulant_route_agrees_with_exact_on_random_models(instance, t):
 @given(st.one_of(instances((2, 3, 4)), commuting_instances((2, 3, 4))), st.floats(0.05, 3.0))
 def test_kernel_table_agrees_with_exact_on_random_models(instance, t):
     # the two closed forms of K4 (fully ordered table, partially unordered
-    # J4' - K2 J) share no chain; the route check of `tclgen run` rests on them
+    # J4' - K2 J) share the chronological pairing chains, so this checks the
+    # third pairing minus K2 J against the interleaved chains; the route check
+    # of `tclgen run` rests on it
     model, bath = instance
     a, b = K4_table_exact(model, bath, t).matrix, K4_exact(model, bath, t).matrix
     # absolute below norm 1: K4 of a commuting draw is round-off
