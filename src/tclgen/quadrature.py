@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss  # imported at start-up, not by the first rule
 
 __all__ = ["QuadratureSpec"]
 
@@ -120,7 +121,7 @@ def _simpson_row(m: int, h: float) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _gauss01(npts: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(npts)
+    x, w = leggauss(npts)
     return (x + 1.0) / 2.0, w / 2.0
 
 

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .algebra import (
     SuperOp,
@@ -323,6 +323,44 @@ class Coefficients(NamedTuple):
     k4: np.ndarray | None
 
 
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-interval coefficients of the not-a-knot cubic spline through
+    ``(x, y)``, ``y`` of shape ``(n, m)``: on ``[x_i, x_{i+1}]`` the spline is
+    ``c[i, 0] z^3 + c[i, 1] z^2 + c[i, 2] z + c[i, 3]`` with z = t - x_i.
+
+    The node derivatives solve the tridiagonal system of SciPy's
+    ``CubicSpline``, by elimination without pivoting over all m columns at
+    once; the interpolant follows from them as Hermite cubics.
+    """
+    n = len(x)
+    if n < 4:
+        raise ValueError(f"a not-a-knot cubic needs at least 4 nodes, got {n}")
+    h = np.diff(x)
+    hr = h[:, None]
+    slope = np.diff(y, axis=0) / hr
+    lower, diag, upper = np.zeros(n), np.zeros(n), np.zeros(n)
+    s = np.empty_like(y)
+    # interior rows: the second derivative is continuous at x_1 .. x_{n-2}
+    lower[1:-1], diag[1:-1], upper[1:-1] = h[1:], 2 * (h[:-1] + h[1:]), h[:-1]
+    s[1:-1] = 3 * (hr[1:] * slope[:-1] + hr[:-1] * slope[1:])
+    # end rows: so is the third derivative at x_1 and at x_{n-2}
+    span = x[2] - x[0]
+    diag[0], upper[0] = h[1], span
+    s[0] = ((h[0] + 2 * span) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / span
+    span = x[-1] - x[-3]
+    lower[-1], diag[-1] = span, h[-2]
+    s[-1] = (h[-1] ** 2 * slope[-2] + (2 * span + h[-1]) * h[-2] * slope[-1]) / span
+    for i in range(1, n):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        s[i] -= w * s[i - 1]
+    s[-1] /= diag[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
+    t = (s[:-1] + s[1:] - 2 * slope) / hr
+    return np.stack([t / hr, (slope - s[:-1]) / hr - t, s[:-1], y[:-1]], axis=1)
+
+
 @dataclass
 class Generator:
     """Evaluable time-local generator K(t) = alpha^2 K2(t) [+ alpha^4 K4(t)].
@@ -331,8 +369,9 @@ class Generator:
     (for :func:`build_generator`, from its memo), which the generator scales
     by its own ``alpha`` and ``order``: ``dataclasses.replace`` re-couples it,
     or takes order 2 from order 4, without recomputing a coefficient.  With a
-    ``grid``, ``interp`` (``"linear"`` or ``"cubic"``) interpolates the scaled
-    matrices tabulated on its nodes and raises ``ValueError`` outside them;
+    ``grid``, ``interp`` (``"linear"`` or ``"cubic"``, a not-a-knot spline on
+    at least 4 nodes) interpolates the scaled matrices tabulated on its nodes
+    and raises ``ValueError`` outside them;
     without one, ``evaluator(t)`` evaluates at t directly.
     """
 
@@ -350,8 +389,10 @@ class Generator:
             raise ValueError(f"unknown interpolation {self.interp!r}")
         if self.grid is not None:
             self._values = np.stack([self._scaled(t) for t in self.grid])
-            self._spline = (CubicSpline(self.grid, self._values, axis=0)
-                            if self.interp == "cubic" else None)
+            self._cubic = None
+            if self.interp == "cubic":
+                self._nodes = self.grid.tolist()
+                self._cubic = _not_a_knot(self.grid, self._values.reshape(len(self.grid), -1))
 
     def _scaled(self, t: float) -> np.ndarray:
         k2, k4 = self.coefficients(t)
@@ -368,8 +409,12 @@ class Generator:
             return self._scaled(t)
         if t < self.grid[0] or t > self.grid[-1]:
             raise ValueError(f"time {t} outside cached range [0, {self.grid[-1]}]")
-        if self._spline is not None:
-            return np.asarray(self._spline(t))
+        if self._cubic is not None:
+            i = min(bisect_right(self._nodes, t), len(self._nodes) - 1) - 1
+            c, z = self._cubic[i], float(t - self._nodes[i])
+            # summed in this order and not by Horner's rule, as SciPy's PPoly
+            value = c[3] + c[2] * z + c[1] * (z * z) + c[0] * (z * z * z)
+            return value.reshape(self.dim**2, self.dim**2)
         idx = np.searchsorted(self.grid, t)
         if self.grid[idx] == t:
             return self._values[idx].copy()

@@ -4,17 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from tclgen.algebra import SystemModel
+from tclgen.algebra import SystemModel, unvec, vec
 from tclgen.bath import BathSpec
 from tclgen.evolve import (
     NumericsError,
+    _rhs,
+    _run_rk45,
     forward_map_correction,
     invertibility_diagnostic,
     propagate,
     trace_distance,
 )
-from tclgen.models import dephasing_exact, to_interaction_picture
+from tclgen.models import dephasing_exact, get_preset, to_interaction_picture
 from tclgen.quadrature import QuadratureSpec
 from tclgen.tcl import Coefficients, Generator, build_generator
 
@@ -74,6 +77,12 @@ def test_rk4_max_step_validation():
     gen = build_generator(spin_boson(0.1), BATH, 2, GL8, 1.0)
     with pytest.raises(ValueError, match="max_step"):
         propagate(PLUS, gen, np.array([0.0, 1.0]), stepper="rk4-fixed", max_step=0.0)
+
+
+def test_rk45_atol_validation():
+    gen = build_generator(spin_boson(0.1), BATH, 2, GL8, 1.0)
+    with pytest.raises(ValueError, match="atol must be nonnegative"):
+        propagate(PLUS, gen, np.array([0.0, 1.0]), atol=-1e-10)
 
 
 # --- trivial dynamics ----------------------------------------------------------------
@@ -172,6 +181,46 @@ def test_rk4_step_halving_is_fourth_order():
     slopes = [math.log2(errs[k] / errs[k + 1]) for k in range(2)]
     for s in slopes:
         assert 3.7 < s < 4.3
+
+
+# --- the adaptive stepper is SciPy's RK45, operation for operation ---------------------------
+
+
+def _two_mode_case():
+    preset = get_preset("spinboson-two-mode")
+    gen = build_generator(preset.model, preset.bath, 2, GL16, 10.0, interp="cubic")
+    return gen, PLUS, np.linspace(0.0, 10.0, 101), 1e-12
+
+
+def _random_three_level_case():
+    rng = np.random.default_rng(5)
+    h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    model = SystemModel(3, (h + h.conj().T) / 2.0, (x + x.conj().T) / 2.0, 0.2)
+    bath = BathSpec(modes=[(0.8, 1.1, 1.0), (1.3, 0.7, 1.0)], beta=2.0)
+    gen = build_generator(model, bath, 4, GL8, 2.0, interp="cubic")
+    return gen, np.full((3, 3), 1.0 / 3.0, dtype=complex), np.linspace(0.0, 2.0, 21), 1e-10
+
+
+@pytest.mark.parametrize("case", [_two_mode_case, _random_three_level_case],
+                         ids=["spinboson-two-mode", "random-d3"])
+def test_rk45_is_bitwise_scipy_rk45(case):
+    gen, rho, grid, atol = case()
+    calls = {"n": 0}
+    evaluate = gen.evaluator
+
+    def counting(t):
+        calls["n"] += 1
+        return evaluate(t)
+
+    gen.evaluator = counting
+    states = _run_rk45(rho, gen, grid, atol)
+    ours, calls["n"] = calls["n"], 0
+    sol = solve_ivp(_rhs(gen), (grid[0], grid[-1]), vec(rho), method="RK45", t_eval=grid,
+                    atol=atol, rtol=max(atol, 1e-13))
+    assert sol.success
+    assert ours == calls["n"] == sol.nfev
+    assert np.array_equal(states, np.stack([unvec(y, gen.dim) for y in sol.y.T]))
 
 
 # --- stepper failure surfaces NumericsError -------------------------------------------------

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 import tclgen.algebra
 import tclgen.quadrature
@@ -22,7 +23,10 @@ from tclgen.tcl import (
     K4_cumulant_ordered,
     K4_influence,
     K4_TERM_TABLE,
+    Coefficients,
+    Generator,
     _k4_ordered_pieces,
+    _not_a_knot,
     build_generator,
     format_k4_table,
 )
@@ -464,6 +468,53 @@ def test_cubic_matches_direct_off_nodes():
     for t in (0.13, 0.777, 1.501, 1.999):
         dev = np.max(np.abs(gen_c(t).matrix - gen_d(t).matrix))
         assert dev < 1e-5
+
+
+def _spline_grid(kind, n, rng):
+    if kind == "uniform":
+        return np.linspace(0.0, 2.0, n)
+    return np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, n - 1))])
+
+
+@pytest.mark.parametrize("kind", ["uniform", "random"])
+@pytest.mark.parametrize("n", [4, 5, 33, 65])
+def test_not_a_knot_matches_scipy_cubic_spline(kind, n):
+    rng = np.random.default_rng(n)
+    x = _spline_grid(kind, n, rng)
+    y = rng.standard_normal((n, 16)) + 1j * rng.standard_normal((n, 16))
+    ref = CubicSpline(x, y, axis=0).c  # (4, n - 1, 16)
+    ours = _not_a_knot(x, y).transpose(1, 0, 2)
+    assert np.max(np.abs(ours - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_cubic_evaluates_as_scipy_cubic_spline():
+    gen = build_generator(SPIN_BOSON, BATH, 4, GL8, 2.0, interp="cubic")
+    spline = CubicSpline(gen.grid, gen._values, axis=0)
+    for t in (0.0, 0.013, 0.777, float(gen.grid[7]), 1.999, 2.0):
+        ref = spline(t)
+        assert np.max(np.abs(gen(t).matrix - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [4, 9])
+def test_cubic_reproduces_a_cubic(n):
+    # not-a-knot holds a cubic polynomial exactly, on any grid of 4 nodes or more
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
+    grid = _spline_grid("random", n, rng)
+
+    def poly(t):
+        return a[0] + t * (a[1] + t * (a[2] + t * a[3]))
+
+    gen = Generator(2, 1.0, 2, lambda t: Coefficients(poly(t), None), grid, "cubic")
+    for t in rng.uniform(grid[0], grid[-1], 7):
+        assert np.max(np.abs(gen(t).matrix - poly(t))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cubic_rejects_grids_shorter_than_four_nodes(n):
+    with pytest.raises(ValueError, match="at least 4 nodes"):
+        Generator(2, 1.0, 2, lambda t: Coefficients(np.eye(4, dtype=complex), None),
+                  np.linspace(0.0, 1.0, n), "cubic")
 
 
 def test_direct_mode_memoizes(monkeypatch):
