@@ -29,20 +29,20 @@ K4 is the paper's partially unordered cumulant form
     K4(t) = J4'(t) - K2(t) J(t),
 
 with J4'(t) the chronological four-point moment <L(t) L(t1) L(t2) L(t3)>
-integrated over t > t1 > t2 > t3 > 0.  The bath is Gaussian, so J4' is a sum
-over the three Wick pairings; in each pair the later slot carries Xc and the
-earlier one W, so every pairing is a chronological chain with prefactor 1/4:
-
-    pairs (t, t2), (t1, t3):   Xc(t) Xc(t1) W_nu(t2) W_mu(t3)
-    pairs (t, t3), (t1, t2):   Xc(t) Xc(t1) W_mu(t2) W_nu(t3)
-    pairs (t, t1), (t2, t3):   Xc(t) W_nu(t1) Xc(t2) W_mu(t3)
+integrated over t > t1 > t2 > t3 > 0.  The bath is Gaussian, so a
+chronological moment of n slots s0 > s1 > ... is a sum over the Wick
+pairings of its slots (N. G. van Kampen, Physica 74, 215 (1974)).  In each
+pair (a, b), a < b, the later slot a carries Xc, the earlier slot b carries
+W_nu, and nu shifts every interval from slot a to slot b; so each pairing is
+one chronological chain with prefactor (-1/2)^(n/2).  J4' has slot 0 pinned
+at t; J has a free interval in front of slot 0.
 
 :func:`K4_table_exact` integrates the fourth-order kernel table instead,
 which is term for term the fully ordered cumulant sum: there the
-(t, t1)(t2, t3) product cancels the third pairing, and the sixteen table
-rows factorise into four chains with prefactor 1/4,
+(t, t1)(t2, t3) product cancels the pairing (0, 1)(2, 3), and the sixteen
+table rows factorise into the two other pairings and two interleaved chains,
+with prefactor 1/4,
 
-    + Xc(t) Xc(t1) W(t2) W(t3)      pairs (t, t2), (t1, t3) and (t, t3), (t1, t2)
     - Xc(t) W(t2) Xc(t1) W(t3)      pairs (t, t2), (t1, t3)
     - Xc(t) W(t3) Xc(t1) W(t2)      pairs (t, t3), (t1, t2)
 
@@ -53,7 +53,7 @@ intervals spanned by that slot carry an extra -iw.  Bohr frequencies that
 agree to round-off are merged; any wider grouping would shift a frequency
 and so cost accuracy.  Both forms of K4 hold the pairing chains
 (t, t2)(t1, t3) and (t, t3)(t1, t2), so each checks the other's remainder:
-the third pairing minus K2 J against the two interleaved chains.
+the pairing (t, t1)(t2, t3) minus K2 J against the two interleaved chains.
 
 All arithmetic runs in the eigenbasis of H_S, where G and U(s) are diagonal.
 """
@@ -64,6 +64,7 @@ import numpy as np
 
 from .algebra import SuperOp, SystemModel, anticommutator_super_batch, commutator_super_batch
 from .bath import BathSpec
+from .cumulant import _pairings
 
 __all__ = ["K2_exact", "K4_exact", "K4_table_exact", "forward_map_exact", "k4_chain_count"]
 
@@ -176,6 +177,27 @@ def _chain_sum(t: float, g: np.ndarray, shifts: list[np.ndarray],
     return total
 
 
+def _pairing_chains(c: _Eigenbasis, t: float, pairings, pinned: bool) -> np.ndarray:
+    """(-1/2)^(n/2) times the sum of the chronological chains of ``pairings``
+    of n slots, one block exponential per pairing and tuple of kernel labels,
+    in the eigenbasis.  With ``pinned`` slot 0 sits at t and is left to the
+    caller's U(t) Xc; otherwise a free interval comes first and U(t) is left.
+    """
+    n, m = 2 * len(pairings[0]), c.nu.size
+    labels = [a.ravel() for a in np.indices((m,) * (n // 2))]
+    free = 0 if pinned else 1  # intervals in front of slot 0
+    total = 0
+    for pairing in pairings:
+        shifts = [np.zeros(labels[0].size)] * (n + free)
+        slots = [None] * n
+        for (a, b), label in zip(pairing, labels):
+            slots[a], slots[b] = (c.xc[None], np.zeros(1, dtype=int)), (c.w, label)
+            for k in range(a + free, b + free):
+                shifts[k] = shifts[k] + c.nu[label]
+        total = total + _chain_sum(t, c.g, shifts, slots[1 - free:])
+    return (-0.5) ** (n // 2) * total
+
+
 def K2_exact(model: SystemModel, bath: BathSpec, t: float) -> SuperOp:
     """Second-order generator in closed form: -(1/2) Xc(t) int_0^t W(t1).
 
@@ -200,22 +222,15 @@ def forward_map_exact(model: SystemModel, bath: BathSpec, t: float) -> np.ndarra
     in closed form (the quadrature route is
     :func:`tclgen.evolve.forward_map_correction`).
 
-    J' = K2, so J is the K2 chain with one more interval in front:
-
-        J(t) = -(1/2) U(t) int e^{-u0 G} Xc e^{u1 (i nu - G)} W_nu e^{-u2 G}
-
-    over u0 + u1 + u2 = t, summed over the kernel labels nu.  One block
-    exponential of size 3 d^2 per label, so cost is linear in the number of
-    modes.  Returns the (d^2, d^2) matrix in the site basis; J(0) is exactly 0,
-    returned without building a chain.
+    J' = K2, so J is U(t) times the one pairing of two slots with a free
+    interval in front: one block exponential of size 3 d^2 per kernel label,
+    linear in the number of modes.  Returns the (d^2, d^2) matrix in the
+    site basis; J(0) is exactly 0, returned without building a chain.
     """
     if t == 0:
         return np.zeros((model.dim**2, model.dim**2), dtype=complex)
     c = _Eigenbasis(model, bath)
-    zero = np.zeros(c.nu.size)
-    inner = _chain_sum(t, c.g, [zero, c.nu, zero],
-                       [(c.xc[None], np.zeros(1, dtype=int)), (c.w, np.arange(c.nu.size))])
-    out = -0.5 * np.exp(t * c.g)[:, None] * inner
+    out = np.exp(t * c.g)[:, None] * _pairing_chains(c, t, _pairings(2), pinned=False)
     return c.to_site @ out @ c.to_site.conj().T
 
 
@@ -225,32 +240,23 @@ def k4_chain_count(bath: BathSpec) -> int:
     kernel labels.  The cost of the exact route grows with this count, not
     with t; the 2M smaller exponentials of J are not counted.
     """
-    return 3 * (2 * len(bath.omegas)) ** 2
+    return len(_pairings(4)) * (2 * len(bath.omegas)) ** 2
 
 
 def K4_exact(model: SystemModel, bath: BathSpec, t: float) -> SuperOp:
     """Fourth-order generator in closed form, as the paper's partially
     unordered cumulant form K4 = J4' - K2 J.
 
-    J4' is (1/4) U(t) Xc times the sum of the three Wick-pairing chains, one
-    block exponential per pairing and pair of labels (nu, mu).  K4(0) is
-    exactly 0, returned without building a chain.
+    J4' is U(t) Xc times the three Wick-pairing chains with slot 0 pinned
+    at t, one block exponential per pairing and pair of labels (nu, mu).
+    K4(0) is exactly 0, returned without building a chain.
     """
     if t == 0:
         return SuperOp(model.dim, np.zeros((model.dim**2, model.dim**2), dtype=complex))
     c = _Eigenbasis(model, bath)
-    m = c.nu.size
-    i, j = (a.ravel() for a in np.indices((m, m)))
-    nu, mu, zero = c.nu[i], c.nu[j], np.zeros(m * m)
-    xc = (c.xc[None], np.zeros(1, dtype=int))
-    # each pair's label shifts the intervals between its two slots
-    inner = (
-        _chain_sum(t, c.g, [nu, nu + mu, mu, zero], [xc, (c.w, i), (c.w, j)])  # (t, t2) (t1, t3)
-        + _chain_sum(t, c.g, [nu, nu + mu, nu, zero], [xc, (c.w, j), (c.w, i)])  # (t, t3) (t1, t2)
-        + _chain_sum(t, c.g, [nu, zero, mu, zero], [(c.w, i), xc, (c.w, j)])  # (t, t1) (t2, t3)
-    )
+    j4 = c.lead(t, _pairing_chains(c, t, _pairings(4), pinned=True))
     k2_j = K2_exact(model, bath, t).matrix @ forward_map_exact(model, bath, t)
-    return SuperOp(model.dim, 0.25 * c.lead(t, inner) - k2_j)
+    return SuperOp(model.dim, j4 - k2_j)
 
 
 def K4_table_exact(model: SystemModel, bath: BathSpec, t: float) -> SuperOp:
@@ -261,8 +267,8 @@ def K4_table_exact(model: SystemModel, bath: BathSpec, t: float) -> SuperOp:
     (1/4) U(t) Xc times two chronological chains and two interleaved chains
     whose out-of-order slot is split into Bohr components, one block
     exponential per chain and label tuple.  Against :func:`K4_exact`, whose
-    chronological chains it shares, it checks the third Wick pairing minus
-    K2 J.  K4(0) is exactly 0, returned without building a chain.
+    chronological chains it shares, it checks the Wick pairing (t, t1)(t2, t3)
+    minus K2 J.  K4(0) is exactly 0, returned without building a chain.
     """
     if t == 0:
         return SuperOp(model.dim, np.zeros((model.dim**2, model.dim**2), dtype=complex))
@@ -270,15 +276,9 @@ def K4_table_exact(model: SystemModel, bath: BathSpec, t: float) -> SuperOp:
     m, n = c.nu.size, c.g.size
     omega, xc_w, xa_w = _bohr_parts(model)
     p = omega.size
-    xc = (c.xc[None], np.zeros(1, dtype=int))
     eye = (np.eye(n, dtype=complex)[None], np.zeros(1, dtype=int))
-    # chronological chains: every (nu, mu) pair of labels, both lag patterns
-    i, j = (a.ravel() for a in np.indices((m, m)))
-    nu, mu, zero = c.nu[i], c.nu[j], np.zeros(m * m)
-    inner = (
-        _chain_sum(t, c.g, [nu, nu + mu, mu, zero], [xc, (c.w, i), (c.w, j)])  # (t, t2) (t1, t3)
-        + _chain_sum(t, c.g, [nu, nu + mu, nu, zero], [xc, (c.w, j), (c.w, i)])  # (t, t3) (t1, t2)
-    )
+    # chronological chains: the pairings that the (t, t1)(t2, t3) product spares
+    inner = _pairing_chains(c, t, [pp for pp in _pairings(4) if (0, 1) not in pp], pinned=True)
     # interleaved chains: the out-of-order slot (label nu) split by Bohr
     # frequency w, which shifts the intervals that slot spans by -w
     i, j, q = (a.ravel() for a in np.indices((m, m, p)))
@@ -288,7 +288,7 @@ def K4_table_exact(model: SystemModel, bath: BathSpec, t: float) -> SuperOp:
              @ c.xc).reshape(m * p, n, n)
     first = (table, i * p + q)
     # -Xc(t) W(t2) Xc(t1) W(t3): nu on u0, u1; mu on u1, u2; -w on u1
-    inner -= _chain_sum(t, c.g, [nu, nu + mu - w, mu, zero], [first, eye, (c.w, j)])
+    inner -= 0.25 * _chain_sum(t, c.g, [nu, nu + mu - w, mu, zero], [first, eye, (c.w, j)])
     # -Xc(t) W(t3) Xc(t1) W(t2): nu on u0..u2; mu on u1; -w on u1, u2
-    inner -= _chain_sum(t, c.g, [nu, nu + mu - w, nu - w, zero], [first, (c.w, j), eye])
-    return SuperOp(model.dim, 0.25 * c.lead(t, inner))
+    inner -= 0.25 * _chain_sum(t, c.g, [nu, nu + mu - w, nu - w, zero], [first, (c.w, j), eye])
+    return SuperOp(model.dim, c.lead(t, inner))

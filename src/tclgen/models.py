@@ -117,13 +117,12 @@ def _ladder(n: int) -> np.ndarray:
     return a
 
 
-def _mode_ops(kappa: float, omega: float, mass: float, n: int):
-    """(x, p, H) for one truncated mode (kappa unused for x, p scaling)."""
+def _mode_ops(omega: float, mass: float, n: int):
+    """(x, H) for one truncated mode."""
     a = _ladder(n)
     x = (a + a.conj().T) / math.sqrt(2.0 * mass * omega)
-    p = 1j * math.sqrt(mass * omega / 2.0) * (a.conj().T - a)
     h = omega * (np.diag(np.arange(n) + 0.5)).astype(complex)
-    return x, p, h
+    return x, h
 
 
 def _thermal_weights(beta: float, omega: float, n: int) -> np.ndarray:
@@ -179,7 +178,7 @@ def _bath_operators(config: TruncatedBathConfig):
     b = np.zeros((nb, nb), dtype=complex)
     h = np.zeros((nb, nb), dtype=complex)
     for i, (kappa, omega, mass, sign, _) in enumerate(factors):
-        x, _, hmode = _mode_ops(kappa, omega, mass, n)
+        x, hmode = _mode_ops(omega, mass, n)
         pre = [np.eye(n, dtype=complex)] * i
         post = [np.eye(n, dtype=complex)] * (len(factors) - i - 1)
         b += kappa * _kron_all(pre + [x] + post)

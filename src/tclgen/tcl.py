@@ -371,7 +371,7 @@ class Generator:
     or takes order 2 from order 4, without recomputing a coefficient.  With a
     ``grid``, ``interp`` (``"linear"`` or ``"cubic"``, a not-a-knot spline on
     at least 4 nodes) interpolates the scaled matrices tabulated on its nodes
-    and raises ``ValueError`` outside them;
+    and raises ``ValueError`` outside them, and ``"direct"`` is refused;
     without one, ``evaluator(t)`` evaluates at t directly.
     """
 
@@ -387,6 +387,8 @@ class Generator:
             raise ValueError(f"order must be 2 or 4, got {self.order}")
         if self.interp not in ("linear", "cubic", "direct"):
             raise ValueError(f"unknown interpolation {self.interp!r}")
+        if self.grid is not None and self.interp == "direct":
+            raise ValueError("interpolation 'direct' takes no grid")
         if self.grid is not None:
             self._values = np.stack([self._scaled(t) for t in self.grid])
             self._cubic = None

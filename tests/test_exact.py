@@ -138,6 +138,30 @@ def test_time_zero_builds_no_chain(monkeypatch):
         assert not np.any(m)
 
 
+@pytest.mark.parametrize("modes", [1, 2, 3])
+def test_block_exponential_counts(monkeypatch, modes):
+    # the cost rule reads k4_chain_count; tie it to the work each form does
+    model, _ = _random_instance(np.random.default_rng(modes), 3)
+    bath = BathSpec([(0.9, 1.1, 1.0), (0.5, 1.7, 1.0), (0.7, 1.3, 1.0)][:modes], 2.0)
+    bohr_parts = tclgen.exact._bohr_parts(model)[0].size
+    original, counts = tclgen.exact._chain_sum, {}
+
+    def counting(t, g, shifts, blocks):
+        counts[len(blocks) + 1] = counts.get(len(blocks) + 1, 0) + len(shifts[0])
+        return original(t, g, shifts, blocks)
+
+    monkeypatch.setattr(tclgen.exact, "_chain_sum", counting)
+    labels = 2 * modes
+    for form, expected in (
+        (K4_exact, {4: tclgen.exact.k4_chain_count(bath), 3: labels}),
+        (K4_table_exact, {4: 2 * labels**2 * (1 + bohr_parts)}),
+        (forward_map_exact, {3: labels}),
+    ):
+        counts.clear()
+        form(model, bath, 0.7)
+        assert counts == expected
+
+
 def test_forward_map_does_not_depend_on_the_coupling():
     preset = get_preset("spinboson-single-mode")
     h, x = preset.model.h_sys, preset.model.coupling

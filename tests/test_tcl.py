@@ -517,6 +517,17 @@ def test_cubic_rejects_grids_shorter_than_four_nodes(n):
                   np.linspace(0.0, 1.0, n), "cubic")
 
 
+def test_direct_mode_rejects_a_grid():
+    # with a grid, "direct" used to interpolate linearly: t^2 on 5 nodes gave
+    # 0.025 at t = 0.1, not 0.01
+    def square(t):
+        return Coefficients(t * t * np.eye(4, dtype=complex), None)
+
+    with pytest.raises(ValueError, match="takes no grid"):
+        Generator(2, 1.0, 2, square, np.linspace(0.0, 1.0, 5), "direct")
+    assert Generator(2, 1.0, 2, square, None, "direct")(0.1).matrix[0, 0] == pytest.approx(0.01)
+
+
 def test_direct_mode_memoizes(monkeypatch):
     calls = {"n": 0}
     original = K2_exact
