@@ -465,9 +465,11 @@ def _trajectory_rows(traj) -> Iterable[list[str]]:
 
 
 def _oracle_trajectory(cfg: ScenarioConfig, t_grid: np.ndarray):
-    """Exact interaction-picture reference states, or None when unavailable."""
+    """Exact interaction-picture reference states, or None when unavailable,
+    with the reference's label and, for a truncated bath, how far two more
+    Fock levels move it."""
     if cfg.preset is None:
-        return None, ""
+        return None, "", None
     if cfg.preset.startswith("dephasing"):
         states = np.stack([
             to_interaction_picture(
@@ -475,11 +477,13 @@ def _oracle_trajectory(cfg: ScenarioConfig, t_grid: np.ndarray):
             )
             for t in t_grid
         ])
-        return states, "closed-form dephasing solution"
+        return states, "closed-form dephasing solution", None
     config = TruncatedBathConfig(cfg.bath, cfg.fock_levels)
     traj = exact_small_bath(cfg.rho0, cfg.model, config, t_grid)
     label = f"truncated product-space evolution ({cfg.fock_levels} levels/mode)"
-    return traj.states, label
+    shift = ("not checked (over the dimension cap)" if traj.truncation_shift is None
+             else f"{traj.truncation_shift:.3e}")
+    return traj.states, label, shift
 
 
 def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[Path]]:
@@ -562,13 +566,15 @@ def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[
         report.append("")
 
         if traj is not None:
-            exact_states, label = _oracle_trajectory(cfg, t_grid)
+            exact_states, label, shift = _oracle_trajectory(cfg, t_grid)
             if exact_states is not None:
                 errs = [trace_distance(a, b)
                         for a, b in zip(traj.states, exact_states)]
                 report.append(f"exact reference comparison ({label}):")
                 report.append(
                     f"  max trace distance over grid = {max(errs):.3e}")
+                if shift is not None:
+                    report.append(f"  reference shift at +2 levels = {shift}")
                 if cfg.model.dim == 2:
                     coh = max(abs(a[0, 1] - b[0, 1])
                               for a, b in zip(traj.states, exact_states))

@@ -289,8 +289,10 @@ def invertibility_diagnostic(
     return DiagnosticTable(t_grid.copy(), sig, cond)
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/2) trace norm of the difference of two Hermitian matrices."""
-    diff = a - b
-    diff = (diff + diff.conj().T) / 2.0
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
+def trace_distance(a: np.ndarray, b: np.ndarray):
+    """(1/2) trace norm of the difference of two Hermitian matrices; for two
+    (T, d, d) stacks, an array of the T pairwise distances."""
+    diff = np.asarray(a) - b
+    diff = (diff + np.swapaxes(diff.conj(), -1, -2)) / 2.0
+    dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
+    return float(dist) if dist.ndim == 0 else dist

@@ -166,3 +166,68 @@ def oracle_moment_matrix(
         rho_out = np.einsum("anbn->ab", red)
         mat[:, col] = rho_out.reshape(-1, order="F")
     return mat
+
+
+# --- brute-force reduced dynamics ----------------------------------------------
+
+
+def _oscillators(modes, beta: float, purified: bool):
+    """(coupling, omega, mass, sign of H, start in vacuum) per truncated oscillator.
+
+    The purified bath replaces a thermal mode at occupation nbar by a +omega
+    oscillator with coupling kappa sqrt(nbar + 1) and a -omega partner with
+    coupling kappa sqrt(nbar), both in their vacuum.
+    """
+    if not purified:
+        return [(kappa, omega, mass, 1.0, False) for kappa, omega, mass in modes]
+    out = []
+    for kappa, omega, mass in modes:
+        nbar = 0.0 if math.isinf(beta) else 1.0 / math.expm1(beta * omega)
+        out.append((kappa * math.sqrt(nbar + 1.0), omega, mass, 1.0, True))
+        if nbar > 0.0:
+            out.append((kappa * math.sqrt(nbar), omega, mass, -1.0, True))
+    return out
+
+
+def oracle_reduced_states(
+    h_sys: np.ndarray,
+    coupling: np.ndarray,
+    alpha: float,
+    modes,
+    beta: float,
+    n_levels: int,
+    rho0: np.ndarray,
+    times,
+    purified: bool = False,
+) -> np.ndarray:
+    """Interaction-picture reduced states of system plus truncated bath.
+
+    H = H_S x 1 + 1 x H_B - alpha X x B on the truncated product space; the
+    state rho0 x rho_B is propagated by a dense matrix exponential of H at
+    every time, partial-traced over the bath and rotated by e^{+i H_S t}.
+    rho_B is the product of renormalized truncated Gibbs states, or the
+    vacuum of the purified bath.
+    """
+    h_sys = np.asarray(h_sys, dtype=complex)
+    d = h_sys.shape[0]
+    n = n_levels
+    oscillators = _oscillators(modes, beta, purified)
+    nb = n ** len(oscillators)
+    b = np.zeros((nb, nb), dtype=complex)
+    h_b = np.zeros((nb, nb), dtype=complex)
+    factors = []
+    for i, (kappa, omega, mass, sign, vacuum) in enumerate(oscillators):
+        pre = [np.eye(n, dtype=complex)] * i
+        post = [np.eye(n, dtype=complex)] * (len(oscillators) - i - 1)
+        b += kappa * _kron_chain(pre + [mode_position(omega, mass, n)] + post)
+        h_b += sign * _kron_chain(pre + [mode_hamiltonian(omega, n)] + post)
+        factors.append(thermal_state(math.inf if vacuum else beta, omega, n))
+    h = (np.kron(h_sys, np.eye(nb)) + np.kron(np.eye(d), h_b)
+         - alpha * np.kron(np.asarray(coupling, dtype=complex), b))
+    rho = np.kron(np.asarray(rho0, dtype=complex), _kron_chain(factors))
+    out = []
+    for t in times:
+        u = expm(-1j * float(t) * h)
+        red = np.einsum("anbn->ab", (u @ rho @ u.conj().T).reshape(d, nb, d, nb))
+        out.append(oracle_heisenberg(h_sys, red, float(t)))
+    return np.array(out)

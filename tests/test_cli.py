@@ -462,6 +462,33 @@ def test_report_contents_for_dephasing(tmp_path):
     assert trend is not None
 
 
+def test_report_states_the_reference_truncation_shift(tmp_path, monkeypatch):
+    # the shift comes from the oracle call the comparison already makes; over
+    # the cap the report says the check did not run, and the oracle warns
+    cfg_path = tmp_path / "s.ini"
+    cfg_path.write_text(
+        PRESET_MIN + "[bath]\nfock_levels = 6\n"
+        "[run]\norder = 2\nt_max = 1.0\nn_output = 5\nquad_nodes_per_unit_time = 8\n"
+        "[outputs]\nkernels = false\ngenerator = false\ndiagnostic = false\n"
+    )
+    cfg = parse_config(cfg_path.read_text())
+    with pytest.warns(UserWarning, match="truncation-sensitive"):  # 6.7e-5 at 6 levels
+        oracle = tclgen.exact_small_bath(
+            cfg.rho0, cfg.model, tclgen.TruncatedBathConfig(cfg.bath, 6),
+            np.linspace(0.0, 1.0, 5))
+    with pytest.warns(UserWarning, match="truncation-sensitive"):
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "a")]) == 0
+    report = (tmp_path / "a" / "report.txt").read_text()
+    assert f"  reference shift at +2 levels = {oracle.truncation_shift:.3e}\n" in report
+    assert "  max trace distance over grid = " in report
+
+    monkeypatch.setattr(tclgen.models, "_DIM_CAP", 12)  # 6 levels fit, 8 do not
+    with pytest.warns(UserWarning, match="truncation check skipped"):
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "b")]) == 0
+    report = (tmp_path / "b" / "report.txt").read_text()
+    assert "  reference shift at +2 levels = not checked (over the dimension cap)\n" in report
+
+
 def test_report_route_agreement_for_spinboson(tmp_path):
     cfg_path = tmp_path / "s.ini"
     cfg_path.write_text(

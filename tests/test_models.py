@@ -4,7 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import oracle_reduced_states
+from test_exact import DETERMINISTIC, _hermitian
+
+import tclgen.models
 from tclgen.algebra import SystemModel
 from tclgen.bath import BathSpec
 from tclgen.evolve import trace_distance
@@ -217,6 +223,68 @@ def test_truncation_check_can_be_disabled(recwarn):
     config = TruncatedBathConfig(BATH, 4)
     exact_small_bath(PLUS, model, config, np.linspace(0.0, 4.0, 5), check_truncation=False)
     assert len(recwarn) == 0
+
+
+def test_truncation_shift_is_the_two_level_movement():
+    model = SystemModel(2, 0.5 * SZ, SX, 0.5)
+    grid = np.linspace(0.0, 4.0, 5)
+    with pytest.warns(UserWarning, match="truncation-sensitive"):
+        traj = exact_small_bath(PLUS, model, TruncatedBathConfig(BATH, 4), grid)
+    bigger = exact_small_bath(PLUS, model, TruncatedBathConfig(BATH, 6), grid,
+                              check_truncation=False)
+    assert traj.truncation_shift == pytest.approx(_max_distance(traj, bigger), rel=1e-12)
+    unchecked = exact_small_bath(PLUS, model, TruncatedBathConfig(BATH, 4), grid,
+                                 check_truncation=False)
+    assert unchecked.truncation_shift is None
+
+
+def test_truncation_check_over_the_cap_warns_that_it_was_skipped(monkeypatch):
+    # 4 levels fit a cap of 10 (dimension 8); the check's 6 levels (12) do not
+    monkeypatch.setattr(tclgen.models, "_DIM_CAP", 10)
+    model = SystemModel(2, 0.5 * SZ, SX, 0.1)
+    with pytest.warns(UserWarning, match=r"truncation check skipped: 6 Fock levels "
+                                         r"per mode need dimension 12, over the cap 10"):
+        traj = exact_small_bath(PLUS, model, TruncatedBathConfig(BATH, 4),
+                                np.linspace(0.0, 1.0, 3))
+    assert traj.truncation_shift is None
+
+
+@st.composite
+def _oracle_cases(draw, d, purified):
+    model = SystemModel(d, draw(_hermitian(d, 0.5)), draw(_hermitian(d, 1.0)),
+                        alpha=draw(st.floats(0.05, 0.5)))
+    modes = draw(st.lists(
+        st.tuples(st.floats(0.3, 1.0), st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+        min_size=1, max_size=2))
+    bath = BathSpec(modes, draw(st.one_of(st.just(math.inf), st.floats(0.5, 5.0))))
+    config = TruncatedBathConfig(bath, draw(st.integers(3, 5)), purified)
+    # a thermal pair of modes, purified, is four oscillators: keep the dense
+    # expm reference at most 500 dimensions by lowering the level count
+    while config.total_dim(d) > 500:
+        config = TruncatedBathConfig(bath, config.fock_levels - 1, config.purified)
+    rank = draw(st.integers(1, d))
+    a = draw(st.lists(st.complex_numbers(max_magnitude=1.0), min_size=d * rank,
+                      max_size=d * rank))
+    a = np.array(a).reshape(d, rank)
+    a[0, 0] += 1.0  # never the zero matrix
+    rho0 = a @ a.conj().T
+    return model, config, rho0 / np.trace(rho0).real
+
+
+@pytest.mark.parametrize("purified", [False, True])
+@pytest.mark.parametrize("d", [2, 3])
+@settings(DETERMINISTIC, max_examples=8)
+@given(data=st.data())
+def test_oracle_matches_a_dense_expm_reference(d, purified, data):
+    # rank-deficient initial states and the vacuum-started purified bath
+    # exercise the kept-vector sum that forms R = U† rho_tot U
+    model, config, rho0 = data.draw(_oracle_cases(d, purified))
+    grid = np.array([0.0, 0.4, 1.3, 2.5])
+    traj = exact_small_bath(rho0, model, config, grid, check_truncation=False)
+    ref = oracle_reduced_states(
+        model.h_sys, model.coupling, model.alpha, config.bath.modes, config.bath.beta,
+        config.fock_levels, rho0, grid, purified=config.purified)
+    assert np.max(np.abs(traj.states - ref)) < 1e-12
 
 
 def test_brute_force_monitors_are_physical():
