@@ -34,7 +34,15 @@ from .cumulant import (
     enumerate_ordered_cumulant_terms,
     moment_superop,
 )
-from .exact import K2_exact, K4_exact, K4_table_exact, forward_map_exact
+from .exact import (
+    K2_exact,
+    K2_exact_grid,
+    K4_exact,
+    K4_exact_grid,
+    K4_table_exact,
+    forward_map_exact,
+    forward_map_exact_grid,
+)
 from .evolve import (
     DiagnosticTable,
     NumericsError,
@@ -97,9 +105,12 @@ __all__ = [
     "K_n_cumulant",
     # exact
     "K2_exact",
+    "K2_exact_grid",
     "K4_exact",
+    "K4_exact_grid",
     "K4_table_exact",
     "forward_map_exact",
+    "forward_map_exact_grid",
     # tcl
     "EquivalenceError",
     "K4Term",

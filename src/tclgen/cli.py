@@ -586,15 +586,14 @@ def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[
         j = forward_map_exact(cfg.model, cfg.bath, cfg.t_max)
         eye = np.eye(cfg.model.dim**2)
         scan_alphas = np.linspace(0.1, 2.0, 20)
-        sig = np.empty(len(scan_alphas))
+        svals = np.linalg.svd(eye + (scan_alphas * scan_alphas)[:, None, None] * j,
+                              compute_uv=False)
+        sig = svals[:, -1]
         report.append(
             f"coupling scan of forward-map conditioning at t = {cfg.t_max:g}:")
         report.append("  alpha  sigma_min  cond")
-        for k, a in enumerate(scan_alphas):
-            svals = np.linalg.svd(eye + a * a * j, compute_uv=False)
-            sig[k] = svals[-1]
-            report.append(
-                f"  {a:.6f}  {_fmt(sig[k])}  {_fmt(svals[0] / svals[-1])}")
+        for a, s in zip(scan_alphas, svals):
+            report.append(f"  {a:.6f}  {_fmt(s[-1])}  {_fmt(s[0] / s[-1])}")
         steps = len(scan_alphas) - 1
         drops = int(np.sum(np.diff(sig) <= 1e-14))
         trend = "yes" if drops == steps else "no"

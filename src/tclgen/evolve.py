@@ -8,8 +8,8 @@ deviation, Hermiticity deviation and the smallest eigenvalue of the
 Hermitized state.
 
 The invertibility diagnostic conditions the lowest-order forward map, whose
-correction J(t) it takes in closed form
-(:func:`tclgen.exact.forward_map_exact`); :func:`forward_map_correction`
+correction J(t) it takes in closed form, for a whole uniform grid at once
+(:func:`tclgen.exact.forward_map_exact_grid`); :func:`forward_map_correction`
 integrates J by quadrature as its check and for the K4 form J4' - K2 J,
 which shares one four-point integral with the fully ordered form.
 """
@@ -23,7 +23,7 @@ import numpy as np
 from .algebra import SystemModel, vec, unvec
 from .bath import BathSpec
 from .cumulant import forward_map_correction
-from .exact import forward_map_exact
+from .exact import forward_map_exact, forward_map_exact_grid
 from .tcl import Generator
 
 __all__ = [
@@ -269,24 +269,28 @@ def invertibility_diagnostic(
     """Conditioning of M(t) = 1 + alpha^2 J(t) along the grid.
 
     M is the lowest-order expansion of the map rho(0) -> rho(t), with
-    J(t) = int_0^t int_0^t1 <L L> from :func:`tclgen.exact.forward_map_exact`
-    (closed form, no quadrature).  A collapsing smallest singular value
-    signals times where inverting the expansion (the step that makes the
-    generator time local) becomes ill conditioned.
+    J(t) = int_0^t int_0^t1 <L L> in closed form, no quadrature: from one
+    :func:`tclgen.exact.forward_map_exact_grid` call when ``t_grid`` is the
+    uniform grid ``np.linspace(0, t_grid[-1], len(t_grid))``, else from one
+    :func:`tclgen.exact.forward_map_exact` call per time.  The singular
+    values of all times come from one stacked SVD.  A collapsing smallest
+    singular value signals times where inverting the expansion (the step
+    that makes the generator time local) becomes ill conditioned.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < 0):
         raise ValueError("diagnostic times must be nonnegative")
-    eye = np.eye(model.dim**2, dtype=complex)
-    sig, cond = np.empty(len(t_grid)), np.empty(len(t_grid))
-    for k, t in enumerate(t_grid):
-        m = eye + model.alpha**2 * forward_map_exact(model, bath, float(t))
-        svals = np.linalg.svd(m, compute_uv=False)
-        if svals[-1] <= 0 or not np.all(np.isfinite(svals)):
-            raise NumericsError(f"forward map singular at t = {t}")
-        sig[k] = svals[-1]
-        cond[k] = svals[0] / svals[-1]
-    return DiagnosticTable(t_grid.copy(), sig, cond)
+    n = model.dim**2
+    steps = len(t_grid) - 1
+    if steps >= 0 and np.array_equal(t_grid, np.linspace(0.0, t_grid[-1], steps + 1)):
+        j = forward_map_exact_grid(model, bath, t_grid[-1], steps)
+    else:
+        j = np.array([forward_map_exact(model, bath, float(t)) for t in t_grid]).reshape(-1, n, n)
+    svals = np.linalg.svd(np.eye(n, dtype=complex) + model.alpha**2 * j, compute_uv=False)
+    bad = (svals[:, -1] <= 0) | ~np.all(np.isfinite(svals), axis=1)
+    if np.any(bad):
+        raise NumericsError(f"forward map singular at t = {t_grid[np.argmax(bad)]}")
+    return DiagnosticTable(t_grid.copy(), svals[:, -1], svals[:, 0] / svals[:, -1])
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray):

@@ -55,10 +55,38 @@ and so cost accuracy.  Both forms of K4 hold the pairing chains
 (t, t2)(t1, t3) and (t, t3)(t1, t2), so each checks the other's remainder:
 the pairing (t, t1)(t2, t3) minus K2 J against the two interleaved chains.
 
+On a uniform grid t_s = s h every chain is tabulated at once.  Its block
+matrix is t M with M independent of t, so exp(t_s M) = exp(h M)^s: each
+chain is exponentiated at h, and the first block row of each power is
+reached by one product per node.  The B_i blocks enter at unit norm, so
+the matrix exponentiated is D^{-1} (h M) D with D block diagonal and fixed
+by h and the ||B_i||; its s-th power is D^{-1} exp(s h M) D, whose corner is
+that of exp(s h M) over the same factor h^k prod ||B_i|| at every s, so one
+weight serves every power.  The grid forms (:func:`K2_exact_grid`,
+:func:`forward_map_exact_grid`, :func:`K4_exact_grid`) return the nodes
+``np.linspace(0, t_max, steps + 1)`` from one call, h = t_max / steps; the
+per-time forms are the grid forms in one step, whose single power is the
+per-time block exponential itself.
+
+The round-off of exp(h M) is amplified once per product, so powers of it
+alone drift from the per-time values linearly in s: on
+``dephasing-single-mode``, where K4 vanishes and the route check of
+``tclgen run`` compares round-off of pairing chains of norm up to 1e2, that
+drift passed the check's trip from t = 3.6.  So each chain is also
+exponentiated once at H = m h, m = isqrt(steps), each at its own unit
+blocks: node a m + r is the a-th power of exp(H M), brought to the blocks of
+h, times r powers of exp(h M), at most about 2 sqrt(steps) products.  On
+``spinboson-single-mode`` at 16 steps per unit time the grid K4 is within
+2.0e-14 relative of the per-time calls up to t = 32, and on
+``dephasing-single-mode`` within 5.0e-12 absolute.  K2 is elementwise in t,
+so its grid values are the per-time ones, bit for bit.
+
 All arithmetic runs in the eigenbasis of H_S, where G and U(s) are diagonal.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -66,7 +94,16 @@ from .algebra import SuperOp, SystemModel, anticommutator_super_batch, commutato
 from .bath import BathSpec
 from .cumulant import _pairings
 
-__all__ = ["K2_exact", "K4_exact", "K4_table_exact", "forward_map_exact", "k4_chain_count"]
+__all__ = [
+    "K2_exact",
+    "K2_exact_grid",
+    "K4_exact",
+    "K4_exact_grid",
+    "K4_table_exact",
+    "forward_map_exact",
+    "forward_map_exact_grid",
+    "k4_chain_count",
+]
 
 
 def _bohr_parts(model: SystemModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -99,10 +136,15 @@ class _Eigenbasis:
         self.ca = np.concatenate([-half, half])
         self.w = self.cc[:, None, None] * self.xc + self.ca[:, None, None] * xa
 
-    def lead(self, t: float, inner: np.ndarray) -> np.ndarray:
-        """U(t) Xc applied to ``inner``, returned in the site basis."""
-        out = (np.exp(t * self.g)[:, None] * self.xc) @ inner
-        return self.to_site @ out @ self.to_site.conj().T
+    def lead(self, times: np.ndarray, inner: np.ndarray) -> np.ndarray:
+        """U(t) Xc applied to ``inner`` at each of ``times``, returned in the
+        site basis: (T, n, n) from (T, n, n)."""
+        out = (np.exp(times[:, None] * self.g)[:, :, None] * self.xc) @ inner
+        return self.site(out)
+
+    def site(self, m: np.ndarray) -> np.ndarray:
+        """A stack of superoperators taken from the eigenbasis to the site basis."""
+        return self.to_site @ m @ self.to_site.conj().T
 
 
 # Pade [13/13] coefficients and the 1-norm bound up to which that approximant
@@ -140,19 +182,24 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _chain_sum(t: float, g: np.ndarray, shifts: list[np.ndarray],
+def _chain_sum(h: float, steps: int, g: np.ndarray, shifts: list[np.ndarray],
                blocks: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """Sum over a batch of chains of the integrals of
-    e^{u0 A0} B1 e^{u1 A1} ... B_k e^{u_k A_k} over u0 + ... + u_k = t.
+    e^{u0 A0} B1 e^{u1 A1} ... B_k e^{u_k A_k} over u0 + ... + u_k = t, at
+    every t_s = s h of a uniform grid, s = 1 .. ``steps``.
 
     Chain b has A_i = i shifts[i][b] - G, with G diagonal (its diagonal is
     ``g``), and B_i = table_i[index_i[b]] for ``blocks[i-1] = (table_i,
     index_i)``; an index of length 1 gives every chain the same B_i.  Each
     B_i enters its block matrix at unit norm and the result is rescaled, so
     the top-right block is O(1) next to the unitary diagonal blocks.  The
+    block matrix is exponentiated at h and, for more than three steps, at
+    H = isqrt(steps) h; the value at t_s is the corner of a power, reached by
+    carrying first block rows through products with the two (see the module
+    docstring).  With one step this is the per-time block exponential.  The
     block matrices are built and exponentiated in chunks of at most
     ``_CHUNK_ENTRIES`` entries, so memory stays bounded however many chains
-    there are.  Returns the (n, n) sum.
+    there are.  Returns the (steps, n, n) sums.
     """
     shifts = np.stack(shifts, axis=1)
     batch, k = shifts.shape[0], len(blocks)
@@ -163,25 +210,43 @@ def _chain_sum(t: float, g: np.ndarray, shifts: list[np.ndarray],
     units = [tab / nb[:, None, None] for (tab, _), nb in zip(blocks, norms)]
     indices = [np.broadcast_to(index, (batch,)) for _, index in blocks]
     diag = np.arange(size)
-    total = np.zeros((n, n), dtype=complex)
-    step = max(1, _CHUNK_ENTRIES // size**2)
-    for lo in range(0, batch, step):
-        part = slice(lo, lo + step)
-        big = np.zeros((len(shifts[part]), size, size), dtype=complex)
-        big[:, diag, diag] = t * (1j * np.repeat(shifts[part], n, axis=1) - np.tile(g, k + 1))
-        weight = np.full(big.shape[0], float(t) ** k)
+    total = np.zeros((steps, n, n), dtype=complex)
+    # node s = a * stride + r is reached from node a * stride, the a-th power
+    # of a second step exponential at H = stride * h, by r steps of h
+    stride = max(1, math.isqrt(steps))
+    spans = np.array([h] if stride == 1 else [h, stride * h])
+    # the rows of e^{HM} at their own unit blocks, brought to those of h
+    to_h = np.repeat(float(stride) ** np.arange(k + 1), n)
+    chunk = max(1, _CHUNK_ENTRIES // (size**2 * spans.size))
+    for lo in range(0, batch, chunk):
+        part = slice(lo, lo + chunk)
+        big = np.zeros((spans.size, len(shifts[part]), size, size), dtype=complex)
+        big[:, :, diag, diag] = spans[:, None, None] * (
+            1j * np.repeat(shifts[part], n, axis=1) - np.tile(g, k + 1))
+        weight = np.full(big.shape[1], float(h) ** k)
         for i, (index, unit, nb) in enumerate(zip(indices, units, norms)):
-            big[:, i * n:(i + 1) * n, (i + 1) * n:(i + 2) * n] = unit[index[part]]
+            big[:, :, i * n:(i + 1) * n, (i + 1) * n:(i + 2) * n] = unit[index[part]]
             weight *= nb[index[part]]
-        total += np.tensordot(weight, _expm(big)[:, :n, k * n:], axes=1)
+        # one weight serves every power: the unit blocks are a similarity
+        # transform of the true ones that is the same at every t_s
+        step, leap = _expm(big.reshape(-1, size, size)).reshape(big.shape)[[0, -1]]
+        row = None
+        for s in range(1, steps + 1):
+            if s % stride == 0:
+                anchor = leap[:, :n] if s == stride else anchor @ leap
+                row = anchor * to_h
+            else:
+                row = step[:, :n] if row is None else row @ step
+            total[s - 1] += np.tensordot(weight, row[:, :, k * n:], axes=1)
     return total
 
 
-def _pairing_chains(c: _Eigenbasis, t: float, pairings, pinned: bool) -> np.ndarray:
+def _pairing_chains(c: _Eigenbasis, h: float, steps: int, pairings, pinned: bool) -> np.ndarray:
     """(-1/2)^(n/2) times the sum of the chronological chains of ``pairings``
     of n slots, one block exponential per pairing and tuple of kernel labels,
-    in the eigenbasis.  With ``pinned`` slot 0 sits at t and is left to the
-    caller's U(t) Xc; otherwise a free interval comes first and U(t) is left.
+    in the eigenbasis, at t_s = s h for s = 1 .. ``steps``.  With ``pinned``
+    slot 0 sits at t and is left to the caller's U(t) Xc; otherwise a free
+    interval comes first and U(t) is left.
     """
     n, m = 2 * len(pairings[0]), c.nu.size
     labels = [a.ravel() for a in np.indices((m,) * (n // 2))]
@@ -194,69 +259,108 @@ def _pairing_chains(c: _Eigenbasis, t: float, pairings, pinned: bool) -> np.ndar
             slots[a], slots[b] = (c.xc[None], np.zeros(1, dtype=int)), (c.w, label)
             for k in range(a + free, b + free):
                 shifts[k] = shifts[k] + c.nu[label]
-        total = total + _chain_sum(t, c.g, shifts, slots[1 - free:])
+        total = total + _chain_sum(h, steps, c.g, shifts, slots[1 - free:])
     return (-0.5) ** (n // 2) * total
 
 
-def K2_exact(model: SystemModel, bath: BathSpec, t: float) -> SuperOp:
-    """Second-order generator in closed form: -(1/2) Xc(t) int_0^t W(t1).
+def K2_exact_grid(model: SystemModel, bath: BathSpec, t_max: float, steps: int) -> np.ndarray:
+    """Second-order generator in closed form, -(1/2) Xc(t) int_0^t W(t1), on
+    the uniform grid of ``steps`` steps to ``t_max``: (steps + 1, d^2, d^2).
 
     In the eigenbasis of H_S the two-interval chain is elementwise:
     int e^{u0 a_k} W_kl e^{u1 b_l} over u0 + u1 = t, with a = i nu - g and
     b = -g, is W_kl t e^{t a_k} phi(t (b_l - a_k)) for phi(z) = (e^z - 1)/z,
     a first divided difference of the exponential.  ``expm1`` keeps phi
     accurate when the two frequencies coincide or nearly do.  Cost is linear
-    in the number of modes.
+    in the number of modes; each node is evaluated on its own, so a node's
+    value does not depend on the grid, and nodes are taken in chunks of at
+    most ``_CHUNK_ENTRIES`` entries.
     """
     c = _Eigenbasis(model, bath)
+    times = np.linspace(0.0, t_max, steps + 1)
     a = 1j * c.nu[:, None] - c.g  # (labels, n)
-    z = t * (-c.g[None, None, :] - a[:, :, None])
-    zero = z == 0
-    phi = np.where(zero, 1.0, np.expm1(z) / np.where(zero, 1.0, z))
-    inner = np.einsum("mkl,mkl->kl", c.w, t * np.exp(t * a)[:, :, None] * phi)
-    return SuperOp(model.dim, -0.5 * c.lead(t, inner))
+    inner = np.empty((times.size,) + c.xc.shape, dtype=complex)
+    chunk = max(1, _CHUNK_ENTRIES // c.w.size)
+    for lo in range(0, times.size, chunk):
+        t = times[lo:lo + chunk, None, None]
+        z = t[..., None] * (-c.g[None, None, :] - a[:, :, None])
+        zero = z == 0
+        phi = np.where(zero, 1.0, np.expm1(z) / np.where(zero, 1.0, z))
+        inner[lo:lo + chunk] = np.einsum(
+            "mkl,tmkl->tkl", c.w, t[..., None] * np.exp(t * a)[..., None] * phi)
+    return -0.5 * c.lead(times, inner)
 
 
-def forward_map_exact(model: SystemModel, bath: BathSpec, t: float) -> np.ndarray:
+def K2_exact(model: SystemModel, bath: BathSpec, t: float) -> SuperOp:
+    """Second-order generator at one time: :func:`K2_exact_grid` in one step."""
+    return SuperOp(model.dim, K2_exact_grid(model, bath, t, 1)[1])
+
+
+def forward_map_exact_grid(model: SystemModel, bath: BathSpec, t_max: float,
+                           steps: int) -> np.ndarray:
     """The forward-map correction J(t) = int_0^t dt1 int_0^t1 dt2 <L(t1) L(t2)>
     in closed form (the quadrature route is
-    :func:`tclgen.evolve.forward_map_correction`).
+    :func:`tclgen.evolve.forward_map_correction`) on the uniform grid of
+    ``steps`` steps to ``t_max``: (steps + 1, d^2, d^2) in the site basis.
 
     J' = K2, so J is U(t) times the one pairing of two slots with a free
     interval in front: one block exponential of size 3 d^2 per kernel label,
-    linear in the number of modes.  Returns the (d^2, d^2) matrix in the
-    site basis; J(0) is exactly 0, returned without building a chain.
+    linear in the number of modes, then one product per further node.  J(0)
+    is exactly 0, and a grid with no step (``t_max`` = 0 or ``steps`` = 0)
+    builds no chain.
     """
-    if t == 0:
-        return np.zeros((model.dim**2, model.dim**2), dtype=complex)
+    out = np.zeros((steps + 1, model.dim**2, model.dim**2), dtype=complex)
+    if steps == 0 or t_max == 0:
+        return out
     c = _Eigenbasis(model, bath)
-    out = np.exp(t * c.g)[:, None] * _pairing_chains(c, t, _pairings(2), pinned=False)
-    return c.to_site @ out @ c.to_site.conj().T
+    times = np.linspace(0.0, t_max, steps + 1)[1:]
+    chains = _pairing_chains(c, t_max / steps, steps, _pairings(2), pinned=False)
+    out[1:] = c.site(np.exp(times[:, None] * c.g)[:, :, None] * chains)
+    return out
+
+
+def forward_map_exact(model: SystemModel, bath: BathSpec, t: float) -> np.ndarray:
+    """J(t) at one time: :func:`forward_map_exact_grid` in one step, the
+    (d^2, d^2) matrix in the site basis; J(0) is exactly 0."""
+    return forward_map_exact_grid(model, bath, t, 1)[1]
 
 
 def k4_chain_count(bath: BathSpec) -> int:
     """Number of block exponentials of size 4 d^2 one :func:`K4_exact` call
     evaluates: 3 (2M)^2 for M bath modes, one per Wick pairing and pair of
     kernel labels.  The cost of the exact route grows with this count, not
-    with t; the 2M smaller exponentials of J are not counted.
+    with t; the 2M smaller exponentials of J are not counted.  A grid form
+    builds the same chains once for all its nodes, with two exponentials
+    each from four steps on.
     """
     return len(_pairings(4)) * (2 * len(bath.omegas)) ** 2
 
 
-def K4_exact(model: SystemModel, bath: BathSpec, t: float) -> SuperOp:
+def K4_exact_grid(model: SystemModel, bath: BathSpec, t_max: float, steps: int) -> np.ndarray:
     """Fourth-order generator in closed form, as the paper's partially
-    unordered cumulant form K4 = J4' - K2 J.
+    unordered cumulant form K4 = J4' - K2 J, on the uniform grid of
+    ``steps`` steps to ``t_max``: (steps + 1, d^2, d^2).
 
     J4' is U(t) Xc times the three Wick-pairing chains with slot 0 pinned
-    at t, one block exponential per pairing and pair of labels (nu, mu).
-    K4(0) is exactly 0, returned without building a chain.
+    at t, one block exponential per pairing and pair of labels (nu, mu);
+    K2 J is one batched product over the nodes.  K4(0) is exactly 0, and a
+    grid with no step builds no chain.
     """
-    if t == 0:
-        return SuperOp(model.dim, np.zeros((model.dim**2, model.dim**2), dtype=complex))
+    out = np.zeros((steps + 1, model.dim**2, model.dim**2), dtype=complex)
+    if steps == 0 or t_max == 0:
+        return out
     c = _Eigenbasis(model, bath)
-    j4 = c.lead(t, _pairing_chains(c, t, _pairings(4), pinned=True))
-    k2_j = K2_exact(model, bath, t).matrix @ forward_map_exact(model, bath, t)
-    return SuperOp(model.dim, j4 - k2_j)
+    times = np.linspace(0.0, t_max, steps + 1)[1:]
+    j4 = c.lead(times, _pairing_chains(c, t_max / steps, steps, _pairings(4), pinned=True))
+    k2_j = (K2_exact_grid(model, bath, t_max, steps)[1:]
+            @ forward_map_exact_grid(model, bath, t_max, steps)[1:])
+    out[1:] = j4 - k2_j
+    return out
+
+
+def K4_exact(model: SystemModel, bath: BathSpec, t: float) -> SuperOp:
+    """Fourth-order generator at one time: :func:`K4_exact_grid` in one step."""
+    return SuperOp(model.dim, K4_exact_grid(model, bath, t, 1)[1])
 
 
 def K4_table_exact(model: SystemModel, bath: BathSpec, t: float) -> SuperOp:
@@ -278,7 +382,7 @@ def K4_table_exact(model: SystemModel, bath: BathSpec, t: float) -> SuperOp:
     p = omega.size
     eye = (np.eye(n, dtype=complex)[None], np.zeros(1, dtype=int))
     # chronological chains: the pairings that the (t, t1)(t2, t3) product spares
-    inner = _pairing_chains(c, t, [pp for pp in _pairings(4) if (0, 1) not in pp], pinned=True)
+    inner = _pairing_chains(c, t, 1, [pp for pp in _pairings(4) if (0, 1) not in pp], pinned=True)
     # interleaved chains: the out-of-order slot (label nu) split by Bohr
     # frequency w, which shifts the intervals that slot spans by -w
     i, j, q = (a.ravel() for a in np.indices((m, m, p)))
@@ -288,7 +392,7 @@ def K4_table_exact(model: SystemModel, bath: BathSpec, t: float) -> SuperOp:
              @ c.xc).reshape(m * p, n, n)
     first = (table, i * p + q)
     # -Xc(t) W(t2) Xc(t1) W(t3): nu on u0, u1; mu on u1, u2; -w on u1
-    inner -= 0.25 * _chain_sum(t, c.g, [nu, nu + mu - w, mu, zero], [first, eye, (c.w, j)])
+    inner -= 0.25 * _chain_sum(t, 1, c.g, [nu, nu + mu - w, mu, zero], [first, eye, (c.w, j)])
     # -Xc(t) W(t3) Xc(t1) W(t2): nu on u0..u2; mu on u1; -w on u1, u2
-    inner -= 0.25 * _chain_sum(t, c.g, [nu, nu + mu - w, nu - w, zero], [first, (c.w, j), eye])
-    return SuperOp(model.dim, c.lead(t, inner))
+    inner -= 0.25 * _chain_sum(t, 1, c.g, [nu, nu + mu - w, nu - w, zero], [first, (c.w, j), eye])
+    return SuperOp(model.dim, c.lead(np.array([t]), inner)[0])

@@ -12,10 +12,11 @@ data (:data:`K4_TERM_TABLE`), not hand-expanded code, and can be dumped for
 audit through the CLI.
 
 :func:`build_generator` takes its coefficients from the closed forms of
-:mod:`tclgen.exact` (:func:`K2_exact`, :func:`K4_exact`), except K4 on baths
-with so many modes that the exact route would cost more than quadrature
-(:func:`_k4_exact_is_cheaper`).  :func:`K4_exact` is the ordered-cumulant
-route (the partially unordered form J4' - K2 J); :func:`check_k4_routes`
+:mod:`tclgen.exact`, for a whole grid at once (:func:`K2_exact_grid`,
+:func:`K4_exact_grid`), except K4 on baths with so many modes that the exact
+route would cost more than quadrature (:func:`_k4_exact_is_cheaper`).
+:func:`K4_exact` is the ordered-cumulant route (the partially unordered form
+J4' - K2 J); :func:`check_k4_routes`
 sets the generator's K4 against the other route, chosen by the same rule.
 The quadrature routes are otherwise the independent checks: :func:`K2_influence` and
 :func:`K4_influence` integrate the kernel formulas numerically, and
@@ -44,7 +45,14 @@ from .algebra import (
 )
 from .bath import BathSpec, kernel_D, kernel_D1
 from .cumulant import K_n_cumulant, _order4_pieces, forward_map_correction
-from .exact import K2_exact, K4_exact, K4_table_exact, k4_chain_count
+from .exact import (
+    K2_exact,
+    K2_exact_grid,
+    K4_exact,
+    K4_exact_grid,
+    K4_table_exact,
+    k4_chain_count,
+)
 from .quadrature import GAUSS_POINT_CAP, QuadratureSpec, integrate_interval, integrate_simplex3
 
 ORDERS = (2, 4)  # the orders of the generator series
@@ -446,9 +454,14 @@ def build_generator(
     ``max(33, ceil(t_max * nodes_per_unit_time) + 1)`` uniform nodes.  Every
     mode draws on one memo of the unscaled coefficients, so each K2(t) and
     K4(t) is computed at most once per time, whatever the coupling.  K2
-    always comes from :func:`K2_exact`, K4 from :func:`K4_exact` where
-    :func:`_k4_exact_is_cheaper`, else from :func:`K4_influence` on ``quad``
-    (the two agree to about 1e-12 relative at the default quadrature).
+    always comes from the closed form, K4 from it where
+    :func:`_k4_exact_is_cheaper` at that node, else from :func:`K4_influence`
+    on ``quad`` (the two agree to about 1e-12 relative at the default
+    quadrature).  With a grid the memo is filled when the generator is
+    built: every node's K2 from one :func:`K2_exact_grid` call and the
+    closed-form K4 nodes from one :func:`K4_exact_grid` call.  Times off the
+    grid, and every time in ``"direct"`` mode, take the per-time calls
+    :func:`K2_exact` and :func:`K4_exact`.
     """
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
@@ -456,10 +469,13 @@ def build_generator(
     memo: dict[float, Coefficients] = {}
     chains = k4_chain_count(bath) if order == 4 else 0
 
+    def exact_route(t: float) -> bool:
+        return order == 4 and _k4_exact_is_cheaper(model.dim, chains, quad.points(t))
+
     def fourth(t: float) -> np.ndarray | None:
         if order == 2:
             return None
-        if _k4_exact_is_cheaper(model.dim, chains, quad.points(t)):
+        if exact_route(t):
             return K4_exact(model, bath, t).matrix
         return K4_influence(model, bath, t, quad).matrix
 
@@ -470,4 +486,10 @@ def build_generator(
 
     n_nodes = max(33, math.ceil(t_max * quad.nodes_per_unit_time) + 1)
     grid = None if interp == "direct" else np.linspace(0.0, t_max, n_nodes)
+    if grid is not None:
+        k2 = K2_exact_grid(model, bath, t_max, n_nodes - 1)
+        routes = [exact_route(t) for t in grid]
+        k4 = K4_exact_grid(model, bath, t_max, n_nodes - 1) if any(routes) else None
+        for i, (t, exact) in enumerate(zip(grid, routes)):
+            memo[t] = Coefficients(k2[i], k4[i] if exact else fourth(t))
     return Generator(order, model.alpha, model.dim, coefficients, grid, interp)

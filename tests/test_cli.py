@@ -316,28 +316,40 @@ def _record_calls(monkeypatch, **originals):
 
 
 def test_run_computes_each_k4_once(tmp_path, monkeypatch):
-    # count the K4 routes in every tclgen namespace that holds them
-    originals = {"exact": tclgen.exact.K4_exact, "influence": tclgen.tcl.K4_influence,
-                 "table": tclgen.exact.K4_table_exact}
+    # count the K4 routes in every tclgen namespace that holds them, and keep
+    # the generator the run builds, whose memo the CSVs are written from
+    originals = {"exact": tclgen.exact.K4_exact, "grid": tclgen.exact.K4_exact_grid,
+                 "influence": tclgen.tcl.K4_influence, "table": tclgen.exact.K4_table_exact}
     calls = _record_calls(monkeypatch, **originals)
+    built, build = [], tclgen.cli.build_generator
+
+    def keep(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(tclgen.cli, "build_generator", keep)
     cfg_path = tmp_path / "scenario.ini"
     cfg_path.write_text(RUN_SMALL)
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-    times = {key: [float(args[2]) for args in made] for key, made in calls.items()}
-    # the 33 table nodes include both generator times; the closed-form
-    # kernel table runs only in the report's route check, once per generator
-    # time, and the quadrature table not at all
+    # the 33 table nodes, both generator times among them, come from one grid
+    # call of 32 steps to t_max; the closed-form kernel table runs only in
+    # the report's route check, once per generator time, and neither the
+    # per-time closed form nor the quadrature table runs at all
     cfg = parse_config(RUN_SMALL)
-    assert len(times["exact"]) == len(set(times["exact"])) == 33
-    assert times["table"] == [float(t) for t in cfg.generator_times]
-    assert times["influence"] == []
+    assert [tuple(map(float, args[2:])) for args in calls["grid"]] == [(1.0, 32.0)]
+    assert calls["exact"] == []
+    assert [float(args[2]) for args in calls["table"]] == [float(t) for t in cfg.generator_times]
+    assert calls["influence"] == []
+    (gen,) = built
     for t in cfg.generator_times:
-        k4 = originals["exact"](cfg.model, cfg.bath, t).matrix
-        expected = [",".join(f"{v:.12e}" for z in row for v in (z.real, z.imag))
+        k4 = gen.coefficients(t).k4
+        expected = [",".join(tclgen.cli._fmt(v) for z in row for v in (z.real, z.imag))
                     for row in k4]
         lines = (out / f"generator_K4_t{t:g}.csv").read_text().splitlines()
         assert lines[2:] == expected
+        per_time = originals["exact"](cfg.model, cfg.bath, t).matrix
+        assert np.linalg.norm(k4 - per_time) <= 1e-13 * np.linalg.norm(per_time)
 
 
 FIVE_MODES = (

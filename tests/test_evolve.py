@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import tclgen.evolve
 from tclgen.algebra import SystemModel, unvec, vec
 from tclgen.bath import BathSpec
 from tclgen.evolve import (
@@ -17,6 +18,7 @@ from tclgen.evolve import (
     propagate,
     trace_distance,
 )
+from tclgen.exact import forward_map_exact
 from tclgen.models import dephasing_exact, get_preset, to_interaction_picture
 from tclgen.quadrature import QuadratureSpec
 from tclgen.tcl import Coefficients, Generator, build_generator
@@ -271,6 +273,42 @@ def test_diagnostic_interacting_map_contracts():
     assert table.sigma_min[1] < 1.0
     assert table.sigma_min[2] < 1.0
     assert np.all(table.condition_number >= 1.0)
+
+
+def _diagnostic_loop(model, bath, times):
+    """The diagnostic as one forward_map_exact call and one SVD per time."""
+    eye = np.eye(model.dim**2, dtype=complex)
+    svals = np.array([np.linalg.svd(eye + model.alpha**2 * forward_map_exact(model, bath, float(t)),
+                                    compute_uv=False) for t in times])
+    return svals[:, -1], svals[:, 0] / svals[:, -1]
+
+
+@pytest.mark.parametrize("times, bound", [
+    (np.linspace(0.0, 10.0, 101), 5e-12),
+    (np.array([0.0, 0.7, 1.9, 6.0]), 0.0),
+])
+def test_diagnostic_matches_one_svd_per_time(times, bound):
+    # a linspace grid takes J from one grid call, which differs from the
+    # per-time calls by round-off (4.8e-13 relative measured here); other
+    # times take the per-time calls, and the stacked SVD is the loop's
+    preset = get_preset("spinboson-two-mode")
+    table = invertibility_diagnostic(preset.model, preset.bath, times)
+    sig, cond = _diagnostic_loop(preset.model, preset.bath, times)
+    assert np.max(np.abs(table.sigma_min - sig) / sig) <= bound
+    assert np.max(np.abs(table.condition_number - cond) / cond) <= bound
+
+
+def test_diagnostic_names_the_first_singular_time(monkeypatch):
+    model = spin_boson(0.5)
+
+    def singular_from_node_2(model, bath, t_max, steps):
+        j = np.zeros((steps + 1, 4, 4), dtype=complex)
+        j[2:] = -np.eye(4) / model.alpha**2  # M = 1 + alpha^2 J = 0
+        return j
+
+    monkeypatch.setattr(tclgen.evolve, "forward_map_exact_grid", singular_from_node_2)
+    with pytest.raises(NumericsError, match=r"^forward map singular at t = 0\.5$"):
+        invertibility_diagnostic(model, BATH, np.linspace(0.0, 1.0, 5))
 
 
 def test_correction_is_coupling_independent():

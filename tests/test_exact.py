@@ -25,10 +25,19 @@ from tclgen.algebra import SystemModel
 from tclgen.bath import BathSpec
 from tclgen.cumulant import K_n_cumulant
 from tclgen.evolve import forward_map_correction
-from tclgen.exact import K2_exact, K4_exact, K4_table_exact, _expm, forward_map_exact
+from tclgen.exact import (
+    K2_exact,
+    K2_exact_grid,
+    K4_exact,
+    K4_exact_grid,
+    K4_table_exact,
+    _expm,
+    forward_map_exact,
+    forward_map_exact_grid,
+)
 from tclgen.models import get_preset
 from tclgen.quadrature import QuadratureSpec
-from tclgen.tcl import K2_influence, K4_influence
+from tclgen.tcl import K2_influence, K4_influence, build_generator
 
 _home = tempfile.mkdtemp(prefix="tclgen-hypothesis-")
 atexit.register(shutil.rmtree, _home, ignore_errors=True)
@@ -146,9 +155,9 @@ def test_block_exponential_counts(monkeypatch, modes):
     bohr_parts = tclgen.exact._bohr_parts(model)[0].size
     original, counts = tclgen.exact._chain_sum, {}
 
-    def counting(t, g, shifts, blocks):
+    def counting(h, steps, g, shifts, blocks):
         counts[len(blocks) + 1] = counts.get(len(blocks) + 1, 0) + len(shifts[0])
-        return original(t, g, shifts, blocks)
+        return original(h, steps, g, shifts, blocks)
 
     monkeypatch.setattr(tclgen.exact, "_chain_sum", counting)
     labels = 2 * modes
@@ -160,6 +169,14 @@ def test_block_exponential_counts(monkeypatch, modes):
         counts.clear()
         form(model, bath, 0.7)
         assert counts == expected
+    # a 33-node table hands each chain to one grid call for all its nodes
+    # (two block exponentials per chain, at the step and at isqrt(32) steps);
+    # the nodes before the exact route's cost limit take K4_influence, which
+    # builds no chain
+    counts.clear()
+    gen = build_generator(model, bath, 4, QuadratureSpec(GL, 16, 1e-8), 2.0)
+    assert len(gen.grid) == 33
+    assert counts == {4: tclgen.exact.k4_chain_count(bath), 3: labels}
 
 
 def test_forward_map_does_not_depend_on_the_coupling():
@@ -184,20 +201,21 @@ def _hermitian(d, scale):
     return entries.map(build)
 
 
-_baths = st.builds(
-    BathSpec,
-    st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
-             min_size=1, max_size=3),
-    st.one_of(st.just(math.inf), st.floats(1.0, 5.0)),
-)
+def _baths(max_modes=3):
+    return st.builds(
+        BathSpec,
+        st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+                 min_size=1, max_size=max_modes),
+        st.one_of(st.just(math.inf), st.floats(1.0, 5.0)),
+    )
 
 
 @st.composite
-def instances(draw, dims):
+def instances(draw, dims, max_modes=3):
     d = draw(st.sampled_from(dims))
     h = draw(_hermitian(d, 0.5))
     x = draw(_hermitian(d, 1.0))
-    return SystemModel(d, h, x, alpha=0.1), draw(_baths)
+    return SystemModel(d, h, x, alpha=0.1), draw(_baths(max_modes))
 
 
 @st.composite
@@ -207,7 +225,7 @@ def commuting_instances(draw, dims):
     spec = st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)
     h = v @ np.diag(draw(spec)) @ v.conj().T
     x = v @ np.diag(draw(spec)) @ v.conj().T
-    return SystemModel(d, (h + h.conj().T) / 2, (x + x.conj().T) / 2, alpha=0.1), draw(_baths)
+    return SystemModel(d, (h + h.conj().T) / 2, (x + x.conj().T) / 2, alpha=0.1), draw(_baths())
 
 
 @settings(DETERMINISTIC, max_examples=12)
@@ -279,3 +297,52 @@ def test_forward_map_annihilates_the_trace_and_matches_quadrature(instance, t):
 def test_fourth_order_vanishes_for_commuting_coupling(instance, t):
     model, bath = instance
     assert np.linalg.norm(K4_exact(model, bath, t).matrix) < 1e-12
+
+
+# --- grid forms against the per-time calls --------------------------------------
+
+
+@settings(DETERMINISTIC, max_examples=10)
+@given(instances((2, 3), max_modes=2), st.floats(0.5, 10.0), st.integers(1, 40))
+def test_grid_forms_match_the_per_time_calls(instance, t_max, steps):
+    # a grid node is reached by powers of two step exponentials, where the
+    # per-time call exponentiates at t_s itself; K2 is elementwise
+    model, bath = instance
+    times = np.linspace(0.0, t_max, steps + 1)
+    k2 = K2_exact_grid(model, bath, t_max, steps)
+    j = forward_map_exact_grid(model, bath, t_max, steps)
+    k4 = K4_exact_grid(model, bath, t_max, steps)
+    assert k2.shape == j.shape == k4.shape == (steps + 1, model.dim**2, model.dim**2)
+    assert not np.any(j[0]) and not np.any(k4[0])
+    for s, t in enumerate(times):
+        assert np.array_equal(k2[s], K2_exact(model, bath, t).matrix)
+        per_time = forward_map_exact(model, bath, t)
+        # absolute below norm 1: X = 0 is a draw
+        assert np.linalg.norm(j[s] - per_time) <= 1e-13 * max(np.linalg.norm(per_time), 1.0)
+    for s in sorted({1, steps // 2, steps}):
+        t = times[s]
+        per_time = K4_exact(model, bath, t).matrix
+        # relative to the larger of K4 and K2 J, the pieces of J4' - K2 J:
+        # where K4 nearly vanishes both sides are round-off of the pieces
+        k2_j = K2_exact(model, bath, t).matrix @ forward_map_exact(model, bath, t)
+        scale = max(np.linalg.norm(per_time), np.linalg.norm(k2_j))
+        assert np.linalg.norm(k4[s] - per_time) <= 1e-13 * scale
+
+
+def test_long_grid_stays_near_the_per_time_calls():
+    # 512 steps to t = 32, checked at every 16th node: a node is at most
+    # about 2 sqrt(512) products from a directly exponentiated step.
+    # Measured over all 513 nodes: on spinboson-single-mode K4 within
+    # 2.0e-14 relative (2.0e-15 at t = 32); on dephasing-single-mode, where
+    # K4 vanishes and both sides are round-off, within 5.0e-12 absolute
+    # (1.8e-12 at t = 32).  Powers of one step exponential alone gave
+    # 5.8e-14 and 1.35e-11.
+    times = np.linspace(0.0, 32.0, 513)
+    p = get_preset("spinboson-single-mode")
+    k4 = K4_exact_grid(p.model, p.bath, 32.0, 512)
+    assert max(rel(k4[s], K4_exact(p.model, p.bath, times[s]).matrix)
+               for s in range(16, 513, 16)) < 1e-13
+    p = get_preset("dephasing-single-mode")
+    k4 = K4_exact_grid(p.model, p.bath, 32.0, 512)
+    assert max(np.linalg.norm(k4[s] - K4_exact(p.model, p.bath, times[s]).matrix)
+               for s in range(16, 513, 16)) < 1e-11

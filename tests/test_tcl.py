@@ -28,6 +28,7 @@ from tclgen.tcl import (
     _k4_ordered_pieces,
     _not_a_knot,
     build_generator,
+    check_k4_routes,
     format_k4_table,
 )
 from tclgen.cumulant import K_n_cumulant
@@ -310,6 +311,21 @@ def test_vanishing_k4_passes_the_route_check(t):
     preset = get_preset("dephasing-single-mode")
     k4 = K4_cumulant_ordered(preset.model, preset.bath, t, QuadratureSpec())
     assert k4.norm_fro() <= 1e-12
+
+
+def test_grid_k4_passes_the_run_route_check_where_k4_vanishes():
+    # K4 is 0 on dephasing-single-mode, so the route check of `tclgen run`
+    # sets round-off of pairing chains of norm up to 1e2 against its 1e-6
+    # floor.  A grid reached by powers of one step exponential alone drifted
+    # past the trip from t = 3.6 (1.6e-6 at t = 4), where the per-time calls
+    # pass to t = 16 (6.5e-7); with a second step exponential every
+    # isqrt(steps) nodes the grid stays below 2e-7 here
+    preset = get_preset("dephasing-single-mode")
+    quad = QuadratureSpec()
+    gen = build_generator(preset.model, preset.bath, 4, quad, 16.0)
+    for t in (4.0, 8.0, 12.0, 16.0):
+        rel, trip = check_k4_routes(preset.model, preset.bath, t, quad, gen.coefficients(t).k4)
+        assert rel < trip
 
 
 def test_k4_routes_sum_the_innermost_nodes_before_any_superoperator(monkeypatch):
