@@ -122,18 +122,22 @@ def heisenberg_X_batch(
 ) -> np.ndarray:
     """X(t) for an array of times; returns shape (len(ts), d, d).
 
-    With ``weights`` of shape (..., B, C) and ``ts`` of shape (B, C), returns
-    the weighted sums ``sum_c weights[..., b, c] X(ts[b, c])``, shape
-    (..., B, d, d).  In the eigenbasis of H_S, X(s) has the entries
-    X_ab e^{i (w_a - w_b) s}, so the sum is taken on those phases before the
-    change of basis.
+    With ``weights`` of shape (B, K, C) and ``ts`` of shape (B, C), returns
+    the K weighted sums ``sum_c weights[b, k, c] X(ts[b, c])`` per row,
+    shape (B, K, d, d).  In the eigenbasis of H_S, X(s) has the entries
+    X_ab e^{i w_a s} e^{-i w_b s}, d exponentials per time; the sums over c
+    are one batched product (B, K, C) @ (B, C, d^2) on those phases, taken
+    before the change of basis.
     """
     ts = np.asarray(ts, dtype=float)
-    _, v = model._eig
-    phases = np.exp(1j * np.multiply.outer(ts, model._bohr_matrix))
+    w, v = model._eig
+    rot = np.exp(1j * np.multiply.outer(ts, w))
+    phases = np.einsum("...a,...b->...ab", rot, rot.conj())
     if weights is not None:
-        phases = np.einsum("...bc,bcij->...bij", weights, phases)
-    return np.einsum("ab,...tbc,dc->...tad", v, model._coupling_eigbasis * phases, v.conj())
+        batch, nodes, d = rot.shape
+        phases = (weights @ phases.reshape(batch, nodes, d * d)).reshape(
+            batch, weights.shape[1], d, d)
+    return v @ (model._coupling_eigbasis * phases) @ v.conj().T
 
 
 def _kron_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -143,8 +147,7 @@ def _kron_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("batch size mismatch")
     p, q = a.shape[1], a.shape[2]
     r, s = b.shape[1], b.shape[2]
-    out = np.einsum("tij,tkl->tikjl", a, b)
-    return out.reshape(ba, p * r, q * s)
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(ba, p * r, q * s)
 
 
 def commutator_super_batch(xs: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import SuperOp, SystemModel, _kron_batch, heisenberg_X_batch
+from .algebra import SuperOp, SystemModel, heisenberg_X_batch
 from .bath import BathSpec, bath_correlation
 from .quadrature import (
     QuadratureSpec,
@@ -171,6 +171,38 @@ def _pairings(k: int) -> tuple:
     return tuple(rec(tuple(range(k))))
 
 
+@lru_cache(maxsize=8)
+def _wick_table(k: int) -> tuple[np.ndarray, tuple, np.ndarray, np.ndarray]:
+    """The Wick sums of every placement, as data for :func:`_moment_matrix_batch`.
+
+    Each pairing of a placement's string pairs the last slot with a partner
+    slot j, the last slot first in the string or not: key 2 j + last_first.
+    Its other pairs contribute a product of correlations C(t_a - t_b) of the
+    first k - 1 slots, (a, b) in string order.  Returns (the 0/1 matrix that
+    sums the pairing terms into (placement, key) entries, flattened
+    placement-major; the slot pairs (a, b) whose correlations occur; per
+    term, the indices of its k/2 - 1 correlations in that list; the sign
+    i^k (-1)^(len right) of each placement).
+    """
+    placements, pairings = _placements(k), _pairings(k)
+    select = np.zeros((len(placements) * 2 * (k - 1), len(placements) * len(pairings)))
+    pairs: dict[tuple[int, int], int] = {}
+    index = []
+    for p, (_, _, order, _) in enumerate(placements):
+        for pairing in pairings:
+            row = []
+            for u, v in pairing:
+                a, b = order[u], order[v]
+                if k - 1 in (a, b):
+                    key = 2 * (a + b - (k - 1)) + (a == k - 1)
+                else:
+                    row.append(pairs.setdefault((a, b), len(pairs)))
+            select[p * 2 * (k - 1) + key, len(index)] = 1.0
+            index.append(row)
+    signs = np.array([1j**k * parity for *_, parity in placements])
+    return select, tuple(pairs), np.array(index, dtype=int), signs
+
+
 def _moment_matrix_batch(
     model: SystemModel, bath: BathSpec, times: list, batch: int,
     weights: np.ndarray | None = None,
@@ -179,11 +211,16 @@ def _moment_matrix_batch(
 
     Each entry of ``times`` is a scalar or a length-``batch`` array; scalars
     broadcast.  Times must be arranged non-increasing slotwise by the caller.
-    With ``weights`` of shape (B, C), the last slot is contracted:
+    With real ``weights`` of shape (B, C), the last slot is contracted:
     ``times[-1]`` has that shape too (or broadcasts to it), and the result is
     ``sum_c weights[:, c] <L(times[0]) ... L(times[-1][:, c])>``.  The Wick
     pair through the last slot is summed with its operator at the d x d
     level, so every superoperator is formed once per batch entry.
+
+    Placement p multiplies vec(rho) by kron(R_p^T, A_p) for a left product
+    A_p and a right product R_p of the slot operators; the 2^k placements
+    are summed as one batched product (B, d^2, P) @ (B, P, d^2) followed by
+    an axis permutation.
     """
     k = len(times)
     d = model.dim
@@ -192,39 +229,58 @@ def _moment_matrix_batch(
         times = [*times[:-1], np.broadcast_to(times[-1], (batch,))[:, None]]
     tarrs = [np.broadcast_to(np.asarray(s, dtype=float), (batch,)) for s in times[:-1]]
     last = np.broadcast_to(np.asarray(times[-1], dtype=float), weights.shape)
-    xs = [heisenberg_X_batch(model, ta) for ta in tarrs]
-    # the last slot's operator contracted with its pair's correlation, per
-    # partner slot j and order in the string: C(t_j - t_last) or C(t_last - t_j)
-    keys = [(j, last_first) for j in range(k - 1) for last_first in (False, True)]
-    taus = [last - tarrs[j][:, None] if lf else tarrs[j][:, None] - last for j, lf in keys]
-    pair_weights = np.stack([weights * bath_correlation(bath, tau) for tau in taus])
-    contracted = dict(zip(keys, heisenberg_X_batch(model, last, pair_weights)))
-    corr = {}
-    eye = np.broadcast_to(np.eye(d, dtype=complex), (batch, d, d))
-    acc = np.zeros((batch, d * d, d * d), dtype=complex)
-    for left, right, order, parity in _placements(k):
-        # Wick sum over pairings, the pair through the last slot inside y
-        y = np.zeros((batch, d, d), dtype=complex)
-        for pairing in _pairings(k):
-            w = np.ones(batch, dtype=complex)
-            for p, q in pairing:
-                a, b = order[p], order[q]
-                if k - 1 in (a, b):  # partner slot, and whether the last slot comes first
-                    key = (a + b - (k - 1), a == k - 1)
-                else:
-                    if (a, b) not in corr:
-                        corr[a, b] = bath_correlation(bath, tarrs[a] - tarrs[b])
-                    w = w * corr[a, b]
-            y += w[:, None, None] * contracted[key]
-        ops = xs + [y]
-        lmat = eye
-        for i in left:
-            lmat = lmat @ ops[i]
-        rmat = eye
-        for j in reversed(right):  # descending index: earliest-applied innermost
-            rmat = rmat @ ops[j]
-        acc += (1j**k * parity) * _kron_batch(np.transpose(rmat, (0, 2, 1)), lmat)
-    return acc
+    rights, lefts = _placement_products(model, tarrs, _wick_sums(model, bath, tarrs, last, weights))
+    acc = rights @ lefts
+    return acc.reshape(batch, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(batch, d * d, d * d)
+
+
+def _wick_sums(model: SystemModel, bath: BathSpec, tarrs: list, last: np.ndarray,
+               weights: np.ndarray) -> np.ndarray:
+    """The last slot's operator in each placement p, s_p times its Wick sum:
+    (B, 2^k, d, d), placements in the order of :func:`_placements`.
+
+    Every pairing pairs the last slot with a partner slot j; the last
+    slot's operator, contracted with that pair's correlation, is formed once
+    per partner and order in the string, and each placement weights these
+    by the correlations of its pairings' other pairs.
+    """
+    k, (batch, _) = len(tarrs) + 1, last.shape
+    select, pairs, index, signs = _wick_table(k)
+    # per partner slot j, sum_c w C(t_j - t_last) X(t_last); with the last
+    # slot first the correlation is C(t_last - t_j), its conjugate, and as X
+    # is Hermitian and w real, the sum is the Hermitian conjugate
+    contracted = heisenberg_X_batch(model, last, weights[:, None] * bath_correlation(
+        bath, np.stack(tarrs, axis=1)[:, :, None] - last[:, None]))
+    contracted = np.stack([contracted, contracted.conj().swapaxes(2, 3)], axis=2)
+    terms = np.ones((index.shape[0], batch), dtype=complex)
+    if pairs:
+        corr = bath_correlation(bath, np.stack([tarrs[a] - tarrs[b] for a, b in pairs]))
+        terms = np.prod(corr[index], axis=1)
+    coef = (terms.T @ select.T).reshape(batch, signs.size, -1) * signs[:, None]
+    d = model.dim
+    return (coef @ contracted.reshape(batch, -1, d * d)).reshape(batch, signs.size, d, d)
+
+
+def _placement_products(model: SystemModel, tarrs: list, y: np.ndarray):
+    """(R_p^T as (B, d^2, P), A_p as (B, P, d^2)) for every placement p.
+
+    The left product A_p runs over the slots on the left in ascending order,
+    the right product R_p over those on the right in descending order; the
+    last slot's operator ``y[:, p]`` closes one of the two.  The other
+    slots' products are built slot by slot, indexed by the bits of the slots
+    placed on the right.
+    """
+    batch, placements, d, _ = y.shape
+    left = right = np.broadcast_to(np.eye(d, dtype=complex), (batch, 1, d, d))
+    for ta in tarrs:
+        x = heisenberg_X_batch(model, ta)[:, None]
+        left, right = (np.concatenate([left @ x, left], axis=1),
+                       np.concatenate([right, x @ right], axis=1))
+    half = placements // 2  # the last slot on the left: the first half
+    lefts = np.concatenate([left @ y[:, :half], left], axis=1)
+    rights = np.concatenate([right, y[:, half:] @ right], axis=1)
+    return (rights.swapaxes(2, 3).reshape(batch, placements, d * d).swapaxes(1, 2),
+            lefts.reshape(batch, placements, d * d))
 
 
 def moment_superop(model: SystemModel, bath: BathSpec, times) -> SuperOp:
@@ -244,10 +300,11 @@ def _term_integrand(model, bath, term: CumulantTerm, t: float):
 
     Slot 3 is the last slot of exactly one substring, and the term is linear
     in that factor, so its moment takes the t3 weights and the product is
-    formed once per (t1, t2) node.
+    formed once per (t1, t2) node.  A factor on the slots (t, t1) alone is
+    evaluated once per distinct t1 of the chunk.
     """
 
-    def f(t1: float, t2: np.ndarray, t3: np.ndarray, w3: np.ndarray) -> np.ndarray:
+    def f(t1: np.ndarray, t2: np.ndarray, t3: np.ndarray, w3: np.ndarray) -> np.ndarray:
         batch = t2.shape[0]
         slot_times = {0: t, 1: t1, 2: t2, 3: t3}
         prod = None
@@ -255,9 +312,12 @@ def _term_integrand(model, bath, term: CumulantTerm, t: float):
             times = [slot_times[i] for i in sub]
             if 3 in sub:
                 fac = _moment_matrix_batch(model, bath, times, batch, w3)
-            else:
-                # factors depending only on the scalar slots are batch independent
-                fac = _moment_matrix_batch(model, bath, times, batch if 2 in sub else 1)
+            elif 2 in sub:
+                fac = _moment_matrix_batch(model, bath, times, batch)
+            else:  # slots t and t1 only
+                distinct, where = np.unique(t1, return_inverse=True)
+                times = [distinct if i else t for i in sub]
+                fac = _moment_matrix_batch(model, bath, times, distinct.size)[where]
             prod = fac if prod is None else prod @ fac
         return float(term.sign) * prod
 
@@ -307,7 +367,7 @@ def forward_map_correction(
     """The coupling-independent double integral int_0^t int_0^t1 <L L>, by
     quadrature (the check route for :func:`tclgen.exact.forward_map_exact`)."""
     return integrate_simplex2(
-        lambda t1, t2: _moment_matrix_batch(model, bath, [t1, t2], t2.shape[0]),
+        lambda t1, t2: _moment_matrix_batch(model, bath, [t1, t2], t1.shape[0]),
         float(t),
         quad,
     )

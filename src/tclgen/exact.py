@@ -346,14 +346,20 @@ def K4_exact_grid(model: SystemModel, bath: BathSpec, t_max: float, steps: int) 
     K2 J is one batched product over the nodes.  K4(0) is exactly 0, and a
     grid with no step builds no chain.
     """
+    return _k4_exact_grid(model, bath, t_max, steps, K2_exact_grid(model, bath, t_max, steps))
+
+
+def _k4_exact_grid(model: SystemModel, bath: BathSpec, t_max: float, steps: int,
+                   k2: np.ndarray) -> np.ndarray:
+    """:func:`K4_exact_grid` from ``k2``, :func:`K2_exact_grid` on the same
+    grid, which :func:`tclgen.tcl.build_generator` has evaluated already."""
     out = np.zeros((steps + 1, model.dim**2, model.dim**2), dtype=complex)
     if steps == 0 or t_max == 0:
         return out
     c = _Eigenbasis(model, bath)
     times = np.linspace(0.0, t_max, steps + 1)[1:]
     j4 = c.lead(times, _pairing_chains(c, t_max / steps, steps, _pairings(4), pinned=True))
-    k2_j = (K2_exact_grid(model, bath, t_max, steps)[1:]
-            @ forward_map_exact_grid(model, bath, t_max, steps)[1:])
+    k2_j = k2[1:] @ forward_map_exact_grid(model, bath, t_max, steps)[1:]
     out[1:] = j4 - k2_j
     return out
 

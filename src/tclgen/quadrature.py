@@ -15,14 +15,21 @@ Two schemes:
   by discrete-mode baths this converges to machine precision at modest node
   counts.
 
-Integrand callables receive one scalar outer time plus arrays for the inner
-times and return a stacked array of matrices, shape (B, D, D).  The
-triple-simplex integrand is contracted over its innermost slot: it receives
-``t2`` of shape (B,) and ``t3``, ``w3`` of shape (B, C), and returns
-``sum_c w3[:, c] g(t1, t2, t3[:, c])`` for the integrand ``g`` it represents.
-The matrix-valued integrands here are linear in the one factor that carries
-``t3``, so the caller sums the ``t3`` nodes on that factor before any other
-product, and a call costs O(B) products rather than O(B C).
+Integrand callables are batched over node pairs.  ``integrate_interval``
+passes its nodes t1 as one array.  The simplex engines flatten the (t1, t2)
+node pairs of their rule and pass them in chunks of at most
+``_CHUNK_PAIRS`` pairs, ``t1`` and ``t2`` of shape (B,), so an integrand is
+called once per chunk rather than once per outer node, and the engine
+applies the weights of both times in one contraction per chunk; the cap
+bounds the memory a call of a superoperator-valued integrand takes.  The
+triple-simplex integrand is contracted over its innermost slot: it also
+receives ``t3``, ``w3`` of shape (B, C), and returns
+``sum_c w3[:, c] g(t1, t2, t3[:, c])`` for the integrand ``g`` it
+represents.  The matrix-valued integrands here are linear in the one factor
+that carries ``t3``, so the caller sums the ``t3`` nodes on that factor
+before any other product, and a call costs O(B) products rather than
+O(B C).  Every integrand returns a stacked array of matrices, shape
+(B, D, D).
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ __all__ = ["QuadratureSpec"]
 
 _SCHEMES = ("simpson-uniform", "gauss-legendre-nested")
 GAUSS_POINT_CAP = 96  # tensor Gauss-Legendre points per dimension, at most
+_CHUNK_PAIRS = 64  # (t1, t2) node pairs per call of a nested integrand, at most
 
 
 @dataclass(frozen=True)
@@ -153,67 +161,77 @@ def _support_ends(cw: np.ndarray) -> np.ndarray:
     return ends
 
 
-def integrate_simplex2(f, t: float, quad: QuadratureSpec) -> np.ndarray:
-    """int_0^t dt1 int_0^t1 dt2 f(t1, t2) with f(t1, t2_array) -> (B, D, D)."""
-    if t == 0.0:
-        return _probe_zero(f, 0.0, np.zeros(1))
+def _pairs(t: float, quad: QuadratureSpec):
+    """The (t1, t2) nodes of the rule on t >= t1 >= t2 >= 0, flattened in
+    t1-major order, with their outer weights and, per pair, the inner rule
+    on [0, t2]: ``(t1, t2, weight, inner)``.  ``inner(rows)`` returns the
+    (t3, w3) nodes and weights of the pairs in the slice ``rows``, each of
+    shape (B, C).
+
+    Gauss pairs are t1 = t x_a, t2 = t1 x_b with weight (t w_a)(t1 w_b),
+    and t3 = t2 x with w3 = t2 w.  Simpson pairs are the grid nodes (i, j)
+    with j up to the support end of row i, weight cw[n, i] cw[i, j]; their
+    inner rows are the cumulative weights of row j on the grid nodes, padded
+    with zero weights to the widest row of the pairs asked for.
+    """
     if quad.scheme == "simpson-uniform":
         n = quad.intervals(t)
         ts = np.linspace(0.0, t, n + 1)
         cw = cumulative_weights(n, t / n)
         ends = _support_ends(cw)
-        acc = None
-        for i in range(n + 1):
-            wi = cw[n, i]
-            s = ends[i]
-            inner = np.einsum("b,bij->ij", cw[i, : s + 1], f(ts[i], ts[: s + 1]))
-            acc = wi * inner if acc is None else acc + wi * inner
-        return acc
+        i = np.repeat(np.arange(n + 1), ends + 1)
+        j = np.concatenate([np.arange(e + 1) for e in ends])
+
+        def inner(rows):
+            c = ends[j[rows]].max() + 1
+            return np.broadcast_to(ts[:c], (j[rows].size, c)), cw[j[rows], :c]
+
+        return ts[i], ts[j], cw[n, i] * cw[i, j], inner
     x, w = _gauss01(quad.gauss_points(t))
-    acc = None
-    for a in range(len(x)):
-        t1 = t * x[a]
-        inner = np.einsum("b,bij->ij", t1 * w, f(t1, t1 * x))
-        term = (t * w[a]) * inner
-        acc = term if acc is None else acc + term
+    t1 = np.repeat(t * x, x.size)
+    t2 = t1 * np.tile(x, x.size)
+    weight = np.repeat(t * w, x.size) * (t1 * np.tile(w, x.size))
+    return t1, t2, weight, lambda rows: (np.outer(t2[rows], x), np.outer(t2[rows], w))
+
+
+def _chunks(size: int):
+    """Slices of at most ``_CHUNK_PAIRS`` pairs covering ``range(size)``."""
+    return (slice(lo, lo + _CHUNK_PAIRS) for lo in range(0, size, _CHUNK_PAIRS))
+
+
+def integrate_simplex2(f, t: float, quad: QuadratureSpec) -> np.ndarray:
+    """int_0^t dt1 int_0^t1 dt2 f(t1, t2).
+
+    ``f(t1, t2)`` takes node arrays of shape (B,), a chunk of at most
+    ``_CHUNK_PAIRS`` pairs of the rule, and returns (B, D, D); the engine
+    applies the weights of both times.
+    """
+    if t == 0.0:
+        return _probe_zero(f, np.zeros(1), np.zeros(1))
+    t1, t2, weight, _ = _pairs(t, quad)
+    acc = 0.0
+    for rows in _chunks(t1.size):
+        acc = acc + np.tensordot(weight[rows], f(t1[rows], t2[rows]), axes=1)
     return acc
 
 
 def integrate_simplex3(f, t: float, quad: QuadratureSpec) -> np.ndarray:
     """Triple simplex integral int_0^t dt1 int_0^t1 dt2 int_0^t2 dt3 g.
 
-    ``f(t1, t2, t3, w3)`` is called once per outer node with ``t2`` of shape
-    (B,) and ``t3``, ``w3`` of shape (B, C), and must return the innermost
+    ``f(t1, t2, t3, w3)`` takes a chunk of at most ``_CHUNK_PAIRS`` (t1, t2)
+    pairs of the rule, ``t1`` and ``t2`` of shape (B,), with the inner nodes
+    and weights ``t3``, ``w3`` of shape (B, C), and must return the innermost
     integral as a quadrature sum, ``sum_c w3[:, c] g(t1, t2, t3[:, c])``,
     shape (B, D, D); the engine applies the weights of ``t1`` and ``t2``.
     Gauss rows are ``t3 = t2 x`` with ``w3 = t2 w``; Simpson rows are the
     cumulative weights of the inner nodes, zero past each row's support.
     """
     if t == 0.0:
-        return _probe_zero(f, 0.0, np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1)))
-    if quad.scheme == "simpson-uniform":
-        n = quad.intervals(t)
-        ts = np.linspace(0.0, t, n + 1)
-        cw = cumulative_weights(n, t / n)
-        ends = _support_ends(cw)
-        acc = None
-        for i in range(n + 1):
-            si = ends[i]
-            c = ends[: si + 1].max() + 1
-            t3 = np.broadcast_to(ts[:c], (si + 1, c))
-            vals = f(ts[i], ts[: si + 1], t3, cw[: si + 1, :c])
-            inner = np.einsum("b,bij->ij", cw[i, : si + 1], vals)
-            acc = cw[n, i] * inner if acc is None else acc + cw[n, i] * inner
-        return acc
-    x, w = _gauss01(quad.gauss_points(t))
-    # cube map: t1 = t x_a, t2 = t1 x_b, t3 = t2 x_c; Jacobian t * t1 * t2
-    acc = None
-    for a in range(len(x)):
-        t1 = t * x[a]
-        t2 = t1 * x
-        vals = f(t1, t2, np.outer(t2, x), np.outer(t2, w))
-        inner = np.einsum("b,bij->ij", (t * w[a]) * (t1 * w), vals)
-        acc = inner if acc is None else acc + inner
+        return _probe_zero(f, np.zeros(1), np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1)))
+    t1, t2, weight, inner = _pairs(t, quad)
+    acc = 0.0
+    for rows in _chunks(t1.size):
+        acc = acc + np.tensordot(weight[rows], f(t1[rows], t2[rows], *inner(rows)), axes=1)
     return acc
 
 

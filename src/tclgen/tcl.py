@@ -39,6 +39,7 @@ import numpy as np
 from .algebra import (
     SuperOp,
     SystemModel,
+    _kron_batch,
     anticommutator_super_batch,
     commutator_super_batch,
     heisenberg_X_batch,
@@ -49,8 +50,8 @@ from .exact import (
     K2_exact,
     K2_exact_grid,
     K4_exact,
-    K4_exact_grid,
     K4_table_exact,
+    _k4_exact_grid,
     k4_chain_count,
 )
 from .quadrature import GAUSS_POINT_CAP, QuadratureSpec, integrate_interval, integrate_simplex3
@@ -167,42 +168,72 @@ def _lag_kernels(term: K4Term) -> tuple[str, str]:
 _T3_CONTRACTIONS = tuple(sorted({(term.pattern, _lag_kernels(term)[1]) for term in K4_TERM_TABLE}))
 
 
+def _t3_groups() -> dict:
+    """The table's strings after Xc(t), grouped by the factors before and
+    after their slot-3 bracket: {(prefix, suffix): [(coeff, sign, kernel on
+    the t2 lag, pattern, index in _T3_CONTRACTIONS)]}, with sign +1 for a
+    commutator at slot 3 and -1 for an anticommutator."""
+    groups: dict = {}
+    for term in K4_TERM_TABLE:
+        ops = term.ops[1:]
+        at = [slot for _, slot in ops].index(3)
+        k2, k3 = _lag_kernels(term)
+        entry = (term.coeff, 1 if ops[at][0] == "c" else -1, k2, term.pattern,
+                 _T3_CONTRACTIONS.index((term.pattern, k3)))
+        groups.setdefault((ops[:at], ops[at + 1:]), []).append(entry)
+    return groups
+
+
+_T3_GROUPS = _t3_groups()
+
+
 def _k4_integrand(model: SystemModel, bath: BathSpec, t: float):
     """Batched evaluator of the term-table integrand (without the 1/4), in
-    the contracted form :func:`integrate_simplex3` calls.
+    the contracted form :func:`integrate_simplex3` calls: ``t1``, ``t2`` of
+    shape (B,) and ``t3``, ``w3`` of shape (B, C).
 
     Every string holds slot 3 once, and one lag of every kernel product runs
     through t3, so the t3 nodes are summed on the operator first: one
-    ``sum_c w3 k(lag) X(t3)`` per pattern and kernel ``k`` on that lag, whose
-    bracket then stands in for slot 3.  Every string opens with Xc(t), which
-    is applied once to the sum of the rest.
+    ``sum_c w3 k(lag) X(t3)`` per pattern and kernel ``k`` on that lag.
+    Strings that share the factors around slot 3 share one product.  Its
+    slot-3 factor is the sum of their brackets, each of its contracted
+    operator times the coefficient and the kernel on the t2 lag: the map
+    rho -> A rho - rho B, with A the sum of those operators and B the same
+    sum with the anticommutators' terms negated.  Every string opens with
+    Xc(t), which is applied once to the sum of the rest; Xc(t1) is formed
+    once per distinct t1 of the chunk.
     """
     kernels = {"D": kernel_D, "D1": kernel_D1}
-    brackets = {"c": commutator_super_batch, "a": anticommutator_super_batch}
     xc0 = commutator_super_batch(heisenberg_X_batch(model, np.array([t])))[0]
 
-    def f(t1: float, t2: np.ndarray, t3: np.ndarray, w3: np.ndarray) -> np.ndarray:
+    def f(t1: np.ndarray, t2: np.ndarray, t3: np.ndarray, w3: np.ndarray) -> np.ndarray:
         # per pattern: (lag through t2, lag through t3)
-        lags = {"t-2,1-3": (t - t2, t1 - t3), "t-3,1-2": (t1 - t2, t - t3)}
-        weights = np.stack([w3 * kernels[k](bath, lags[p][1]) for p, k in _T3_CONTRACTIONS])
-        x3 = dict(zip(_T3_CONTRACTIONS, heisenberg_X_batch(model, t3, weights)))
+        lags = {"t-2,1-3": (t - t2, t1[:, None] - t3), "t-3,1-2": (t1 - t2, t - t3)}
+        weights = np.stack(
+            [w3 * kernels[k](bath, lags[p][1]) for p, k in _T3_CONTRACTIONS], axis=1)
+        x3 = heisenberg_X_batch(model, t3, weights)
         x2 = heisenberg_X_batch(model, t2)
+        distinct, where = np.unique(t1, return_inverse=True)
         ops = {
-            ("c", 1): commutator_super_batch(heisenberg_X_batch(model, np.array([t1]))),
+            ("c", 1): commutator_super_batch(heisenberg_X_batch(model, distinct))[where],
             ("c", 2): commutator_super_batch(x2),
             ("a", 2): anticommutator_super_batch(x2),
         }
-        acc = np.zeros((t2.shape[0], model.dim**2, model.dim**2), dtype=complex)
-        for term in K4_TERM_TABLE:
-            k2, k3 = _lag_kernels(term)
-            prod = None
-            for kind, slot in term.ops[1:]:
-                key = (kind, slot) if slot < 3 else (kind, term.pattern, k3)
-                if key not in ops:
-                    ops[key] = brackets[kind](x3[key[1:]])
-                prod = ops[key] if prod is None else prod @ ops[key]
-            scal = term.coeff * kernels[k2](bath, lags[term.pattern][0])
-            acc += scal[:, None, None] * prod
+        scalars = {(k, p): kernels[k](bath, lags[p][0]) for k in kernels for p in lags}
+        eye = np.broadcast_to(np.eye(model.dim, dtype=complex), x2.shape)
+        acc = np.zeros(ops["c", 2].shape, dtype=complex)
+        for (prefix, suffix), entries in _T3_GROUPS.items():
+            a = b = 0.0
+            for coeff, sign, k2, p, i in entries:
+                part = (coeff * scalars[k2, p])[:, None, None] * x3[:, i]
+                a, b = a + part, b + sign * part
+            prod = _kron_batch(eye, a)
+            prod -= _kron_batch(np.transpose(b, (0, 2, 1)), eye)
+            for factor in reversed(prefix):
+                prod = ops[factor] @ prod
+            for factor in suffix:
+                prod = prod @ ops[factor]
+            acc += prod
         return xc0 @ acc
 
     return f
@@ -290,7 +321,10 @@ def _k4_exact_is_cheaper(dim: int, chains: int, points: int) -> bool:
     5e-6 s x chains x d^4, the quadrature about 6e-5 s x points^2 x d, so
     the exact route is the cheaper one while chains x d^3 <= 12 points^2.
     For a two-level system at t = 2 and 16 nodes per unit time that holds
-    up to 11 modes.
+    up to 11 modes.  Since the quadrature engines batch their node pairs,
+    the quadrature costs about 2.4e-5 s x points^2 x d (break-even near
+    chains x d^3 <= 5 points^2); the bound stays as fitted until a
+    many-mode workload refits both constants.
     """
     return chains * dim**3 <= 12 * points**2
 
@@ -459,7 +493,8 @@ def build_generator(
     on ``quad`` (the two agree to about 1e-12 relative at the default
     quadrature).  With a grid the memo is filled when the generator is
     built: every node's K2 from one :func:`K2_exact_grid` call and the
-    closed-form K4 nodes from one :func:`K4_exact_grid` call.  Times off the
+    closed-form K4 nodes from one :func:`K4_exact_grid` evaluation, which
+    takes its K2 J term from that K2.  Times off the
     grid, and every time in ``"direct"`` mode, take the per-time calls
     :func:`K2_exact` and :func:`K4_exact`.
     """
@@ -489,7 +524,7 @@ def build_generator(
     if grid is not None:
         k2 = K2_exact_grid(model, bath, t_max, n_nodes - 1)
         routes = [exact_route(t) for t in grid]
-        k4 = K4_exact_grid(model, bath, t_max, n_nodes - 1) if any(routes) else None
+        k4 = _k4_exact_grid(model, bath, t_max, n_nodes - 1, k2) if any(routes) else None
         for i, (t, exact) in enumerate(zip(grid, routes)):
             memo[t] = Coefficients(k2[i], k4[i] if exact else fourth(t))
     return Generator(order, model.alpha, model.dim, coefficients, grid, interp)

@@ -220,6 +220,35 @@ def test_batch_matches_pointwise():
         assert np.allclose(batch[k], x_at(m, float(t)), atol=1e-13)
 
 
+def heisenberg_by_bohr_phases(model, ts):
+    """X(t) = V (X_eig * exp(i t (w_a - w_b))) V^dag, one phase per entry."""
+    w, v = np.linalg.eigh(model.h_sys)
+    x = v.conj().T @ model.coupling @ v
+    phases = np.exp(1j * np.multiply.outer(ts, w[:, None] - w[None, :]))
+    return v @ (x * phases) @ v.conj().T
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_batch_matches_bohr_phase_form(d, degenerate):
+    rng = np.random.default_rng(40 + d)
+    h = random_hermitian(rng, d)
+    if degenerate:  # a doubly degenerate level, in a random basis
+        u = np.linalg.qr(random_hermitian(rng, d) + 1j * np.eye(d))[0]
+        h = u @ np.diag(np.r_[0.7, 0.7, -np.arange(1.0, d - 1)]) @ u.conj().T
+    m = SystemModel(d, h, random_hermitian(rng, d), 0.1)
+    ts = rng.uniform(0.0, 4.0, size=(5, 7))
+    weights = rng.normal(size=(5, 3, 7)) + 1j * rng.normal(size=(5, 3, 7))
+    ref = heisenberg_by_bohr_phases(m, ts)  # (5, 7, d, d)
+    plain = heisenberg_X_batch(m, ts[0])
+    assert plain.shape == (7, d, d)
+    assert np.linalg.norm(plain - ref[0]) <= 1e-14 * np.linalg.norm(ref[0])
+    summed = heisenberg_X_batch(m, ts, weights)
+    target = np.einsum("bkc,bcij->bkij", weights, ref)
+    assert summed.shape == (5, 3, d, d)
+    assert np.linalg.norm(summed - target) <= 1e-14 * np.linalg.norm(target)
+
+
 def test_batched_brackets_match_pointwise():
     rng = np.random.default_rng(10)
     xs = np.stack([random_hermitian(rng, 3) for _ in range(5)])

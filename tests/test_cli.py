@@ -318,7 +318,7 @@ def _record_calls(monkeypatch, **originals):
 def test_run_computes_each_k4_once(tmp_path, monkeypatch):
     # count the K4 routes in every tclgen namespace that holds them, and keep
     # the generator the run builds, whose memo the CSVs are written from
-    originals = {"exact": tclgen.exact.K4_exact, "grid": tclgen.exact.K4_exact_grid,
+    originals = {"exact": tclgen.exact.K4_exact, "grid": tclgen.exact._k4_exact_grid,
                  "influence": tclgen.tcl.K4_influence, "table": tclgen.exact.K4_table_exact}
     calls = _record_calls(monkeypatch, **originals)
     built, build = [], tclgen.cli.build_generator
@@ -337,7 +337,7 @@ def test_run_computes_each_k4_once(tmp_path, monkeypatch):
     # the report's route check, once per generator time, and neither the
     # per-time closed form nor the quadrature table runs at all
     cfg = parse_config(RUN_SMALL)
-    assert [tuple(map(float, args[2:])) for args in calls["grid"]] == [(1.0, 32.0)]
+    assert [tuple(map(float, args[2:4])) for args in calls["grid"]] == [(1.0, 32.0)]
     assert calls["exact"] == []
     assert [float(args[2]) for args in calls["table"]] == [float(t) for t in cfg.generator_times]
     assert calls["influence"] == []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tclgen.quadrature import (
+    _CHUNK_PAIRS,
     QuadratureSpec,
     cumulative_weights,
     integrate_interval,
@@ -25,7 +26,8 @@ def as_mats(values) -> np.ndarray:
 
 def contracted(g):
     """Triple-simplex integrand of a scalar g(t1, t2, t3), summed over the t3 nodes."""
-    return lambda t1, t2s, t3s, w3: as_mats(np.sum(w3 * g(t1, t2s[:, None], t3s), axis=1))
+    return lambda t1s, t2s, t3s, w3: as_mats(
+        np.sum(w3 * g(t1s[:, None], t2s[:, None], t3s), axis=1))
 
 
 # --- spec validation ---------------------------------------------------------------
@@ -79,9 +81,9 @@ def test_interval_cubic_exact(quad):
 @pytest.mark.parametrize("quad", BOTH, ids=lambda q: q.scheme)
 def test_simplex2_volume_and_bilinear(quad):
     T = 1.3
-    vol = integrate_simplex2(lambda t1, t2s: as_mats(np.ones_like(t2s)), T, quad)
+    vol = integrate_simplex2(lambda t1s, t2s: as_mats(np.ones_like(t2s)), T, quad)
     assert vol[0, 0] == pytest.approx(T**2 / 2.0, rel=1e-12)
-    prod = integrate_simplex2(lambda t1, t2s: as_mats(t1 * t2s), T, quad)
+    prod = integrate_simplex2(lambda t1s, t2s: as_mats(t1s * t2s), T, quad)
     assert prod[0, 0] == pytest.approx(T**4 / 8.0, rel=1e-12)
 
 
@@ -104,7 +106,7 @@ def test_simplex3_volume_and_trilinear(quad):
 @pytest.mark.parametrize("T", [1.0, 2.5])
 def test_simplex2_difference_cosine(quad, T):
     # int_0^T dt1 int_0^t1 dt2 cos(t1 - t2) = 1 - cos(T)
-    out = integrate_simplex2(lambda t1, t2s: as_mats(np.cos(t1 - t2s)), T, quad)
+    out = integrate_simplex2(lambda t1s, t2s: as_mats(np.cos(t1s - t2s)), T, quad)
     tol = 1e-6 if quad.scheme == "simpson-uniform" else 1e-12
     assert out[0, 0] == pytest.approx(1.0 - math.cos(T), abs=tol)
 
@@ -135,7 +137,7 @@ def test_simpson_fourth_order_on_simplex2():
     errs = []
     for npu in (8, 16, 32):
         quad = QuadratureSpec("simpson-uniform", npu, 1e-8)
-        out = integrate_simplex2(lambda t1, t2s: as_mats(np.cos(t1 - t2s)), 1.0, quad)
+        out = integrate_simplex2(lambda t1s, t2s: as_mats(np.cos(t1s - t2s)), 1.0, quad)
         errs.append(abs(out[0, 0] - target))
     slopes = [math.log2(errs[k] / errs[k + 1]) for k in range(2)]
     for s in slopes:
@@ -163,8 +165,8 @@ def test_matrix_integrand(quad):
 @pytest.mark.parametrize("quad", BOTH, ids=lambda q: q.scheme)
 def test_zero_time_returns_zero_matrix(quad):
     f1 = lambda ts: np.broadcast_to(np.eye(2), (len(ts), 2, 2))
-    f2 = lambda t1, t2s: np.broadcast_to(np.eye(2), (len(t2s), 2, 2))
-    f3 = lambda t1, t2s, t3s, w3: np.broadcast_to(np.eye(2), (len(t2s), 2, 2))
+    f2 = lambda t1s, t2s: np.broadcast_to(np.eye(2), (len(t2s), 2, 2))
+    f3 = lambda t1s, t2s, t3s, w3: np.broadcast_to(np.eye(2), (len(t2s), 2, 2))
     for out in (
         integrate_interval(f1, 0.0, quad),
         integrate_simplex2(f2, 0.0, quad),
@@ -208,3 +210,115 @@ def test_every_cumulative_row_integrates_cubics_exactly(n):
         vals = nodes**p
         exact = nodes ** (p + 1) / (p + 1)
         assert np.allclose(w @ vals, exact, atol=1e-12 * max(1.0, exact[-1]))
+
+
+# --- batched engines against a per-node loop ---------------------------------------------
+
+
+def g2(t1, t2):
+    """A smooth 2 x 2 integrand of (t1, t2), broadcast over array times."""
+    t1, t2 = np.broadcast_arrays(t1, t2)
+    return np.stack([np.stack([np.cos(t1 - 2.0 * t2), np.sin(t2) * t1], -1),
+                     np.stack([np.exp(-t1 * t2), 1j * t1 * t2**2], -1)], -2)
+
+
+def g3(t1, t2, t3):
+    """A smooth 2 x 2 integrand of (t1, t2, t3), broadcast over array times."""
+    return g2(t1, t2) * np.exp(1j * (t1 - 3.0 * t3))[..., None, None] + t3[..., None, None]
+
+
+def batched3(t1s, t2s, t3s, w3):
+    return np.einsum("bc,bcij->bij", w3, g3(t1s[:, None], t2s[:, None], t3s))
+
+
+def simpson_rows(t, quad):
+    """Grid nodes, cumulative weights and the support end of each row."""
+    n = quad.intervals(t)
+    cw = cumulative_weights(n, t / n)
+    return np.linspace(0.0, t, n + 1), cw, [np.nonzero(row)[0].max(initial=0) for row in cw]
+
+
+def gauss_rule(quad, t):
+    x, w = np.polynomial.legendre.leggauss(quad.gauss_points(t))
+    return (x + 1.0) / 2.0, w / 2.0
+
+
+def loop_simplex2(g, t, quad):
+    """The double sum, one outer node at a time."""
+    total = np.zeros((2, 2), dtype=complex)
+    if quad.scheme == "simpson-uniform":
+        ts, cw, ends = simpson_rows(t, quad)
+        for i in range(len(ts)):
+            inner = slice(0, ends[i] + 1)
+            total += cw[-1, i] * np.einsum("b,bij->ij", cw[i, inner], g(ts[i], ts[inner]))
+        return total
+    x, w = gauss_rule(quad, t)
+    for t1, w1 in zip(t * x, t * w):
+        total += w1 * np.einsum("b,bij->ij", t1 * w, g(t1, t1 * x))
+    return total
+
+
+def loop_simplex3(g, t, quad):
+    """The triple sum, one outer node at a time."""
+    total = np.zeros((2, 2), dtype=complex)
+    if quad.scheme == "simpson-uniform":
+        ts, cw, ends = simpson_rows(t, quad)
+        for i in range(len(ts)):
+            for j in range(ends[i] + 1):
+                inner = slice(0, ends[j] + 1)
+                total += cw[-1, i] * cw[i, j] * np.einsum(
+                    "c,cij->ij", cw[j, inner], g(ts[i], ts[j], ts[inner]))
+        return total
+    x, w = gauss_rule(quad, t)
+    for t1, w1 in zip(t * x, t * w):
+        for t2, w2 in zip(t1 * x, t1 * w):
+            total += w1 * w2 * np.einsum("c,cij->ij", t2 * w, g(t1, t2, t2 * x))
+    return total
+
+
+ENGINE_CASES = [
+    # t = 0; 21 Gauss points (441 pairs, a partial last chunk); the 96-node cap
+    (GL, 0.0), (GL, 1.3), (GL, 7.0),
+    # t = 0; odd interval counts 5 and 7; every grid starts with the short
+    # rows m < 3, whose support reaches ahead of the node
+    (SIMPSON, 0.0), (QuadratureSpec("simpson-uniform", 5), 1.0),
+    (QuadratureSpec("simpson-uniform", 7), 1.0), (SIMPSON, 1.3),
+]
+
+
+@pytest.mark.parametrize("quad, t", ENGINE_CASES, ids=lambda v: getattr(v, "scheme", v))
+def test_batched_engines_match_a_per_node_loop(quad, t):
+    if quad.scheme == "gauss-legendre-nested" and t == 7.0:
+        assert quad.gauss_points(t) == 96
+    pairs = [
+        (integrate_simplex2(lambda t1s, t2s: g2(t1s, t2s), t, quad), loop_simplex2(g2, t, quad)),
+        (integrate_simplex3(batched3, t, quad), loop_simplex3(g3, t, quad)),
+    ]
+    for out, ref in pairs:
+        if t == 0.0:
+            assert out.shape == (2, 2) and np.all(out == 0.0) and np.all(ref == 0.0)
+        else:
+            assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("quad", BOTH, ids=lambda q: q.scheme)
+def test_no_integrand_call_exceeds_the_chunk(quad):
+    T = 2.5  # 40 Gauss points or 41 grid nodes: well over one chunk of pairs
+    calls = []
+
+    def f2(t1s, t2s):
+        calls.append((t1s.shape, t2s.shape))
+        return g2(t1s, t2s)
+
+    def f3(t1s, t2s, t3s, w3):
+        assert t3s.shape == w3.shape == (t1s.size, t3s.shape[1])
+        calls.append((t1s.shape, t2s.shape))
+        return batched3(t1s, t2s, t3s, w3)
+
+    for engine, f in ((integrate_simplex2, f2), (integrate_simplex3, f3)):
+        calls.clear()
+        engine(f, T, quad)
+        assert len(calls) > 1
+        assert all(s1 == s2 and len(s1) == 1 and 1 <= s1[0] <= _CHUNK_PAIRS for s1, s2 in calls)
+        if quad.scheme == "gauss-legendre-nested":
+            assert sum(s1[0] for s1, _ in calls) == quad.gauss_points(T) ** 2

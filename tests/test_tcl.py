@@ -10,6 +10,8 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 import tclgen.algebra
+import tclgen.cumulant
+import tclgen.exact
 import tclgen.quadrature
 import tclgen.tcl
 from tclgen.algebra import SuperOp, SystemModel
@@ -330,16 +332,20 @@ def test_grid_k4_passes_the_run_route_check_where_k4_vanishes():
 
 def test_k4_routes_sum_the_innermost_nodes_before_any_superoperator(monkeypatch):
     # the t3 nodes are summed on a d x d operator first, so no superoperator
-    # batch is larger than the 32 points per dimension of GL16 at t = 2
-    # (summed afterwards, the batches would hold 32^2 = 1024)
+    # batch is larger than the engine's chunk of (t1, t2) pairs, and a route
+    # forms at most 24 superoperators per pair of GL16 at t = 2, 32^2 pairs
+    # (summed afterwards, one term would need 32^3 = 32768 per slot-3 factor)
     sizes = []
     modules = [m for n, m in sys.modules.items() if n == "tclgen" or n.startswith("tclgen.")]
-    for name in ("commutator_super_batch", "anticommutator_super_batch", "_kron_batch"):
-        original = getattr(tclgen.algebra, name)
+    for name in ("commutator_super_batch", "anticommutator_super_batch", "_kron_batch",
+                 "_moment_matrix_batch"):
+        module = tclgen.cumulant if name == "_moment_matrix_batch" else tclgen.algebra
+        original = getattr(module, name)
 
         def recording(*args, original=original):
-            sizes.append(args[0].shape[0])
-            return original(*args)
+            out = original(*args)
+            sizes.append(out.shape[0])
+            return out
 
         for module in modules:
             for attr, value in list(vars(module).items()):
@@ -350,7 +356,8 @@ def test_k4_routes_sum_the_innermost_nodes_before_any_superoperator(monkeypatch)
                   lambda: K_n_cumulant(SPIN_BOSON, BATH, 2.0, 4, GL16)):
         sizes.clear()
         route()
-        assert sizes and max(sizes) <= 32
+        assert sizes and max(sizes) <= tclgen.quadrature._CHUNK_PAIRS
+        assert sum(sizes) <= 24 * 32**2
 
 
 def test_equivalence_error_is_a_runtime_error():
@@ -422,6 +429,26 @@ def test_default_grid_sizing():
     assert len(gen.grid) == 33  # floor for short windows
     gen2 = build_generator(SPIN_BOSON, BATH, 2, GL8, 5.0)  # ceil(5 * 8) + 1 nodes
     assert np.array_equal(gen2.grid, np.linspace(0.0, 5.0, 41))
+
+
+def test_order_four_build_evaluates_the_k2_grid_once(monkeypatch):
+    # the closed-form K4 grid takes its K2 J term from the build's own K2
+    calls = []
+    original = tclgen.exact.K2_exact_grid
+
+    def recording(*args):
+        calls.append(args[2:])
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "tclgen" or name.startswith("tclgen."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, recording)
+    gen = build_generator(SPIN_BOSON, BATH, 4, GL8, 1.0)
+    assert calls == [(1.0, 32)]
+    k4 = tclgen.exact.K4_exact_grid(SPIN_BOSON, BATH, 1.0, 32)
+    assert np.array_equal(np.stack([gen.coefficients(t).k4 for t in gen.grid]), k4)
 
 
 def test_uncoupled_generator_is_zero():
