@@ -56,8 +56,9 @@ class Trajectory:
 
 def _monitors(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     tr = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
-    herm = np.array([np.max(np.abs(s - s.conj().T)) for s in states])
-    mins = np.array([np.linalg.eigvalsh((s + s.conj().T) / 2.0)[0].real for s in states])
+    adj = np.swapaxes(states.conj(), 1, 2)
+    herm = np.max(np.abs(states - adj), axis=(1, 2))
+    mins = np.linalg.eigvalsh((states + adj) / 2.0)[:, 0]
     return tr, herm, mins
 
 

@@ -20,13 +20,18 @@ validated:
   that start in their vacuum, one at +ω with weight n̄+1 and one at -ω with
   weight n̄.  A mode in its vacuum is converged at far fewer Fock levels than
   a truncated Gibbs state, whose renormalization leaves ⟨a a†⟩ short of n̄+1.
-  One dense ``eigh`` of the N-dimensional total Hamiltonian serves every
-  output time: the bath is traced out once, in the eigenbasis (a one-off
-  (d+1)N³/2), so each time costs d(d+1)/2 products of a phase row with an
-  N x N matrix, about d²N², rather than the N³ of rebuilding the
-  product-space state.  How far two more Fock levels move the states, the
-  oracle's truncation check, is returned as
-  ``OracleTrajectory.truncation_shift``.
+  One eigendecomposition of the N-dimensional total Hamiltonian serves every
+  output time.  It is taken block by block: one ``eigh`` per connected
+  component of the Hamiltonian's exact nonzero pattern, in real arithmetic
+  when the Hamiltonian has no imaginary part.  With the σx coupling of the
+  spin-boson presets it commutes with σz ⊗ (-1)^N and splits into two real
+  parity blocks of N/2; the dephasing preset splits by spin; a model whose
+  complex H_S or X links every level keeps one complex ``eigh`` of size N.
+  The bath is traced out once, in the eigenbasis (a one-off (d+1)N³/2), so
+  each time costs d(d+1)/2 products of a phase row with an N x N matrix,
+  about d²N², rather than the N³ of rebuilding the product-space state.  How
+  far two more Fock levels move the states, the oracle's truncation check,
+  is returned as ``OracleTrajectory.truncation_shift``.
 
 Plus a small registry of named benchmark scenarios, and
 :func:`scaling_study`, which propagates the generator :func:`build_generator`
@@ -301,6 +306,61 @@ def exact_small_bath(
     return OracleTrajectory(t_grid.copy(), states, tr, herm, mins, shift)
 
 
+def _total_hamiltonian(model: SystemModel, config: TruncatedBathConfig):
+    """(H_total, w): H_S ⊗ 1 + 1 ⊗ H_B - α X ⊗ B on the truncated product
+    space, and the diagonal of the bath's initial state (see
+    :func:`_bath_operators`)."""
+    b, h_b, w_b = _bath_operators(config)
+    nb = b.shape[0]
+    h_tot = (
+        np.kron(model.h_sys, np.eye(nb))
+        + np.kron(np.eye(model.dim), h_b)
+        - model.alpha * np.kron(model.coupling, b)
+    )
+    return h_tot, w_b
+
+
+def _components(h: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of the nonzero pattern of h,
+    found by breadth-first search over the rows (total cost ~N²)."""
+    linked = h != 0
+    label = np.full(len(h), -1)
+    out = []
+    while (free := np.flatnonzero(label < 0)).size:
+        frontier = np.zeros(len(h), dtype=bool)
+        frontier[free[0]] = True
+        while frontier.any():
+            label[frontier] = len(out)
+            frontier = linked[frontier].any(axis=0) & (label < 0)
+        out.append(np.flatnonzero(label == len(out)))
+    return out
+
+
+def _eigh_by_blocks(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(evals, U) with h = U diag(evals) U†, one ``eigh`` per connected
+    component of h's exact nonzero pattern, in real arithmetic when h has no
+    imaginary part.
+
+    A permutation that groups each component's indices makes h block
+    diagonal, so the eigenvectors of each block, placed on its indices, are
+    eigenvectors of h; U is block structured, and the eigenvalues come
+    component by component rather than in ascending order.
+    """
+    if not np.any(h.imag):
+        h = h.real
+    parts = _components(h)
+    if len(parts) == 1:
+        return np.linalg.eigh(h)
+    evals = np.empty(len(h))
+    u = np.zeros_like(h)
+    start = 0
+    for idx in parts:
+        cols = slice(start, start + len(idx))
+        evals[cols], u[idx, cols] = np.linalg.eigh(h[np.ix_(idx, idx)])
+        start += len(idx)
+    return evals, u
+
+
 def _reduced_states(
     rho0: np.ndarray, model: SystemModel, config: TruncatedBathConfig, t_grid
 ) -> np.ndarray:
@@ -318,14 +378,9 @@ def _reduced_states(
     rho0 = np.asarray(rho0, dtype=complex)
     if np.linalg.norm(rho0 - rho0.conj().T) > _HERMITIAN_TOL:
         raise ValueError("initial state must be Hermitian")
-    b, h_b, w_b = _bath_operators(config)
-    nb = b.shape[0]
-    h_tot = (
-        np.kron(model.h_sys, np.eye(nb))
-        + np.kron(np.eye(d), h_b)
-        - model.alpha * np.kron(model.coupling, b)
-    )
-    evals, u = np.linalg.eigh(h_tot)
+    h_tot, w_b = _total_hamiltonian(model, config)
+    nb = len(w_b)
+    evals, u = _eigh_by_blocks(h_tot)
     del h_tot
     p, v = np.linalg.eigh((rho0 + rho0.conj().T) / 2.0)
     weights = np.kron(p, w_b)
@@ -469,7 +524,7 @@ def scaling_study(
         for order in (2, 4):
             gen = replace(table, alpha=alpha, order=order)
             traj = propagate(rho0, gen, t_grid, stepper="rk45-adaptive", atol=atol)
-            err = max(trace_distance(a, b) for a, b in zip(traj.states, oracle.states))
+            err = float(np.max(trace_distance(traj.states, oracle.states)))
             errs[order].append(err)
             if verbose:
                 print(f"alpha={alpha:g} order={order}: max error {err:.3e}", file=sys.stderr)

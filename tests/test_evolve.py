@@ -11,6 +11,7 @@ from tclgen.algebra import SystemModel, unvec, vec
 from tclgen.bath import BathSpec
 from tclgen.evolve import (
     NumericsError,
+    _monitors,
     _rhs,
     _run_rk45,
     forward_map_correction,
@@ -163,6 +164,21 @@ def test_monitors_on_a_fourth_order_run():
     assert np.max(traj.herm_deviation) < 1e-9
     assert np.min(traj.min_eigenvalue) > -1e-6
     assert traj.min_eigenvalue[0] >= -1e-15
+
+
+def test_stacked_monitors_and_distances_equal_a_per_state_loop():
+    # one stacked eigvalsh serves every state; each value must be bitwise the
+    # one a per-state call gives, at d = 2 and 3, on non-Hermitian residue too
+    rng = np.random.default_rng(18)
+    for d in (2, 3):
+        a = rng.normal(size=(101, d, d)) + 1j * rng.normal(size=(101, d, d))
+        b = rng.normal(size=(101, d, d)) + 1j * rng.normal(size=(101, d, d))
+        _, herm, mins = _monitors(a)
+        assert np.array_equal(herm, [np.max(np.abs(s - s.conj().T)) for s in a])
+        assert np.array_equal(
+            mins, [np.linalg.eigvalsh((s + s.conj().T) / 2.0)[0] for s in a])
+        assert np.array_equal(trace_distance(a, b),
+                              [trace_distance(x, y) for x, y in zip(a, b)])
 
 
 # --- stepper order ------------------------------------------------------------------------

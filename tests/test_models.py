@@ -17,6 +17,9 @@ from tclgen.evolve import trace_distance
 from tclgen.models import (
     PRESET_NAMES,
     TruncatedBathConfig,
+    _components,
+    _eigh_by_blocks,
+    _total_hamiltonian,
     decoherence_exponent,
     dephasing_exact,
     exact_small_bath,
@@ -285,6 +288,60 @@ def test_oracle_matches_a_dense_expm_reference(d, purified, data):
         model.h_sys, model.coupling, model.alpha, config.bath.modes, config.bath.beta,
         config.fock_levels, rho0, grid, purified=config.purified)
     assert np.max(np.abs(traj.states - ref)) < 1e-12
+
+
+def test_split_eigensolver_finds_planted_blocks():
+    # Hermitian blocks of 4, 1, 5 and 2 indices, hidden by a random
+    # permutation; as a complex matrix and as a real one
+    rng = np.random.default_rng(18)
+    sizes = (4, 1, 5, 2)
+    perm = rng.permutation(sum(sizes))
+    h = np.zeros((len(perm), len(perm)), dtype=complex)
+    planted = []
+    for k, start in zip(sizes, np.cumsum((0,) + sizes)):
+        idx = perm[start:start + k]
+        a = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        h[np.ix_(idx, idx)] = a + a.conj().T
+        planted.append(sorted(idx))
+    for m in (h, h.real.astype(complex)):
+        assert sorted(sorted(c) for c in _components(m)) == sorted(planted)
+        evals, u = _eigh_by_blocks(m)
+        assert np.iscomplexobj(u) == np.any(m.imag)
+        assert np.max(np.abs((u * evals) @ u.conj().T - m)) < 1e-13
+        assert np.max(np.abs(u.conj().T @ u - np.eye(len(m)))) < 1e-13
+
+
+@pytest.mark.parametrize("name, purified, levels", [
+    ("spinboson-single-mode", False, 8), ("spinboson-single-mode", True, 6),
+    ("spinboson-two-mode", False, 6), ("spinboson-two-mode", True, 3)])
+def test_spin_boson_oracle_splits_into_two_real_parity_blocks(name, purified, levels):
+    # σz ⊗ (-1)^N commutes with H_total, so the oracle diagonalises two real
+    # blocks; the random models of the Hypothesis test above never get here
+    preset = get_preset(name)
+    config = TruncatedBathConfig(preset.bath, levels, purified)
+    h, _ = _total_hamiltonian(preset.model, config)
+    assert not np.any(h.imag)
+    assert len(_components(h)) == 2
+    grid = np.array([0.0, 0.4, 1.3, 2.5])
+    traj = exact_small_bath(PLUS, preset.model, config, grid, check_truncation=False)
+    ref = oracle_reduced_states(
+        preset.model.h_sys, preset.model.coupling, preset.model.alpha,
+        preset.bath.modes, preset.bath.beta, config.fock_levels, PLUS, grid,
+        purified=purified)
+    assert np.max(np.abs(traj.states - ref)) < 1e-12
+
+
+def test_random_complex_model_is_one_complex_block():
+    rng = np.random.default_rng(3)
+    h_s, x = (a + a.conj().T for a in
+              rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3)))
+    config = TruncatedBathConfig(BATH, 4)
+    h, _ = _total_hamiltonian(SystemModel(3, h_s, x, 0.2), config)
+    assert len(_components(h)) == 1
+    evals, u = _eigh_by_blocks(h)
+    dense = np.linalg.eigh(h)
+    assert np.iscomplexobj(u)
+    assert np.array_equal(evals, dense[0]) and np.array_equal(u, dense[1])
 
 
 def test_brute_force_monitors_are_physical():
