@@ -9,10 +9,11 @@ run             full scenario: kernels, generators, trajectory, diagnostics, rep
 scaling-study   error-vs-coupling slope fit against the purified truncated oracle
                 (:func:`tclgen.models.scaling_study`)
 
-Scenario files use INI syntax (sections [model], [bath], [run], [outputs]);
-the README documents the schema and gives byte-level examples of every output
-format.  All floats are written as ``%.12e`` with a ``.`` decimal separator,
-so identical configs produce byte-identical CSVs.
+Scenario files use INI syntax (sections [model], [bath], [run], [outputs]).
+Their one schema is the table ``_KEYS``: each key's converter, default and
+check; the README's config reference mirrors it and gives byte-level examples
+of every output format.  All floats are written as ``%.12e`` with a ``.``
+decimal separator, so identical configs produce byte-identical CSVs.
 
 Exit codes: 0 success, 1 bad config / unreadable file / bad usage,
 2 route-equivalence violation, 3 numeric failure.
@@ -74,32 +75,6 @@ _ENV_OUT = "TCLGEN_OUT"
 _STEPPERS = ("rk4-fixed", "rk45-adaptive")
 # quadrature nodes per unit time, which also set the generator grid's density
 _NODES_PER_UNIT_TIME = (4, 96)
-
-_KNOWN_KEYS = {
-    "model": {"preset", "dim", "h_sys", "coupling", "alpha"},
-    "bath": {"modes", "beta", "fock_levels"},
-    "run": {
-        "t_max",
-        "n_output",
-        "order",
-        "stepper",
-        "max_step",
-        "atol",
-        "quad_scheme",
-        "quad_nodes_per_unit_time",
-        "quad_tolerance",
-        "rho0",
-    },
-    "outputs": {
-        "dir",
-        "kernels",
-        "generator",
-        "trajectory",
-        "diagnostic",
-        "report",
-        "generator_times",
-    },
-}
 
 
 class ConfigError(Exception):
@@ -179,26 +154,12 @@ def _parse_bool(raw: str) -> bool:
     return states[key]
 
 
-def _get(cp, section, key, conv, default, errors, check=None):
-    """Fetch+convert one option, appending any complaint to ``errors``."""
-    if not cp.has_option(section, key):
-        return default
-    raw = cp.get(section, key)
-    try:
-        val = conv(raw)
-    except (ValueError, TypeError) as exc:
-        errors.append(f"[{section}] {key}: {exc}")
-        return default
-    if check is not None:
-        msg = check(val)
-        if msg:
-            errors.append(f"[{section}] {key}: {msg}")
-            return default
-    return val
-
-
 def _not_positive(v: float) -> str | None:
     return None if math.isfinite(v) and v > 0 else f"must be positive and finite, got {v}"
+
+
+def _below_two(v: int) -> str | None:
+    return None if v >= 2 else f"must be >= 2, got {v}"
 
 
 def _node_range(v: int) -> str | None:
@@ -221,6 +182,59 @@ def _parse_times(raw: str) -> tuple[float, ...]:
     return times
 
 
+# The config schema, {section: {key: (converter, default, check)}}.  A check
+# returns None or a complaint; a complaint from the converter or the check
+# becomes "[section] key: ..." and the key falls back to its default.  A None
+# default means none of its own: the [model] keys, and [bath] modes and beta,
+# which a preset supplies.  parse_config reads each key where the scenario it
+# builds needs it, so complaints come out model first, then bath, run, outputs.
+_KEYS = {
+    "model": {
+        "preset": (lambda raw: get_preset(raw.strip()), None, None),
+        "dim": (int, None, _below_two),
+        "h_sys": (_parse_complex_list, None, None),
+        "coupling": (_parse_complex_list, None, None),
+        "alpha": (float, None, lambda v: None if math.isfinite(v) else "must be finite"),
+    },
+    "bath": {
+        "modes": (_parse_modes, None, None),
+        "beta": (_parse_beta, None, None),
+        "fock_levels": (int, 12, _below_two),
+    },
+    "run": {
+        "t_max": (float, 2.0, _not_positive),
+        "n_output": (int, 41, _below_two),
+        "order": (int, 4, lambda v: None if v in ORDERS else f"must be 2 or 4, got {v}"),
+        "stepper": (str.strip, "rk45-adaptive",
+                    lambda v: None if v in _STEPPERS
+                    else f"must be one of {', '.join(_STEPPERS)}, got {v!r}"),
+        "max_step": (float, 0.01, _not_positive),
+        "atol": (float, 1e-10, _not_positive),
+        "quad_scheme": (str.strip, "gauss-legendre-nested", None),
+        "quad_nodes_per_unit_time": (int, 16, _node_range),
+        "quad_tolerance": (float, 1e-8, None),
+        "rho0": (_parse_complex_list, None, None),
+    },
+    "outputs": {
+        "dir": (str.strip, "out", None),
+        "kernels": (_parse_bool, True, None),
+        "generator": (_parse_bool, True, None),
+        "trajectory": (_parse_bool, True, None),
+        "diagnostic": (_parse_bool, True, None),
+        "report": (_parse_bool, True, None),
+        "generator_times": (_parse_times, (0.5, 1.0, 2.0), None),
+    },
+}
+
+
+def _square(label: str, entries: list, d: int, errors: list[str]) -> np.ndarray | None:
+    """``entries`` as a row-major d x d matrix, or None after a complaint."""
+    if len(entries) != d * d:
+        errors.append(f"{label}: expected {d * d} row-major entries, got {len(entries)}")
+        return None
+    return np.array(entries, complex).reshape(d, d)
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a scenario config, aggregating every error found."""
     cp = configparser.ConfigParser(
@@ -233,112 +247,88 @@ def parse_config(text: str) -> ScenarioConfig:
 
     errors: list[str] = []
     for section in cp.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _KEYS:
             errors.append(f"unknown section [{section}]")
             continue
         for key in cp[section]:
-            if key not in _KNOWN_KEYS[section]:
+            if key not in _KEYS[section]:
                 errors.append(f"[{section}] unknown key {key!r}")
 
-    # model: either a preset name or explicit dim/h_sys/coupling/alpha
+    def get(section, key, default=None):
+        """Fetch and check one key by its ``_KEYS`` entry.  An absent or
+        rejected key gives ``default``, or the table's default if that is None."""
+        conv, fallback, check = _KEYS[section][key]
+        default = fallback if default is None else default
+        if not cp.has_option(section, key):
+            return default
+        try:
+            val = conv(cp.get(section, key))
+        except (ValueError, TypeError) as exc:
+            errors.append(f"[{section}] {key}: {exc}")
+            return default
+        msg = check(val) if check is not None else None
+        if msg:
+            errors.append(f"[{section}] {key}: {msg}")
+            return default
+        return val
+
+    # model: either a preset or explicit dim/h_sys/coupling/alpha
     model = None
     bath = None
-    fock_levels = 12
-    alpha = _get(cp, "model", "alpha", float, None, errors,
-                 lambda v: None if math.isfinite(v) else "must be finite")
-    preset_name = cp.get("model", "preset", fallback=None)
-    if preset_name is not None:
-        try:
-            preset = get_preset(preset_name.strip())
-        except ValueError as exc:
-            errors.append(f"[model] preset: {exc}")
-            preset = None
+    alpha = get("model", "alpha")
+    preset = get("model", "preset")
+    has_preset = cp.has_option("model", "preset")
+    if has_preset:
         if preset is not None:
-            model, bath, fock_levels = preset.model, preset.bath, preset.fock_levels
+            model = preset.model if alpha is None else replace(preset.model, alpha=alpha)
+        errors.extend(f"[model] {key}: cannot be combined with 'preset' (only alpha "
+                      "overrides a preset)" for key in ("dim", "h_sys", "coupling")
+                      if cp.has_option("model", key))
     else:
-        dim = _get(cp, "model", "dim", int, None, errors,
-                   lambda v: None if v >= 2 else f"must be >= 2, got {v}")
-        h_raw = _get(cp, "model", "h_sys", _parse_complex_list, None, errors)
-        x_raw = _get(cp, "model", "coupling", _parse_complex_list, None, errors)
-        if dim is None or alpha is None or h_raw is None or x_raw is None:
-            missing = [k for k, v in
-                       (("dim", dim), ("alpha", alpha), ("h_sys", h_raw),
-                        ("coupling", x_raw)) if v is None and
-                       not cp.has_option("model", k)]
-            if missing:
-                errors.append(
-                    "[model] needs either 'preset' or all of dim/h_sys/"
-                    f"coupling/alpha (missing: {', '.join(missing)})"
-                )
-        else:
-            shapes_ok = True
-            for name, entries in (("h_sys", h_raw), ("coupling", x_raw)):
-                if len(entries) != dim * dim:
-                    errors.append(
-                        f"[model] {name}: expected {dim * dim} row-major entries, "
-                        f"got {len(entries)}"
-                    )
-                    shapes_ok = False
-            if shapes_ok:
+        dim, h_raw, x_raw = (get("model", k) for k in ("dim", "h_sys", "coupling"))
+        missing = [k for k in ("dim", "alpha", "h_sys", "coupling")
+                   if not cp.has_option("model", k)]
+        if missing:
+            errors.append(
+                "[model] needs either 'preset' or all of dim/h_sys/"
+                f"coupling/alpha (missing: {', '.join(missing)})"
+            )
+        elif None not in (dim, alpha, h_raw, x_raw):
+            h, x = [_square(f"[model] {k}", v, dim, errors)
+                    for k, v in (("h_sys", h_raw), ("coupling", x_raw))]
+            if h is not None and x is not None:
                 try:
-                    model = SystemModel(
-                        dim,
-                        np.array(h_raw, complex).reshape(dim, dim),
-                        np.array(x_raw, complex).reshape(dim, dim),
-                        alpha,
-                    )
+                    model = SystemModel(dim, h, x, alpha)
                 except ValueError as exc:
                     errors.append(f"[model] {exc}")
 
-    # bath: required for explicit models, optional overrides for presets
-    modes = _get(cp, "bath", "modes", _parse_modes, None, errors)
-    beta = _get(cp, "bath", "beta", _parse_beta, None, errors)
-    fock_levels = _get(cp, "bath", "fock_levels", int, fock_levels, errors,
-                       lambda v: None if v >= 2 else f"must be >= 2, got {v}")
-    if modes is not None or beta is not None or bath is None:
-        use_modes = modes if modes is not None else (bath.modes if bath else None)
-        use_beta = beta if beta is not None else (bath.beta if bath else None)
-        if use_modes is None or use_beta is None:
-            if preset_name is None:
-                errors.append("[bath] modes and beta are required without a preset")
-        else:
-            try:
-                bath = BathSpec(modes=use_modes, beta=use_beta)
-            except ValueError as exc:
-                errors.append(f"[bath] {'beta' if 'beta' in str(exc) else 'modes'}: {exc}")
+    # bath: required for explicit models; a preset's values are the defaults
+    modes = get("bath", "modes", preset.bath.modes if preset else None)
+    beta = get("bath", "beta", preset.bath.beta if preset else None)
+    fock_levels = get("bath", "fock_levels", preset.fock_levels if preset else None)
+    if modes is None or beta is None:
+        if not has_preset:
+            errors.append("[bath] modes and beta are required without a preset")
+    else:
+        try:
+            bath = BathSpec(modes=modes, beta=beta)
+        except ValueError as exc:
+            errors.append(f"[bath] {'beta' if 'beta' in str(exc) else 'modes'}: {exc}")
 
-    if preset_name is not None and model is not None and alpha is not None:
-        model = SystemModel(model.dim, model.h_sys, model.coupling, alpha)
-
-    t_max = _get(cp, "run", "t_max", float, 2.0, errors, _not_positive)
-    n_output = _get(cp, "run", "n_output", int, 41, errors,
-                    lambda v: None if v >= 2 else f"must be >= 2, got {v}")
-    order = _get(cp, "run", "order", int, 4, errors,
-                 lambda v: None if v in ORDERS else f"must be 2 or 4, got {v}")
-    stepper = _get(cp, "run", "stepper", str.strip, "rk45-adaptive", errors,
-                   lambda v: None if v in _STEPPERS
-                   else f"must be one of {', '.join(_STEPPERS)}, got {v!r}")
-    max_step = _get(cp, "run", "max_step", float, 0.01, errors, _not_positive)
-    atol = _get(cp, "run", "atol", float, 1e-10, errors, _not_positive)
-    scheme = _get(cp, "run", "quad_scheme", str.strip, "gauss-legendre-nested", errors)
-    npu = _get(cp, "run", "quad_nodes_per_unit_time", int, 16, errors, _node_range)
-    tol = _get(cp, "run", "quad_tolerance", float, 1e-8, errors)
+    # the rest of [run] goes into ScenarioConfig as it is
+    run = {key: get("run", key) for key in _KEYS["run"] if key != "rho0"}
     quad = QuadratureSpec()
     try:
-        quad = QuadratureSpec(scheme=scheme, nodes_per_unit_time=npu, tolerance=tol)
+        quad = QuadratureSpec(run.pop("quad_scheme"), run.pop("quad_nodes_per_unit_time"),
+                              run.pop("quad_tolerance"))
     except ValueError as exc:
         errors.append(f"[run] quadrature: {exc}")
 
     rho0 = None
-    rho_raw = _get(cp, "run", "rho0", _parse_complex_list, None, errors)
+    rho_raw = get("run", "rho0")
     if rho_raw is not None and model is not None:
-        d = model.dim
-        if len(rho_raw) != d * d:
-            errors.append(
-                f"[run] rho0: expected {d * d} row-major entries, got {len(rho_raw)}"
-            )
-        else:
-            cand = np.array(rho_raw, complex).reshape(d, d)
+        cand = _square("[run] rho0", rho_raw, model.dim, errors)
+        if cand is not None:
             if not np.all(np.isfinite(cand)):
                 errors.append("[run] rho0: entries must be finite")
             elif np.linalg.norm(cand - cand.conj().T) > 1e-10:
@@ -350,11 +340,7 @@ def parse_config(text: str) -> ScenarioConfig:
             else:
                 rho0 = cand
 
-    out_dir = _get(cp, "outputs", "dir", str.strip, "out", errors)
-    flags = {}
-    for name in ("kernels", "generator", "trajectory", "diagnostic", "report"):
-        flags[name] = _get(cp, "outputs", name, _parse_bool, True, errors)
-    gen_times = _get(cp, "outputs", "generator_times", _parse_times, (0.5, 1.0, 2.0), errors)
+    out = {key: get("outputs", key) for key in _KEYS["outputs"]}
 
     if errors or model is None or bath is None:
         if not errors:
@@ -368,22 +354,17 @@ def parse_config(text: str) -> ScenarioConfig:
         model=model,
         bath=bath,
         quad=quad,
-        preset=preset_name.strip() if preset_name else None,
+        preset=preset.name if preset else None,
         fock_levels=fock_levels,
-        t_max=t_max,
-        n_output=n_output,
-        order=order,
-        stepper=stepper,
-        max_step=max_step,
-        atol=atol,
+        **run,
         rho0=rho0,
-        out_dir=out_dir,
-        write_kernels=flags["kernels"],
-        write_generator=flags["generator"],
-        write_trajectory=flags["trajectory"],
-        write_diagnostic=flags["diagnostic"],
-        write_report=flags["report"],
-        generator_times=gen_times,
+        out_dir=out["dir"],
+        write_kernels=out["kernels"],
+        write_generator=out["generator"],
+        write_trajectory=out["trajectory"],
+        write_diagnostic=out["diagnostic"],
+        write_report=out["report"],
+        generator_times=out["generator_times"],
         config_hash=hashlib.sha256(text.encode()).hexdigest()[:12],
     )
 
@@ -416,44 +397,54 @@ def _vlog(verbose: bool, msg: str) -> None:
         print(msg, file=sys.stderr)
 
 
-def _output_dir(cfg: ScenarioConfig) -> tuple[Path, str]:
-    """Create the output directory; return it with the CSV metadata line."""
-    outdir = Path(cfg.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir, f"config={cfg.config_hash} version={__version__}"
+class _OutputDir:
+    """A command's output directory, created on construction.  Every file
+    written through it is recorded in ``paths`` and, when verbose, logged."""
+
+    def __init__(self, out_dir: str, config_hash: str, verbose: bool):
+        self.dir = Path(out_dir)
+        self.dir.mkdir(parents=True, exist_ok=True)
+        self.meta = f"config={config_hash} version={__version__}"
+        self.verbose = verbose
+        self.paths: list[Path] = []
+
+    def csv(self, name: str, header: Sequence[str], rows: Iterable[Sequence[str]],
+            meta: str = "") -> None:
+        """Write a CSV whose comment line is the directory's plus ``meta``."""
+        _write_csv(self.dir / name, self.meta + meta, header, rows)
+        self._wrote(self.dir / name)
+
+    def text(self, name: str, lines: Sequence[str]) -> None:
+        (self.dir / name).write_text("\n".join(lines) + "\n", encoding="ascii")
+        self._wrote(self.dir / name)
+
+    def _wrote(self, path: Path) -> None:
+        self.paths.append(path)
+        _vlog(self.verbose, f"wrote {path}")
 
 
 # --- artifact writers -----------------------------------------------------------
 
 
-def _write_kernels_csv(cfg: ScenarioConfig, outdir: Path, meta: str) -> Path:
+def _write_kernels_csv(cfg: ScenarioConfig, out: _OutputDir) -> None:
     k = tabulate_kernels(cfg.bath, cfg.t_max, cfg.n_output)
     rows = ([_fmt(t), _fmt(a), _fmt(b)] for t, a, b in zip(k.tau_grid, k.D_values, k.D1_values))
-    path = outdir / "kernels.csv"
-    _write_csv(path, meta, ["tau", "D", "D1"], rows)
-    return path
+    out.csv("kernels.csv", ["tau", "D", "D1"], rows)
 
 
-def _write_generator_csvs(gen: Generator, outdir: Path, meta: str,
-                          times: Sequence[float], verbose: bool) -> list[Path]:
+def _write_generator_csvs(gen: Generator, out: _OutputDir, times: Sequence[float]) -> None:
     """K2(t) (and K4(t) at order 4) as row-major re/im interleaved CSVs.
 
     These are the order-coefficient matrices, taken from the generator's
     memo; the propagated generator is alpha^2 K2 + alpha^4 K4.
     """
-    paths = []
     header = _matrix_header(gen.dim**2)
     for t in times:
         coeffs = gen.coefficients(float(t))
         for name, mat in (("K2", coeffs.k2), ("K4", coeffs.k4)):
-            if mat is None:
-                continue
-            path = outdir / f"generator_{name}_t{t:g}.csv"
-            _write_csv(path, f"{meta} t={_fmt(t)} order_coefficient={name}",
-                       header, _matrix_rows(mat))
-            paths.append(path)
-            _vlog(verbose, f"wrote {path}")
-    return paths
+            if mat is not None:
+                out.csv(f"generator_{name}_t{t:g}.csv", header, _matrix_rows(mat),
+                        f" t={_fmt(t)} order_coefficient={name}")
 
 
 def _trajectory_rows(traj) -> Iterable[list[str]]:
@@ -492,9 +483,8 @@ def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[
     Equivalence violations and numeric failures raise after all files that
     could be produced were written, so the report stays available forensically.
     """
-    outdir, meta = _output_dir(cfg)
+    out = _OutputDir(cfg.out_dir, cfg.config_hash, verbose)
     t_grid = np.linspace(0.0, cfg.t_max, cfg.n_output)
-    paths: list[Path] = []
     report: list[str] = [
         "reduced-dynamics run report",
         f"version: {__version__}",
@@ -508,8 +498,7 @@ def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[
     ]
 
     if cfg.write_kernels:
-        paths.append(_write_kernels_csv(cfg, outdir, meta))
-        _vlog(verbose, f"wrote {paths[-1]}")
+        _write_kernels_csv(cfg, out)
 
     # one coefficient memo serves the trajectory, the CSVs and the route report
     if cfg.write_trajectory:
@@ -518,8 +507,7 @@ def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[
                           interp="cubic" if cfg.write_trajectory else "direct")
 
     if cfg.write_generator:
-        paths.extend(_write_generator_csvs(
-            gen, outdir, meta, cfg.generator_times, verbose))
+        _write_generator_csvs(gen, out, cfg.generator_times)
 
     traj = None
     if cfg.write_trajectory:
@@ -529,10 +517,7 @@ def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[
         d = range(cfg.model.dim)
         header = ["time", *(f"{p}_{i}_{j}" for i in d for j in d for p in ("re", "im")),
                   "trace_dev", "herm_dev", "min_eig"]
-        path = outdir / "trajectory.csv"
-        _write_csv(path, meta, header, _trajectory_rows(traj))
-        paths.append(path)
-        _vlog(verbose, f"wrote {path}")
+        out.csv("trajectory.csv", header, _trajectory_rows(traj))
         report.append("trajectory monitors:")
         report.append(f"  max |trace - 1|    = {traj.trace_deviation.max():.3e}")
         report.append(f"  max hermiticity dev = {traj.herm_deviation.max():.3e}")
@@ -543,10 +528,7 @@ def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[
         diag = invertibility_diagnostic(cfg.model, cfg.bath, t_grid)
         rows = ([_fmt(t), _fmt(s), _fmt(c)] for t, s, c in
                 zip(diag.times, diag.sigma_min, diag.condition_number))
-        path = outdir / "diagnostic.csv"
-        _write_csv(path, meta, ["time", "sigma_min", "condition_number"], rows)
-        paths.append(path)
-        _vlog(verbose, f"wrote {path}")
+        out.csv("diagnostic.csv", ["time", "sigma_min", "condition_number"], rows)
 
     equivalence_failure = None
     if cfg.write_report:
@@ -599,10 +581,7 @@ def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[
             f"  sigma_min non-increasing in alpha: {trend} ({drops}/{steps} steps)")
         report.append("")
 
-        path = outdir / "report.txt"
-        path.write_text("\n".join(report) + "\n", encoding="ascii")
-        paths.append(path)
-        _vlog(verbose, f"wrote {path}")
+        out.text("report.txt", report)
 
     if equivalence_failure is not None:
         t, rel, trip = equivalence_failure
@@ -610,7 +589,7 @@ def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[
             f"fourth-order routes disagree at t = {t:g}: relative difference "
             f"{rel:.3e} exceeds {trip:.3e} (see report.txt)"
         )
-    return 0, paths
+    return 0, out.paths
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -643,8 +622,7 @@ def _load_config(args) -> ScenarioConfig:
 
 def _cmd_kernels(args) -> int:
     cfg = _load_config(args)
-    path = _write_kernels_csv(cfg, *_output_dir(cfg))
-    _vlog(args.verbose, f"wrote {path}")
+    _write_kernels_csv(cfg, _OutputDir(cfg.out_dir, cfg.config_hash, args.verbose))
     return 0
 
 
@@ -660,7 +638,7 @@ def _cmd_generator_dump(args) -> int:
             raise ConfigError([f"--times: {exc}"]) from None
     gen = build_generator(cfg.model, cfg.bath, cfg.order, cfg.quad, cfg.t_max,
                           interp="direct")
-    _write_generator_csvs(gen, *_output_dir(cfg), times, args.verbose)
+    _write_generator_csvs(gen, _OutputDir(cfg.out_dir, cfg.config_hash, args.verbose), times)
     return 0
 
 
@@ -688,12 +666,11 @@ def _cmd_scaling_study(args) -> int:
         alphas = ()
     if alphas and (len(alphas) < 2 or any(_not_positive(a) for a in alphas)):
         problems.append("--alphas: need >= 2 positive finite values")
-    if _not_positive(args.t_max):
-        problems.append(f"--t-max: {_not_positive(args.t_max)}")
-    if args.n_output < 2:
-        problems.append(f"--n-output: must be >= 2, got {args.n_output}")
-    if args.fock is not None and args.fock < 2:
-        problems.append(f"--fock: must be >= 2, got {args.fock}")
+    for flag, value, check in (("--t-max", args.t_max, _not_positive),
+                               ("--n-output", args.n_output, _below_two),
+                               ("--fock", args.fock, _below_two)):
+        if value is not None and (problem := check(value)):
+            problems.append(f"{flag}: {problem}")
     if problems:
         raise ConfigError(problems)
 
@@ -706,20 +683,17 @@ def _cmd_scaling_study(args) -> int:
         verbose=args.verbose,
     )
 
-    outdir = Path(args.out or os.environ.get(_ENV_OUT) or "out")
-    outdir.mkdir(parents=True, exist_ok=True)
     desc = (
         f"scaling preset={args.preset} "
         f"alphas={','.join(f'{a:g}' for a in res.alphas)} t_max={args.t_max:g} "
         f"fock={args.fock if args.fock is not None else 'preset'} "
         f"n_output={args.n_output}"
     )
-    h = hashlib.sha256(desc.encode()).hexdigest()[:12]
+    out = _OutputDir(args.out or os.environ.get(_ENV_OUT) or "out",
+                     hashlib.sha256(desc.encode()).hexdigest()[:12], args.verbose)
     rows = ([_fmt(a), _fmt(e2), _fmt(e4)] for a, e2, e4 in
             zip(res.alphas, res.errors_order2, res.errors_order4))
-    _write_csv(outdir / "scaling.csv", f"config={h} version={__version__}",
-               ["alpha", "err_order2", "err_order4"], rows)
-    _vlog(args.verbose, f"wrote {outdir / 'scaling.csv'}")
+    out.csv("scaling.csv", ["alpha", "err_order2", "err_order4"], rows)
     print(f"order-2 slope: {res.slope_order2:.3f}")
     print(f"order-4 slope: {res.slope_order4:.3f}")
     return 0

@@ -85,6 +85,42 @@ def test_preset_alpha_override():
     assert np.array_equal(cfg.model.coupling, np.array([[0, 1], [1, 0]], dtype=complex))
 
 
+def test_preset_rejects_explicit_model_keys():
+    # alpha may override a preset; dim, h_sys and coupling may not, whatever their value
+    text = PRESET_MIN + "dim = 3\nh_sys = 9, 9, 9, 9\ncoupling = banana\nalpha = 0.2\n"
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert info.value.messages == [
+        f"[model] {key}: cannot be combined with 'preset' (only alpha overrides a preset)"
+        for key in ("dim", "h_sys", "coupling")
+    ]
+    with pytest.raises(ConfigError) as info:
+        parse_config("[model]\npreset = nope\ncoupling = 0, 1, 1, 0\n[run]\norder = 3\n")
+    assert [m.split(":")[0] for m in info.value.messages] == [
+        "[model] preset", "[model] coupling", "[run] order"]
+
+
+def test_readme_config_reference_matches_the_schema_table():
+    # the four tables under README "Config reference" list exactly the keys of
+    # cli._KEYS, in its order, and state every literal default it holds
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    reference = readme.split("\n## Config reference\n", 1)[1].split("\n## ", 1)[0]
+    tables = {}
+    for block in reference.split("\n### ")[1:]:
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in block.splitlines() if line.startswith("| `")]
+        tables[re.match(r"`\[(\w+)\]`", block).group(1)] = {
+            row[0].strip("`"): row[-1] for row in rows}
+    schema = tclgen.cli._KEYS
+    assert list(tables) == list(schema)
+    for section, keys in schema.items():
+        assert list(tables[section]) == list(keys), section
+        for key, (conv, default, _) in keys.items():
+            if default is not None:
+                literal = re.search(r"`([^`]*)`", tables[section][key]).group(1)
+                assert conv(literal) == default, (section, key, literal)
+
+
 def test_explicit_model_and_bath():
     cfg = parse_config(EXPLICIT)
     assert cfg.preset is None
