@@ -12,25 +12,41 @@ contiguous substrings (sign (-1)^(q-1)); the first substring starts with the
 pinned time t; the remaining times are distributed over the substrings in all
 ways that keep each substring chronologically ordered.
 
-Moments are evaluated by expanding every L into left and right
-multiplications and weighting each of the 2^k placements by the thermal
-expectation of its bath-operator string, which Wick's theorem reduces to a
-sum over perfect pairings of two-point correlations (operator order taken
-from the string).
+A two-point moment has one Wick pairing and a closed form,
 
-The fully ordered order-4 sum and the partially unordered form J4' - K2 J,
-with J from :func:`forward_map_correction`, share one four-point integral.
+    <L(a) L(b)> rho = -[X(a), Y rho - rho Y^dag],   Y = C(t_a - t_b) X(b),
+
+and it is linear in Y, so a weighted sum over the later time is the same
+map with Y summed on the d x d operator.  Longer moments (the four-point
+one, and :func:`moment_superop`) are evaluated by expanding every L into
+left and right multiplications and weighting each of the 2^k placements by
+the thermal expectation of its bath-operator string, which Wick's theorem
+reduces to a sum over perfect pairings of two-point correlations (operator
+order taken from the string).
+
+At order 4 the four even terms are integrated in one pass over the triple
+simplex: per chunk of nodes every operator, correlation and contraction the
+terms share is built once, and the terms' substrings key a table of their
+moments.  The fully ordered order-4 sum and the partially unordered form
+J4' - K2 J, with J from :func:`forward_map_correction`, share that
+four-point integral.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 
 import numpy as np
 
-from .algebra import SuperOp, SystemModel, heisenberg_X_batch
+from .algebra import (
+    SuperOp,
+    SystemModel,
+    _kron_batch,
+    commutator_super_batch,
+    heisenberg_X_batch,
+)
 from .bath import BathSpec, bath_correlation
 from .quadrature import (
     QuadratureSpec,
@@ -171,22 +187,28 @@ def _pairings(k: int) -> tuple:
     return tuple(rec(tuple(range(k))))
 
 
+def _slot_pairs(n: int) -> tuple:
+    """The slot pairs (a, b), a < b < n, in the order of :func:`_slot_correlations`."""
+    return tuple(combinations(range(n), 2))
+
+
 @lru_cache(maxsize=8)
-def _wick_table(k: int) -> tuple[np.ndarray, tuple, np.ndarray, np.ndarray]:
-    """The Wick sums of every placement, as data for :func:`_moment_matrix_batch`.
+def _wick_table(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Wick sums of every placement, as data for :func:`_moment_from_slots`.
 
     Each pairing of a placement's string pairs the last slot with a partner
     slot j, the last slot first in the string or not: key 2 j + last_first.
     Its other pairs contribute a product of correlations C(t_a - t_b) of the
-    first k - 1 slots, (a, b) in string order.  Returns (the 0/1 matrix that
-    sums the pairing terms into (placement, key) entries, flattened
-    placement-major; the slot pairs (a, b) whose correlations occur; per
-    term, the indices of its k/2 - 1 correlations in that list; the sign
+    first k - 1 slots, (a, b) in string order, drawn from the P rows of
+    :func:`_slot_correlations` stacked over their conjugates: row i where
+    (a, b) is the i-th pair, row P + i where (b, a) is, as C(t_a - t_b) is
+    the conjugate of C(t_b - t_a).  Returns (the 0/1 matrix that sums the
+    pairing terms into (placement, key) entries, flattened placement-major;
+    per term, the rows of its k/2 - 1 correlations; the sign
     i^k (-1)^(len right) of each placement).
     """
-    placements, pairings = _placements(k), _pairings(k)
+    placements, pairings, pairs = _placements(k), _pairings(k), _slot_pairs(k - 1)
     select = np.zeros((len(placements) * 2 * (k - 1), len(placements) * len(pairings)))
-    pairs: dict[tuple[int, int], int] = {}
     index = []
     for p, (_, _, order, _) in enumerate(placements):
         for pairing in pairings:
@@ -196,11 +218,11 @@ def _wick_table(k: int) -> tuple[np.ndarray, tuple, np.ndarray, np.ndarray]:
                 if k - 1 in (a, b):
                     key = 2 * (a + b - (k - 1)) + (a == k - 1)
                 else:
-                    row.append(pairs.setdefault((a, b), len(pairs)))
+                    row.append(pairs.index((min(a, b), max(a, b))) + len(pairs) * (a > b))
             select[p * 2 * (k - 1) + key, len(index)] = 1.0
             index.append(row)
     signs = np.array([1j**k * parity for *_, parity in placements])
-    return select, tuple(pairs), np.array(index, dtype=int), signs
+    return select, np.array(index, dtype=int), signs
 
 
 def _moment_matrix_batch(
@@ -213,67 +235,89 @@ def _moment_matrix_batch(
     broadcast.  Times must be arranged non-increasing slotwise by the caller.
     With real ``weights`` of shape (B, C), the last slot is contracted:
     ``times[-1]`` has that shape too (or broadcasts to it), and the result is
-    ``sum_c weights[:, c] <L(times[0]) ... L(times[-1][:, c])>``.  The Wick
-    pair through the last slot is summed with its operator at the d x d
-    level, so every superoperator is formed once per batch entry.
-
-    Placement p multiplies vec(rho) by kron(R_p^T, A_p) for a left product
-    A_p and a right product R_p of the slot operators; the 2^k placements
-    are summed as one batched product (B, d^2, P) @ (B, P, d^2) followed by
-    an axis permutation.
+    ``sum_c weights[:, c] <L(times[0]) ... L(times[-1][:, c])>``.  Builds the
+    slots' ingredients and sums the placements (:func:`_moment_from_slots`).
     """
-    k = len(times)
-    d = model.dim
     if weights is None:
         weights = np.ones((batch, 1))
         times = [*times[:-1], np.broadcast_to(times[-1], (batch,))[:, None]]
     tarrs = [np.broadcast_to(np.asarray(s, dtype=float), (batch,)) for s in times[:-1]]
     last = np.broadcast_to(np.asarray(times[-1], dtype=float), weights.shape)
-    rights, lefts = _placement_products(model, tarrs, _wick_sums(model, bath, tarrs, last, weights))
+    return _moment_from_slots([heisenberg_X_batch(model, ta) for ta in tarrs],
+                              _contractions(model, bath, tarrs, last, weights),
+                              _slot_correlations(bath, tarrs))
+
+
+def _contractions(model: SystemModel, bath: BathSpec, tarrs: list, last: np.ndarray,
+                  weights: np.ndarray) -> np.ndarray:
+    """The last slot's operator contracted with each partner slot j,
+    ``Y_j = sum_c weights[:, c] C(t_j - last[:, c]) X(last[:, c])``, for
+    the slots ``tarrs`` (each of shape (B,)): shape (B, len(tarrs), d, d).
+    The sum over c is taken on the d x d operator."""
+    lags = np.stack(tarrs, axis=1)[:, :, None] - last[:, None]
+    return heisenberg_X_batch(model, last, weights[:, None] * bath_correlation(bath, lags))
+
+
+def _slot_correlations(bath: BathSpec, tarrs: list) -> np.ndarray:
+    """C(t_a - t_b) for the slot pairs of :func:`_slot_pairs`, shape (P, B)."""
+    lags = [tarrs[a] - tarrs[b] for a, b in _slot_pairs(len(tarrs))]
+    if not lags:
+        return np.empty((0, tarrs[0].size), dtype=complex)
+    return bath_correlation(bath, np.stack(lags))
+
+
+def _moment_from_slots(xs: list, ys: np.ndarray, corr: np.ndarray) -> np.ndarray:
+    """Batched matrix of <L(s_0) ... L(s_{k-1})>, shape (B, d^2, d^2), from
+    its slots' ingredients: ``xs``, X(s_j) of the first k - 1 slots, each
+    (B, d, d) or (1, d, d); ``ys``, the last slot's contractions of
+    :func:`_contractions`; ``corr``, the correlations of
+    :func:`_slot_correlations`.
+
+    Placement p multiplies vec(rho) by kron(R_p^T, A_p) for a left product
+    A_p and a right product R_p of the slot operators; the 2^k placements
+    are summed as one batched product (B, d^2, P) @ (B, P, d^2) followed by
+    an axis permutation.  The Wick pair through the last slot is summed with
+    its operator at the d x d level, so every superoperator is formed once
+    per batch entry.
+    """
+    batch, d = ys.shape[0], ys.shape[-1]
+    rights, lefts = _placement_products(xs, _wick_sums(ys, corr))
     acc = rights @ lefts
     return acc.reshape(batch, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(batch, d * d, d * d)
 
 
-def _wick_sums(model: SystemModel, bath: BathSpec, tarrs: list, last: np.ndarray,
-               weights: np.ndarray) -> np.ndarray:
+def _wick_sums(ys: np.ndarray, corr: np.ndarray) -> np.ndarray:
     """The last slot's operator in each placement p, s_p times its Wick sum:
     (B, 2^k, d, d), placements in the order of :func:`_placements`.
 
     Every pairing pairs the last slot with a partner slot j; the last
-    slot's operator, contracted with that pair's correlation, is formed once
-    per partner and order in the string, and each placement weights these
-    by the correlations of its pairings' other pairs.
+    slot's operator, contracted with that pair's correlation, is ``ys[:, j]``
+    or its Hermitian conjugate, and each placement weights these by the
+    correlations of its pairings' other pairs.
     """
-    k, (batch, _) = len(tarrs) + 1, last.shape
-    select, pairs, index, signs = _wick_table(k)
-    # per partner slot j, sum_c w C(t_j - t_last) X(t_last); with the last
-    # slot first the correlation is C(t_last - t_j), its conjugate, and as X
-    # is Hermitian and w real, the sum is the Hermitian conjugate
-    contracted = heisenberg_X_batch(model, last, weights[:, None] * bath_correlation(
-        bath, np.stack(tarrs, axis=1)[:, :, None] - last[:, None]))
-    contracted = np.stack([contracted, contracted.conj().swapaxes(2, 3)], axis=2)
-    terms = np.ones((index.shape[0], batch), dtype=complex)
-    if pairs:
-        corr = bath_correlation(bath, np.stack([tarrs[a] - tarrs[b] for a, b in pairs]))
-        terms = np.prod(corr[index], axis=1)
+    batch, partners, d, _ = ys.shape
+    select, index, signs = _wick_table(partners + 1)
+    # with the last slot first in the string the correlation is C(t_last - t_j),
+    # the conjugate, and as X is Hermitian and w real, the sum is ys[:, j]^dag
+    contracted = np.stack([ys, ys.conj().swapaxes(2, 3)], axis=2)
+    terms = np.prod(np.concatenate([corr, corr.conj()])[index], axis=1)
     coef = (terms.T @ select.T).reshape(batch, signs.size, -1) * signs[:, None]
-    d = model.dim
     return (coef @ contracted.reshape(batch, -1, d * d)).reshape(batch, signs.size, d, d)
 
 
-def _placement_products(model: SystemModel, tarrs: list, y: np.ndarray):
+def _placement_products(xs: list, y: np.ndarray):
     """(R_p^T as (B, d^2, P), A_p as (B, P, d^2)) for every placement p.
 
     The left product A_p runs over the slots on the left in ascending order,
     the right product R_p over those on the right in descending order; the
     last slot's operator ``y[:, p]`` closes one of the two.  The other
-    slots' products are built slot by slot, indexed by the bits of the slots
-    placed on the right.
+    slots' products are built slot by slot from their operators ``xs``,
+    indexed by the bits of the slots placed on the right.
     """
     batch, placements, d, _ = y.shape
     left = right = np.broadcast_to(np.eye(d, dtype=complex), (batch, 1, d, d))
-    for ta in tarrs:
-        x = heisenberg_X_batch(model, ta)[:, None]
+    for x in xs:
+        x = x[:, None]
         left, right = (np.concatenate([left @ x, left], axis=1),
                        np.concatenate([right, x @ right], axis=1))
     half = placements // 2  # the last slot on the left: the first half
@@ -281,6 +325,20 @@ def _placement_products(model: SystemModel, tarrs: list, y: np.ndarray):
     rights = np.concatenate([right, y[:, half:] @ right], axis=1)
     return (rights.swapaxes(2, 3).reshape(batch, placements, d * d).swapaxes(1, 2),
             lefts.reshape(batch, placements, d * d))
+
+
+def _two_point(xc: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Batched matrix of <L(t_a) L(t_b)>, shape (B, d^2, d^2), in closed form:
+    rho -> -[X(t_a), y rho - rho y^dag].
+
+    ``xc`` is the commutator superoperator of X(t_a), (B, d^2, d^2) or
+    (1, d^2, d^2); ``y`` (B, d, d) is its partner, C(t_a - t_b) X(t_b), or
+    a contraction ``sum_c w_c C(t_a - t_c) X(t_c)`` with real ``w_c``
+    (:func:`_contractions`), which the moment is linear in.  Wick's theorem
+    leaves one pairing, and C(t_b - t_a) is the conjugate of C(t_a - t_b).
+    """
+    eye = np.broadcast_to(np.eye(y.shape[-1], dtype=complex), y.shape)
+    return -(xc @ (_kron_batch(eye, y) - _kron_batch(y.conj(), eye)))
 
 
 def moment_superop(model: SystemModel, bath: BathSpec, times) -> SuperOp:
@@ -294,32 +352,53 @@ def moment_superop(model: SystemModel, bath: BathSpec, times) -> SuperOp:
     return SuperOp(model.dim, mat)
 
 
-def _term_integrand(model, bath, term: CumulantTerm, t: float):
-    """Batched integrand for one order-4 term on the simplex (t1, t2, t3), in
-    the contracted form :func:`integrate_simplex3` calls.
+def _order4_integrand(model: SystemModel, bath: BathSpec, t: float,
+                      terms: list[CumulantTerm]):
+    """Batched integrand of the even order-4 ``terms`` on the simplex
+    (t1, t2, t3), in the contracted form :func:`integrate_simplex3` calls;
+    it returns (B, 2, d^2, d^2): the chronological four-point term and the
+    sum of the signed products of two-point moments.
 
-    Slot 3 is the last slot of exactly one substring, and the term is linear
-    in that factor, so its moment takes the t3 weights and the product is
-    formed once per (t1, t2) node.  A factor on the slots (t, t1) alone is
-    evaluated once per distinct t1 of the chunk.
+    Slot 3 is the last slot of exactly one substring of every term, and the
+    term is linear in that factor, so its moment takes the t3 weights and
+    each product is formed once per (t1, t2) node.  Each chunk builds every
+    ingredient once: X and its commutator superoperator at t (once per
+    integral), at the chunk's distinct t1 and at t2; the correlations
+    between these slots; and per slot j, the contraction
+    ``Y_j = sum_c w3 C(t_j - t3) X(t3)``.  The four-point moment sums its
+    placements (:func:`_moment_from_slots`); a two-point moment on the slots
+    (a, b) is :func:`_two_point` of Xc(t_a) and C(t_a - t_b) X(t_b), or of
+    Y_a where b is slot 3.  The terms' substrings key a table of these
+    moments per chunk.
     """
+    x0 = heisenberg_X_batch(model, np.array([t]))
+    xc0 = commutator_super_batch(x0)
+    pairs = _slot_pairs(3)
+    substrings = sorted({sub for term in terms for sub in term.substrings})
 
     def f(t1: np.ndarray, t2: np.ndarray, t3: np.ndarray, w3: np.ndarray) -> np.ndarray:
         batch = t2.shape[0]
-        slot_times = {0: t, 1: t1, 2: t2, 3: t3}
-        prod = None
-        for sub in term.substrings:
-            times = [slot_times[i] for i in sub]
-            if 3 in sub:
-                fac = _moment_matrix_batch(model, bath, times, batch, w3)
-            elif 2 in sub:
-                fac = _moment_matrix_batch(model, bath, times, batch)
-            else:  # slots t and t1 only
-                distinct, where = np.unique(t1, return_inverse=True)
-                times = [distinct if i else t for i in sub]
-                fac = _moment_matrix_batch(model, bath, times, distinct.size)[where]
-            prod = fac if prod is None else prod @ fac
-        return float(term.sign) * prod
+        distinct, where = np.unique(t1, return_inverse=True)
+        x1 = heisenberg_X_batch(model, distinct)
+        xs = [x0, x1[where], heisenberg_X_batch(model, t2)]
+        xcs = [xc0, commutator_super_batch(x1)[where], commutator_super_batch(xs[2])]
+        tarrs = [np.broadcast_to(float(t), (batch,)), t1, t2]
+        ys = _contractions(model, bath, tarrs, t3, w3)
+        corr = _slot_correlations(bath, tarrs)
+
+        def moment(sub: tuple[int, ...]) -> np.ndarray:
+            if len(sub) == 4:
+                return _moment_from_slots(xs, ys, corr)
+            a, b = sub
+            y = ys[:, a] if b == 3 else corr[pairs.index(sub)][:, None, None] * xs[b]
+            return _two_point(xcs[a], y)
+
+        moments = {sub: moment(sub) for sub in substrings}
+        out = np.zeros((batch, 2) + xcs[2].shape[1:], dtype=complex)
+        for term in terms:
+            piece = 0 if term.partition == (4,) else 1
+            out[:, piece] += term.sign * reduce(np.matmul, [moments[s] for s in term.substrings])
+        return out
 
     return f
 
@@ -327,15 +406,10 @@ def _term_integrand(model, bath, term: CumulantTerm, t: float):
 def _order4_pieces(
     model: SystemModel, bath: BathSpec, t: float, quad: QuadratureSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The even order-4 terms, each integrated once over the triple simplex:
+    """The even order-4 terms, integrated in one pass over the triple simplex:
     (the chronological four-point term, the sum of the signed 2+2 products)."""
-    four_point = products = None
-    for term in drop_odd_terms(enumerate_ordered_cumulant_terms(4)):
-        part = integrate_simplex3(_term_integrand(model, bath, term, t), t, quad)
-        if term.partition == (4,):
-            four_point = part
-        else:
-            products = part if products is None else products + part
+    terms = drop_odd_terms(enumerate_ordered_cumulant_terms(4))
+    four_point, products = integrate_simplex3(_order4_integrand(model, bath, t, terms), t, quad)
     return four_point, products
 
 
@@ -344,13 +418,16 @@ def K_n_cumulant(
 ) -> SuperOp:
     """Order-n generator assembled from the even ordered-cumulant terms.
 
-    Supported orders: 2 and 4.  Order 2 is the single two-point moment
-    integrated over t1; order 4 sums the fully time-ordered four-point moment
-    and the three signed two-point products over the triple simplex.
+    Supported orders: 2 and 4.  Order 2 is the single two-point moment, in
+    closed form, integrated over t1; order 4 sums the fully time-ordered
+    four-point moment and the three signed products of two-point moments,
+    all four terms integrated in one pass over the triple simplex.
     """
     if n == 2:
+        xc = commutator_super_batch(heisenberg_X_batch(model, np.array([t])))
         mat = integrate_interval(
-            lambda t1: _moment_matrix_batch(model, bath, [t, t1], t1.shape[0]),
+            lambda t1: _two_point(
+                xc, bath_correlation(bath, t - t1)[:, None, None] * heisenberg_X_batch(model, t1)),
             t,
             quad,
         )
@@ -367,7 +444,9 @@ def forward_map_correction(
     """The coupling-independent double integral int_0^t int_0^t1 <L L>, by
     quadrature (the check route for :func:`tclgen.exact.forward_map_exact`)."""
     return integrate_simplex2(
-        lambda t1, t2: _moment_matrix_batch(model, bath, [t1, t2], t1.shape[0]),
+        lambda t1, t2: _two_point(
+            commutator_super_batch(heisenberg_X_batch(model, t1)),
+            bath_correlation(bath, t1 - t2)[:, None, None] * heisenberg_X_batch(model, t2)),
         float(t),
         quad,
     )

@@ -29,7 +29,9 @@ represents.  The matrix-valued integrands here are linear in the one factor
 that carries ``t3``, so the caller sums the ``t3`` nodes on that factor
 before any other product, and a call costs O(B) products rather than
 O(B C).  Every integrand returns a stacked array of matrices, shape
-(B, D, D).
+(B, D, D), and may carry further stacked axes before the matrix ones,
+(B, S, D, D), to integrate several matrices from one call: the integral
+then has shape (S, D, D), also at t = 0.
 """
 
 from __future__ import annotations
@@ -141,9 +143,9 @@ def integrate_interval(f, t: float, quad: QuadratureSpec) -> np.ndarray:
         n = quad.intervals(t)
         ts = np.linspace(0.0, t, n + 1)
         weights = cumulative_weights(n, t / n)[n]
-        return np.einsum("b,bij->ij", weights, f(ts))
+        return np.einsum("b,b...->...", weights, f(ts))
     x, w = _gauss01(quad.gauss_points(t))
-    return np.einsum("b,bij->ij", t * w, f(t * x))
+    return np.einsum("b,b...->...", t * w, f(t * x))
 
 
 def _support_ends(cw: np.ndarray) -> np.ndarray:
@@ -236,6 +238,6 @@ def integrate_simplex3(f, t: float, quad: QuadratureSpec) -> np.ndarray:
 
 
 def _probe_zero(f, *args) -> np.ndarray:
-    """Zero result with the integrand's matrix shape."""
+    """Zero result with the shape of one of the integrand's batch entries."""
     sample = f(*args)
-    return np.zeros(sample.shape[-2:], dtype=complex)
+    return np.zeros(sample.shape[1:], dtype=complex)

@@ -1,10 +1,13 @@
 """Self-contained reference implementations used to validate the package.
 
-Everything in this module is deliberately dumb and shares no code with
-tclgen: reservoir operators are explicit truncated-Fock matrices, picture
-changes go through dense matrix exponentials, and reduced maps are assembled
-column by column from basis matrices.  Slow is fine; these only ever run at
-tiny dimensions.
+Everything in this module is deliberately dumb and, but for the last
+section, shares no code with tclgen: reservoir operators are explicit
+truncated-Fock matrices, picture changes go through dense matrix
+exponentials, and reduced maps are assembled column by column from basis
+matrices.  Slow is fine; these only ever run at tiny dimensions.  The last
+section keeps the order-4 cumulant assembly that integrates each term on its
+own, from tclgen's generic moment builder, as the reference for the one-pass
+integrand.
 """
 
 from __future__ import annotations
@@ -13,6 +16,9 @@ import math
 
 import numpy as np
 from scipy.linalg import expm
+
+from tclgen.cumulant import _moment_matrix_batch, drop_odd_terms, enumerate_ordered_cumulant_terms
+from tclgen.quadrature import integrate_simplex3
 
 
 def ladder(n: int) -> np.ndarray:
@@ -231,3 +237,45 @@ def oracle_reduced_states(
         red = np.einsum("anbn->ab", (u @ rho @ u.conj().T).reshape(d, nb, d, nb))
         out.append(oracle_heisenberg(h_sys, red, float(t)))
     return np.array(out)
+
+
+# --- order-4 cumulant terms, one integral per term ----------------------------------
+
+
+def _term_integrand(model, bath, term, t: float):
+    """Batched integrand of one order-4 term on the simplex (t1, t2, t3), in
+    the contracted form ``integrate_simplex3`` calls, every factor from the
+    generic placement sum; a factor on the slots (t, t1) alone is evaluated
+    once per distinct t1 of the chunk."""
+    def f(t1: np.ndarray, t2: np.ndarray, t3: np.ndarray, w3: np.ndarray) -> np.ndarray:
+        batch = t2.shape[0]
+        slot_times = {0: t, 1: t1, 2: t2, 3: t3}
+        prod = None
+        for sub in term.substrings:
+            times = [slot_times[i] for i in sub]
+            if 3 in sub:
+                fac = _moment_matrix_batch(model, bath, times, batch, w3)
+            elif 2 in sub:
+                fac = _moment_matrix_batch(model, bath, times, batch)
+            else:  # slots t and t1 only
+                distinct, where = np.unique(t1, return_inverse=True)
+                times = [distinct if i else t for i in sub]
+                fac = _moment_matrix_batch(model, bath, times, distinct.size)[where]
+            prod = fac if prod is None else prod @ fac
+        return float(term.sign) * prod
+
+    return f
+
+
+def order4_pieces_per_term(model, bath, t: float, quad):
+    """(the chronological four-point term, the sum of the signed 2+2
+    products), each even order-4 term integrated by its own
+    ``integrate_simplex3`` call."""
+    four_point = products = None
+    for term in drop_odd_terms(enumerate_ordered_cumulant_terms(4)):
+        part = integrate_simplex3(_term_integrand(model, bath, term, t), t, quad)
+        if term.partition == (4,):
+            four_point = part
+        else:
+            products = part if products is None else products + part
+    return four_point, products

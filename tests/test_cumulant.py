@@ -5,14 +5,20 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle_inversion import generator_terms_by_inversion
-from oracles import oracle_moment_matrix
-from tclgen.algebra import SystemModel, heisenberg_X_batch
+from oracles import oracle_moment_matrix, order4_pieces_per_term
+from test_exact import DETERMINISTIC, instances
+from tclgen.algebra import SystemModel, commutator_super_batch, heisenberg_X_batch
 from tclgen.bath import BathSpec, bath_correlation
 from tclgen.cumulant import (
     CumulantTerm,
     K_n_cumulant,
+    _contractions,
+    _order4_pieces,
+    _two_point,
     drop_odd_terms,
     enumerate_ordered_cumulant_terms,
     moment_superop,
@@ -186,6 +192,29 @@ def test_four_point_moment_matches_tensor_oracle_zero_temperature():
     assert np.max(np.abs(got - ref)) < 1e-12
 
 
+@settings(DETERMINISTIC, max_examples=15)
+@given(instances((2, 3)), st.floats(0.0, 3.0),
+       st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=4))
+def test_closed_form_two_point_matches_moment_superop(instance, ta, nodes):
+    # <L(ta) L(tb)> from Xc(ta) and its partner C(ta - tb) X(tb), and the
+    # contracted form, whose partner sums w_c C(ta - t_c) X(t_c) over nodes
+    # t_c <= ta with real weights, against the placement sum node by node
+    model, bath = instance
+    fractions, weights = (np.array(v) for v in zip(*nodes))
+    tc = ta * fractions
+    xc = commutator_super_batch(heisenberg_X_batch(model, [ta]))
+    refs = []
+    for s in tc:
+        ref = moment_superop(model, bath, [ta, s]).matrix
+        got = _two_point(xc, bath_correlation(bath, ta - s) * heisenberg_X_batch(model, [s]))
+        assert np.linalg.norm(got[0] - ref) <= 1e-13 * np.linalg.norm(ref)
+        refs.append(ref)
+    y = _contractions(model, bath, [np.array([ta])], tc[None], weights[None])[:, 0]
+    got = _two_point(xc, y)[0]
+    scale = sum(abs(w) * np.linalg.norm(r) for w, r in zip(weights, refs))
+    assert np.linalg.norm(got - sum(w * r for w, r in zip(weights, refs))) <= 1e-13 * scale
+
+
 def test_moment_output_traceless_and_hermiticity_preserving():
     rng = np.random.default_rng(21)
     model = random_model(rng, 3)
@@ -225,3 +254,18 @@ def test_fourth_cumulant_vanishes_for_commuting_coupling():
     k4 = K_n_cumulant(model, bath, 1.0, 4, quad)
     assert k4.norm_fro() < 1e-9
     assert K_n_cumulant(model, bath, 1.0, 2, quad).norm_fro() > 0.1
+
+
+@settings(DETERMINISTIC, max_examples=15)
+@given(instances((2, 3)), st.sampled_from([0.0, 0.3, 1.7]))
+def test_one_pass_order4_pieces_match_one_integral_per_term(instance, t):
+    # Simpson's padded inner rows carry zero weights, a case the Gauss rule
+    # never reaches
+    model, bath = instance
+    for scheme in ("gauss-legendre-nested", "simpson-uniform"):
+        quad = QuadratureSpec(scheme, 8, 1e-8)
+        got = _order4_pieces(model, bath, t, quad)
+        ref = order4_pieces_per_term(model, bath, t, quad)
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape
+            assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b)

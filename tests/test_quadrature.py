@@ -301,6 +301,29 @@ def test_batched_engines_match_a_per_node_loop(quad, t):
             assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("t", [0.0, 1.3])
+@pytest.mark.parametrize("quad", BOTH, ids=lambda q: q.scheme)
+def test_stacked_integrand_equals_separate_calls(quad, t):
+    # an integrand may return (B, S, D, D); each of its S matrices integrates
+    # as it would alone, and at t = 0 the zero keeps the stacked shape
+    def h3(t1s, t2s, t3s, w3):
+        return 2.0 * batched3(t1s, t2s, t3s, w3) - t1s[:, None, None]
+
+    cases = [
+        (integrate_interval, lambda ts: g2(ts, 0.5 * ts), lambda ts: g2(0.3 * ts, ts)),
+        (integrate_simplex2, g2, lambda t1s, t2s: g2(t2s, t1s) * t1s[:, None, None]),
+        (integrate_simplex3, batched3, h3),
+    ]
+    for engine, f, g in cases:
+        stacked = engine(lambda *a: np.stack([f(*a), g(*a)], axis=1), t, quad)
+        separate = np.stack([engine(f, t, quad), engine(g, t, quad)])
+        assert stacked.shape == (2, 2, 2)
+        if t == 0.0:
+            assert np.all(stacked == 0.0) and np.all(separate == 0.0)
+        else:
+            assert np.linalg.norm(stacked - separate) <= 1e-14 * np.linalg.norm(separate)
+
+
 @pytest.mark.parametrize("quad", BOTH, ids=lambda q: q.scheme)
 def test_no_integrand_call_exceeds_the_chunk(quad):
     T = 2.5  # 40 Gauss points or 41 grid nodes: well over one chunk of pairs
