@@ -537,12 +537,12 @@ def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[
                 "fourth-order route comparison (kernel table vs ordered cumulant):")
             for t in map(float, cfg.generator_times):
                 _vlog(verbose, f"route comparison at t={t:g}")
-                rel, trip = check_k4_routes(
+                rel, threshold = check_k4_routes(
                     cfg.model, cfg.bath, t, cfg.quad, gen.coefficients(t).k4)
                 report.append(
-                    f"  t= {_fmt(t)}  rel_diff= {rel:.3e}  margin= {rel / trip:.3e}")
-                if rel > trip and equivalence_failure is None:
-                    equivalence_failure = (t, rel, trip)
+                    f"  t= {_fmt(t)}  rel_diff= {rel:.3e}  margin= {rel / threshold:.3e}")
+                if rel > threshold and equivalence_failure is None:
+                    equivalence_failure = (t, rel, threshold)
         else:
             report.append("(order-2 run: fourth-order routes not exercised)")
         report.append("")
@@ -584,10 +584,10 @@ def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[
         out.text("report.txt", report)
 
     if equivalence_failure is not None:
-        t, rel, trip = equivalence_failure
+        t, rel, threshold = equivalence_failure
         raise EquivalenceError(
             f"fourth-order routes disagree at t = {t:g}: relative difference "
-            f"{rel:.3e} exceeds {trip:.3e} (see report.txt)"
+            f"{rel:.3e} exceeds {threshold:.3e} (see report.txt)"
         )
     return 0, out.paths
 

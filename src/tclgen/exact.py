@@ -72,8 +72,8 @@ The round-off of exp(h M) is amplified once per product, so powers of it
 alone drift from the per-time values linearly in s: on
 ``dephasing-single-mode``, where K4 vanishes and the route check of
 ``tclgen run`` compares round-off of pairing chains of norm up to 1e2, that
-drift passed the check's trip from t = 3.6.  So each chain is also
-exponentiated once at H = m h, m = isqrt(steps), each at its own unit
+drift passed the check's former floor of 1e-6 from t = 3.6.  So each chain
+is also exponentiated once at H = m h, m = isqrt(steps), each at its own unit
 blocks: node a m + r is the a-th power of exp(H M), brought to the blocks of
 h, times r powers of exp(h M), at most about 2 sqrt(steps) products.  On
 ``spinboson-single-mode`` at 16 steps per unit time the grid K4 is within

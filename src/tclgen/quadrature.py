@@ -56,8 +56,8 @@ class QuadratureSpec:
 
     ``nodes_per_unit_time`` controls grid density (intervals per unit time
     for Simpson, Gauss points per unit time for the nested rule);
-    ``tolerance`` is the target for self-reported refinement error used by
-    equivalence checks downstream.
+    ``tolerance`` is the target for self-reported refinement error; the K4
+    route rule trips at 10x the larger of it and the self-estimate.
     """
 
     scheme: str = "gauss-legendre-nested"

@@ -23,7 +23,7 @@ The quadrature routes are otherwise the independent checks: :func:`K2_influence`
 :func:`K4_cumulant_ordered` computes K4 along two routes built on the moment
 machinery -- the fully time-ordered cumulant sum and the partially unordered
 two-term form J4' - K2 J, which share one four-point integral -- and raises
-:class:`EquivalenceError` if they disagree beyond quadrature accuracy.
+:class:`EquivalenceError` if they disagree by the route rule of :func:`_route_agreement`.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .exact import (
     K2_exact_grid,
     K4_exact,
     K4_table_exact,
+    _Eigenbasis,
     _k4_exact_grid,
     k4_chain_count,
 )
@@ -249,20 +250,31 @@ def K4_influence(
 
 def _k4_ordered_pieces(
     model: SystemModel, bath: BathSpec, t: float, quad: QuadratureSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(fully ordered cumulant sum, partially unordered form J4' - K2 J, K2 J),
+) -> tuple[np.ndarray, np.ndarray]:
+    """(fully ordered cumulant sum, partially unordered form J4' - K2 J),
     from one four-point integral J4'.  K2 J factorizes: t1, t2 span [0, t]."""
     four_point, products = _order4_pieces(model, bath, t, quad)
     k2j = K_n_cumulant(model, bath, t, 2, quad).matrix @ forward_map_correction(
         model, bath, t, quad)
-    return four_point + products, four_point - k2j, k2j
+    return four_point + products, four_point - k2j
 
 
-def _relative_difference(a: np.ndarray, b: np.ndarray, floor: float) -> tuple[float, float]:
-    """(||a - b|| / scale, scale), with scale the largest of ||a||, ||b|| and
-    ``floor``: the one formula of both route checks."""
-    scale = max(np.linalg.norm(a), np.linalg.norm(b), floor)
-    return np.linalg.norm(a - b) / scale, scale
+def _route_agreement(model: SystemModel, bath: BathSpec, t: float, a: np.ndarray,
+                     b: np.ndarray, trip: float) -> tuple[float, float]:
+    """The route rule of both K4 checks: (rel, threshold), s = max(||a||, ||b||),
+    rel = ||a - b|| / s, threshold = max(trip, eps B(t) / s); the routes agree
+    while the margin rel / threshold is at most 1 (rel 0 for identical ones).
+    B(t) = t^3 ||Xc||^2 (sum_nu ||W_nu||)^2, in Frobenius norms of the factors
+    of :class:`tclgen.exact._Eigenbasis`, bounds each term either route sums:
+    two Xc and two W between unitary propagators, integrated over a simplex
+    of volume at most t^3.  So eps B(t) decides only where K4 vanishes."""
+    diff = np.linalg.norm(a - b)
+    if diff == 0.0:
+        return 0.0, trip
+    basis = _Eigenbasis(model, bath)
+    bound = t**3 * np.linalg.norm(basis.xc) ** 2 * sum(map(np.linalg.norm, basis.w)) ** 2
+    scale = max(np.linalg.norm(a), np.linalg.norm(b))
+    return diff / scale, max(trip, np.finfo(float).eps * bound / scale)
 
 
 def K4_cumulant_ordered(
@@ -270,26 +282,19 @@ def K4_cumulant_ordered(
 ) -> SuperOp:
     """Fourth-order generator from ordered cumulants, with a built-in check.
 
-    Evaluates both the fully time-ordered cumulant assembly and the partially
-    unordered form on the same quadrature settings; if they disagree by more
-    than 10x the larger of the quadrature tolerance and the self-estimated
-    refinement error, raises :class:`EquivalenceError`.  Returns the fully
-    ordered value.  Differences are relative to the larger form, or to
-    1e-6 ||K2 J|| where K4 vanishes and both forms are round-off.  The
-    estimate can only raise the threshold, so it is computed only where the
-    forms differ by more than 10x the tolerance: from the coarsened grid, or,
-    where that has the fine grid's points per dimension (4 nodes per unit
-    time, the node floor of short intervals), from a grid with twice the
-    fine grid's points.  At the Gauss rule's 96-node cap no second grid
-    differs: the check uses the tolerance alone and warns (``UserWarning``).
+    Returns the fully time-ordered cumulant sum and raises
+    :class:`EquivalenceError` where it and the partially unordered form, on
+    the same grid, disagree by the route rule, with trip 10x the larger of
+    the quadrature tolerance and the self-estimated refinement error.  The
+    estimate, which can only raise the threshold, is computed only where the
+    forms disagree without it, from a second grid: the coarsened one, or one
+    with twice the fine grid's points where coarsening keeps them (the node
+    floor of short intervals).  At the Gauss rule's 96-node cap none differs:
+    the check uses the tolerance alone and warns (``UserWarning``).
     """
-    if t == 0.0:
-        return SuperOp(model.dim, np.zeros((model.dim**2, model.dim**2), complex))
-    ordered, unordered, k2j = _k4_ordered_pieces(model, bath, t, quad)
-    rel, scale = _relative_difference(
-        ordered, unordered, max(1e-6 * np.linalg.norm(k2j), 1e-300))
-    est = 0.0
-    if rel > 10.0 * quad.tolerance:
+    ordered, unordered = _k4_ordered_pieces(model, bath, t, quad)
+    rel, threshold = _route_agreement(model, bath, t, ordered, unordered, 10.0 * quad.tolerance)
+    if rel > threshold:
         other = quad.coarsened()
         if other.points(t) == quad.points(t):
             other = replace(quad, nodes_per_unit_time=max(4, math.ceil(2 * quad.points(t) / t)))
@@ -299,10 +304,10 @@ def K4_cumulant_ordered(
                 f"{GAUSS_POINT_CAP}-node cap, so the check uses the tolerance alone",
                 UserWarning, stacklevel=2)
         else:
-            other_ordered, other_unordered, _ = _k4_ordered_pieces(model, bath, t, other)
-            est = max(np.linalg.norm(ordered - other_ordered),
-                      np.linalg.norm(unordered - other_unordered)) / scale
-    threshold = 10.0 * max(quad.tolerance, est)
+            other_ordered, other_unordered = _k4_ordered_pieces(model, bath, t, other)
+            est = max(map(np.linalg.norm, (ordered - other_ordered, unordered - other_unordered)))
+            scale = max(map(np.linalg.norm, (ordered, unordered)))
+            threshold = max(threshold, 10.0 * (est / scale))
     if rel > threshold:
         raise EquivalenceError(
             f"ordered and unordered fourth-order routes disagree: relative "
@@ -332,7 +337,9 @@ def _k4_exact_is_cheaper(dim: int, chains: int, points: int) -> bool:
 def check_k4_routes(
     model: SystemModel, bath: BathSpec, t: float, quad: QuadratureSpec, k4: np.ndarray
 ) -> tuple[float, float]:
-    """A run's route check at t: (relative difference, trip).
+    """A run's route check at t: (relative difference, threshold) by the
+    route rule, with trip 10x the quadrature tolerance: neither pair below
+    carries quadrature error between its routes.
 
     ``k4`` is the generator's K4(t); the rule that chose its route
     (:func:`_k4_exact_is_cheaper`) chooses the other.  Against
@@ -340,21 +347,13 @@ def check_k4_routes(
     (:func:`tclgen.exact.K4_table_exact`), which shares two pairing chains,
     so this tests the third pairing minus K2 J against the Bohr-split
     interleaved chains; against :func:`K4_influence`, :func:`K_n_cumulant`
-    on the same grid, so no quadrature error enters.
-
-    Floor 1e-6 and trip max(1e-6, 100 tol) are not those of
-    :func:`K4_cumulant_ordered`, which would trip here: on
-    ``dephasing-single-mode`` K4 vanishes and the closed forms differ by
-    round-off, 6.5e-7 at t = 16 (9.6e-7 at t = 32 over its floor
-    1e-6 ||K2 J||), past its 10 tol = 1e-7.  This trip would loosen that
-    check tenfold.
+    on the same grid.
     """
     if _k4_exact_is_cheaper(model.dim, k4_chain_count(bath), quad.points(t)):
         other = K4_table_exact(model, bath, t).matrix
     else:
         other = K_n_cumulant(model, bath, t, 4, quad).matrix
-    rel, _ = _relative_difference(other, k4, 1e-6)
-    return rel, max(1e-6, 100.0 * quad.tolerance)
+    return _route_agreement(model, bath, t, other, k4, 10.0 * quad.tolerance)
 
 
 class Coefficients(NamedTuple):

@@ -23,7 +23,7 @@ from tclgen.cli import ConfigError, main, parse_config
 from tclgen.evolve import NumericsError
 from tclgen.quadrature import QuadratureSpec
 from tclgen.tcl import K2_influence
-from test_exact import DETERMINISTIC
+from test_exact import DETERMINISTIC, roundoff_bound
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
@@ -409,7 +409,7 @@ def test_route_check_reuses_a_quadrature_k4_from_the_memo(tmp_path, monkeypatch)
     report = (out / "report.txt").read_text()
     row = re.search(r"t= 5\.000000000000e-01  rel_diff= (\S+)  margin= (\S+)", report)
     assert row is not None
-    assert float(row.group(2)) == pytest.approx(float(row.group(1)) / 1e-6, rel=1e-3)
+    assert float(row.group(2)) == pytest.approx(float(row.group(1)) / 1e-7, rel=1e-3)
 
 
 def test_route_check_follows_the_cost_rule_at_each_time(tmp_path, monkeypatch):
@@ -572,6 +572,64 @@ def test_route_check_ignores_simpson_quadrature_error(tmp_path, npu):
     rows = re.findall(r"rel_diff= (\S+)\s+margin= (\S+)", (out / "report.txt").read_text())
     assert len(rows) == 2
     assert all(float(rel) < 1e-12 and float(margin) < 1e-6 for rel, margin in rows)
+
+
+DEPHASING_LONG = (
+    "[model]\npreset = dephasing-single-mode\n[run]\norder = 4\nt_max = 32\n"
+    "[outputs]\ngenerator_times = 8, 16, 32\ntrajectory = {}\n"
+)
+
+
+@pytest.mark.parametrize("trajectory", ["false", "true"])
+def test_route_check_passes_where_k4_vanishes_at_long_times(tmp_path, trajectory):
+    # K4 is 0 on this preset, so both routes are round-off of pairing chains
+    # that grow as t^3; it once passed 1e-6 of its scale at t = 32 (2.3e-6),
+    # and now stays far below the round-off floor eps B(t) on either K4 grid
+    cfg_path = tmp_path / "s.ini"
+    cfg_path.write_text(DEPHASING_LONG.format(trajectory))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    margins = re.findall(r"margin= (\S+)", (out / "report.txt").read_text())
+    assert len(margins) == 3 and all(float(m) < 0.1 for m in margins)
+
+
+@pytest.mark.parametrize("shift, code", [(2.0, 2), (0.5, 0)])
+def test_round_off_floor_trips_at_eps_b(tmp_path, monkeypatch, shift, code):
+    # where K4 vanishes the threshold is eps B(t) itself: a shift of the
+    # table route at t = 32 by twice it fails the run, by half of it passes
+    preset = tclgen.models.get_preset("dephasing-single-mode")
+    floor = roundoff_bound(preset.model, preset.bath, 32.0)
+    original = tclgen.tcl.K4_table_exact
+
+    def shifted(model, bath, t):
+        out = original(model, bath, t)
+        if t != 32.0:
+            return out
+        return SuperOp(out.dim, out.matrix + shift * floor / out.dim * np.eye(out.dim**2))
+
+    monkeypatch.setattr(tclgen.tcl, "K4_table_exact", shifted)
+    cfg_path = tmp_path / "s.ini"
+    cfg_path.write_text(DEPHASING_LONG.format("false"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == code
+    margin = re.search(r"t= 3\.2\S+  rel_diff= \S+  margin= (\S+)", (out / "report.txt").read_text())
+    assert float(margin.group(1)) == pytest.approx(shift, rel=1e-2)
+
+
+def test_route_check_at_time_zero_reports_zero_margin(tmp_path):
+    # both routes are exactly 0 at t = 0, where the round-off floor is 0 too
+    cfg_path = tmp_path / "s.ini"
+    cfg_path.write_text(
+        PRESET_MIN
+        + "[run]\norder = 4\n"
+        "[outputs]\nkernels = false\ngenerator = false\ntrajectory = false\n"
+        "diagnostic = false\ngenerator_times = 0, 1\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    report = (out / "report.txt").read_text()
+    assert "  t= 0.000000000000e+00  rel_diff= 0.000e+00  margin= 0.000e+00\n" in report
+    assert len(re.findall(r"margin= ", report)) == 2
 
 
 def test_order2_run_skips_route_comparison(tmp_path):

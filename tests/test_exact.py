@@ -37,7 +37,7 @@ from tclgen.exact import (
 )
 from tclgen.models import get_preset
 from tclgen.quadrature import QuadratureSpec
-from tclgen.tcl import K2_influence, K4_influence, build_generator
+from tclgen.tcl import K2_influence, K4_influence, build_generator, check_k4_routes
 
 _home = tempfile.mkdtemp(prefix="tclgen-hypothesis-")
 atexit.register(shutil.rmtree, _home, ignore_errors=True)
@@ -297,6 +297,29 @@ def test_forward_map_annihilates_the_trace_and_matches_quadrature(instance, t):
 def test_fourth_order_vanishes_for_commuting_coupling(instance, t):
     model, bath = instance
     assert np.linalg.norm(K4_exact(model, bath, t).matrix) < 1e-12
+
+
+def roundoff_bound(model, bath, t):
+    """eps t^3 ||Xc||^2 (sum_nu ||W_nu||)^2, the round-off floor of the route rule."""
+    basis = tclgen.exact._Eigenbasis(model, bath)
+    norms = np.linalg.norm(basis.w, axis=(1, 2))
+    return np.finfo(float).eps * t**3 * np.linalg.norm(basis.xc) ** 2 * norms.sum() ** 2
+
+
+@settings(DETERMINISTIC, max_examples=20)
+@given(st.one_of(instances((2, 3)), commuting_instances((2, 3))), st.floats(0.1, 32.0))
+def test_round_off_floor_decides_only_where_k4_vanishes(instance, t):
+    # the run's route check passes the closed form with room to spare out to
+    # long times, where a commuting draw's K4 is round-off of chains of norm
+    # up to t^3; where K4 does not vanish the floor sits far below the trip
+    model, bath = instance
+    quad = QuadratureSpec()
+    k4 = K4_exact(model, bath, t).matrix
+    rel_diff, threshold = check_k4_routes(model, bath, t, quad, k4)
+    assert rel_diff / threshold <= 0.1
+    trip = 10.0 * quad.tolerance
+    if np.linalg.norm(k4) > 1e-6:
+        assert roundoff_bound(model, bath, t) <= 0.1 * trip * np.linalg.norm(k4)
 
 
 # --- grid forms against the per-time calls --------------------------------------

@@ -129,7 +129,7 @@ def test_fourth_order_routes_agree(d, modes, beta, npu):
 
 
 def test_ordered_and_unordered_pieces_agree():
-    ordered, unordered, _ = _k4_ordered_pieces(SPIN_BOSON, BATH, 1.0, GL16)
+    ordered, unordered = _k4_ordered_pieces(SPIN_BOSON, BATH, 1.0, GL16)
     scale = max(np.linalg.norm(ordered), 1e-300)
     assert np.linalg.norm(ordered - unordered) / scale < 1e-8
 
@@ -147,14 +147,14 @@ def test_equivalence_tripwire_fires(monkeypatch):
 
 
 def _agreeing_pieces(model, bath, t, quad):
-    return (np.eye(4, dtype=complex),) * 3
+    return (np.eye(4, dtype=complex),) * 2
 
 
 def _disagreeing_pieces(model, bath, t, quad):
     # the forms differ by 1/density, so halving or doubling the density
     # moves them by about as much as they differ: a real estimate passes
     eye = np.eye(4, dtype=complex)
-    return eye, (1.0 + 1.0 / quad.nodes_per_unit_time) * eye, eye
+    return eye, (1.0 + 1.0 / quad.nodes_per_unit_time) * eye
 
 
 def _recording(specs, pieces):
@@ -309,20 +309,31 @@ def test_second_grid_integrates_each_triple_simplex_term_once(monkeypatch):
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
 def test_vanishing_k4_passes_the_route_check(t):
-    # H and X commute, so K4 is 0 and both forms are round-off; the check
-    # measures them against the K2 J term the unordered form cancels
+    # H and X commute, so K4 is 0 and both forms are round-off, which the
+    # route rule's floor eps B(t) covers
     preset = get_preset("dephasing-single-mode")
     k4 = K4_cumulant_ordered(preset.model, preset.bath, t, QuadratureSpec())
     assert k4.norm_fro() <= 1e-12
 
 
+@pytest.mark.parametrize("t", [12.0, 32.0])
+def test_vanishing_k4_passes_the_ordered_check_at_long_times(t):
+    # GL16 sits at its 96-node cap from t = 12, so no self-estimate can raise
+    # the trip; the forms differ by round-off of terms that grow as t^3
+    # (6.5e-7 and 7.4e-6 of the old floor 1e-6 ||K2 J||), below eps B(t)
+    preset = get_preset("dephasing-single-mode")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k4 = K4_cumulant_ordered(preset.model, preset.bath, t, GL16)
+    assert k4.norm_fro() <= 1e-9
+
+
 def test_grid_k4_passes_the_run_route_check_where_k4_vanishes():
     # K4 is 0 on dephasing-single-mode, so the route check of `tclgen run`
-    # sets round-off of pairing chains of norm up to 1e2 against its 1e-6
-    # floor.  A grid reached by powers of one step exponential alone drifted
-    # past the trip from t = 3.6 (1.6e-6 at t = 4), where the per-time calls
-    # pass to t = 16 (6.5e-7); with a second step exponential every
-    # isqrt(steps) nodes the grid stays below 2e-7 here
+    # compares round-off of pairing chains of norm up to 1e2.  Against a
+    # floor of 1e-6, a grid reached by powers of one step exponential alone
+    # drifted past the trip from t = 3.6 (1.6e-6 at t = 4); with a second
+    # step exponential every isqrt(steps) nodes the grid stayed below 2e-7
     preset = get_preset("dephasing-single-mode")
     quad = QuadratureSpec()
     gen = build_generator(preset.model, preset.bath, 4, quad, 16.0)
