@@ -482,7 +482,11 @@ def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[
 
     Equivalence violations and numeric failures raise after all files that
     could be produced were written, so the report stays available forensically.
+    A truncated-bath oracle over its dimension cap fails first, before any work.
     """
+    oracle = cfg.write_trajectory and cfg.write_report and cfg.preset is not None
+    if oracle and not cfg.preset.startswith("dephasing"):
+        TruncatedBathConfig(cfg.bath, cfg.fock_levels).check_dim(cfg.model.dim)
     out = _OutputDir(cfg.out_dir, cfg.config_hash, verbose)
     t_grid = np.linspace(0.0, cfg.t_max, cfg.n_output)
     report: list[str] = [
@@ -538,7 +542,7 @@ def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[
             for t in map(float, cfg.generator_times):
                 _vlog(verbose, f"route comparison at t={t:g}")
                 rel, threshold = check_k4_routes(
-                    cfg.model, cfg.bath, t, cfg.quad, gen.coefficients(t).k4)
+                    cfg.model, cfg.bath, t, cfg.quad, gen.coefficients(t).k4, gen.grid)
                 report.append(
                     f"  t= {_fmt(t)}  rel_diff= {rel:.3e}  margin= {rel / threshold:.3e}")
                 if rel > threshold and equivalence_failure is None:

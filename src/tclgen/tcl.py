@@ -14,10 +14,11 @@ audit through the CLI.
 :func:`build_generator` takes its coefficients from the closed forms of
 :mod:`tclgen.exact`, for a whole grid at once (:func:`K2_exact_grid`,
 :func:`K4_exact_grid`), except K4 on baths with so many modes that the exact
-route would cost more than quadrature (:func:`_k4_exact_is_cheaper`).
-:func:`K4_exact` is the ordered-cumulant route (the partially unordered form
-J4' - K2 J); :func:`check_k4_routes`
-sets the generator's K4 against the other route, chosen by the same rule.
+grid would cost more than quadrature at every node, a choice made once per
+table (:func:`_k4_exact_is_cheaper`).  :func:`K4_exact` is the
+ordered-cumulant route (the partially unordered form J4' - K2 J);
+:func:`check_k4_routes` sets the generator's K4 against the partner of the
+route its table took.
 The quadrature routes are otherwise the independent checks: :func:`K2_influence` and
 :func:`K4_influence` integrate the kernel formulas numerically, and
 :func:`K4_cumulant_ordered` computes K4 along two routes built on the moment
@@ -316,40 +317,43 @@ def K4_cumulant_ordered(
     return SuperOp(model.dim, ordered)
 
 
-def _k4_exact_is_cheaper(dim: int, chains: int, points: int) -> bool:
-    """Whether :func:`K4_exact` costs less than :func:`K4_influence`.
-
-    ``chains`` is :func:`k4_chain_count` and ``points`` the quadrature points
-    per dimension at t (:meth:`QuadratureSpec.points`).  Measured on one BLAS
-    thread (Intel Xeon) on discretized spectral densities for d = 2, 3, 4,
-    2 to 30 modes and 8 to 64 Gauss points: the exact route takes about
-    5e-6 s x chains x d^4, the quadrature about 6e-5 s x points^2 x d, so
-    the exact route is the cheaper one while chains x d^3 <= 12 points^2.
-    For a two-level system at t = 2 and 16 nodes per unit time that holds
-    up to 11 modes.  Since the quadrature engines batch their node pairs,
-    the quadrature costs about 2.4e-5 s x points^2 x d (break-even near
-    chains x d^3 <= 5 points^2); the bound stays as fitted until a
-    many-mode workload refits both constants.
+def _k4_exact_is_cheaper(model: SystemModel, bath: BathSpec, quad: QuadratureSpec,
+                         t: float) -> bool:
+    """Whether :func:`K4_exact` at t costs less than :func:`K4_influence` on
+    ``quad``: while chains x d^3 <= 12 points^2, with chains the
+    :func:`k4_chain_count` of ``bath`` and points :meth:`QuadratureSpec.points`
+    at t, which never falls as t grows.  Fitted on one BLAS thread (Intel
+    Xeon) on discretized spectral densities for d = 2, 3, 4, 2 to 30 modes
+    and 8 to 64 Gauss points, before the quadrature engines batched their
+    node pairs; per call it now picks the slower route in places (at 5 modes
+    and t = 1, K4_exact 10 ms over K4_influence 5.7 ms).  A generator table
+    asks it once, at its last node, where a closed-form grid call pays for
+    every node (up to 11 modes for a two-level system at t_max = 2 and 16
+    nodes per unit time).  A refit waits for a many-mode workload.
     """
-    return chains * dim**3 <= 12 * points**2
+    return k4_chain_count(bath) * model.dim**3 <= 12 * quad.points(t) ** 2
 
 
 def check_k4_routes(
-    model: SystemModel, bath: BathSpec, t: float, quad: QuadratureSpec, k4: np.ndarray
+    model: SystemModel, bath: BathSpec, t: float, quad: QuadratureSpec, k4: np.ndarray,
+    grid: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """A run's route check at t: (relative difference, threshold) by the
     route rule, with trip 10x the quadrature tolerance: neither pair below
     carries quadrature error between its routes.
 
-    ``k4`` is the generator's K4(t); the rule that chose its route
-    (:func:`_k4_exact_is_cheaper`) chooses the other.  Against
-    :func:`K4_exact` (J4' - K2 J) it sets the kernel table in closed form
+    ``k4`` is the generator's K4(t) and ``grid`` its table's nodes
+    (:attr:`Generator.grid`).  The check takes the partner of the route
+    that K4(t) came from: on a node of the grid, the route the cost rule
+    (:func:`_k4_exact_is_cheaper`) chose for the whole table at its last
+    node; anywhere else, the route it chose at t.  Against :func:`K4_exact`
+    (J4' - K2 J) it sets the kernel table in closed form
     (:func:`tclgen.exact.K4_table_exact`), which shares two pairing chains,
     so this tests the third pairing minus K2 J against the Bohr-split
     interleaved chains; against :func:`K4_influence`, :func:`K_n_cumulant`
     on the same grid.
     """
-    if _k4_exact_is_cheaper(model.dim, k4_chain_count(bath), quad.points(t)):
+    if _k4_exact_is_cheaper(model, bath, quad, grid[-1] if grid is not None and t in grid else t):
         other = K4_table_exact(model, bath, t).matrix
     else:
         other = K_n_cumulant(model, bath, t, 4, quad).matrix
@@ -487,29 +491,25 @@ def build_generator(
     ``max(33, ceil(t_max * nodes_per_unit_time) + 1)`` uniform nodes.  Every
     mode draws on one memo of the unscaled coefficients, so each K2(t) and
     K4(t) is computed at most once per time, whatever the coupling.  K2
-    always comes from the closed form, K4 from it where
-    :func:`_k4_exact_is_cheaper` at that node, else from :func:`K4_influence`
-    on ``quad`` (the two agree to about 1e-12 relative at the default
-    quadrature).  With a grid the memo is filled when the generator is
-    built: every node's K2 from one :func:`K2_exact_grid` call and the
-    closed-form K4 nodes from one :func:`K4_exact_grid` evaluation, which
-    takes its K2 J term from that K2.  Times off the
-    grid, and every time in ``"direct"`` mode, take the per-time calls
-    :func:`K2_exact` and :func:`K4_exact`.
+    always comes from the closed form.  K4 takes one route per table: with a
+    grid the memo is filled when the generator is built, every node's K2
+    from one :func:`K2_exact_grid` call and, where :func:`_k4_exact_is_cheaper`
+    at ``t_max``, every node's K4 from one :func:`K4_exact_grid` evaluation,
+    which takes its K2 J term from that K2; else every node's K4 from
+    :func:`K4_influence` on ``quad`` (the two agree to about 1e-12 relative
+    at the default quadrature).  Times off the grid, and every time in
+    ``"direct"`` mode, are one-node tables: :func:`K2_exact`, and K4 by the
+    rule at that time.
     """
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
 
     memo: dict[float, Coefficients] = {}
-    chains = k4_chain_count(bath) if order == 4 else 0
-
-    def exact_route(t: float) -> bool:
-        return order == 4 and _k4_exact_is_cheaper(model.dim, chains, quad.points(t))
 
     def fourth(t: float) -> np.ndarray | None:
         if order == 2:
             return None
-        if exact_route(t):
+        if _k4_exact_is_cheaper(model, bath, quad, t):
             return K4_exact(model, bath, t).matrix
         return K4_influence(model, bath, t, quad).matrix
 
@@ -522,8 +522,8 @@ def build_generator(
     grid = None if interp == "direct" else np.linspace(0.0, t_max, n_nodes)
     if grid is not None:
         k2 = K2_exact_grid(model, bath, t_max, n_nodes - 1)
-        routes = [exact_route(t) for t in grid]
-        k4 = _k4_exact_grid(model, bath, t_max, n_nodes - 1, k2) if any(routes) else None
-        for i, (t, exact) in enumerate(zip(grid, routes)):
-            memo[t] = Coefficients(k2[i], k4[i] if exact else fourth(t))
+        k4 = (_k4_exact_grid(model, bath, t_max, n_nodes - 1, k2)
+              if order == 4 and _k4_exact_is_cheaper(model, bath, quad, t_max) else None)
+        for i, t in enumerate(grid):
+            memo[t] = Coefficients(k2[i], fourth(t) if k4 is None else k4[i])
     return Generator(order, model.alpha, model.dim, coefficients, grid, interp)

@@ -433,6 +433,24 @@ def test_route_check_follows_the_cost_rule_at_each_time(tmp_path, monkeypatch):
     assert len(re.findall(r"rel_diff= \S+  margin= \S+", (out / "report.txt").read_text())) == 2
 
 
+def test_route_check_follows_the_table_of_a_grid_run(tmp_path, monkeypatch):
+    # five modes to t_max = 2 take every node from the closed-form grid,
+    # t = 0.5 too, where the per-time rule would take quadrature: the check
+    # sets that node against the closed-form kernel table
+    calls = _record_calls(monkeypatch, table=tclgen.exact.K4_table_exact,
+                          cumulant=tclgen.cumulant.K_n_cumulant)
+    cfg_path = tmp_path / "scenario.ini"
+    cfg_path.write_text(FIVE_MODES.replace("t_max = 0.5", "t_max = 2")
+                        .replace("trajectory = false", "trajectory = true"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert [float(args[2]) for args in calls["table"]] == [0.5]
+    assert calls["cumulant"] == []
+    row = re.search(r"t= 5\.000000000000e-01  rel_diff= \S+  margin= (\S+)",
+                    (out / "report.txt").read_text())
+    assert row is not None and float(row.group(1)) <= 0.1
+
+
 def test_cli_holds_no_k4_route():
     # the route choice and both route checks live in tclgen.tcl
     routes = ("K4_exact", "K4_table_exact", "K4_influence", "K_n_cumulant")
@@ -901,6 +919,33 @@ def test_scaling_study_rejects_an_oversized_purified_reference(monkeypatch, caps
     err = capsys.readouterr().err
     assert "dimension 20000 exceeds the cap 4096" in err
     assert "at most 6 Fock levels per mode fit" in err
+
+
+ORACLE_OVER_CAP = (
+    "[model]\npreset = spinboson-single-mode\n[bath]\n"
+    "modes = 0.3, 0.5, 1; 0.3, 0.7, 1; 0.3, 0.9, 1; 0.3, 1.1, 1\n"
+)
+
+
+def test_run_checks_the_oracle_dimension_before_any_work(tmp_path, monkeypatch, capsys):
+    # four modes at the preset's 12 levels need dimension 2 * 12^4; the run
+    # fails before it builds a generator or writes a file
+    def no_generator(*args, **kwargs):
+        raise AssertionError("generator built before the dimension check")
+
+    monkeypatch.setattr(tclgen.cli, "build_generator", no_generator)
+    cfg_path = tmp_path / "scenario.ini"
+    cfg_path.write_text(ORACLE_OVER_CAP)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "dimension 41472 exceeds the cap 4096" in err
+    assert "at most 6 Fock levels per mode fit" in err
+    assert not out.exists()
+    # without a trajectory there is nothing to compare with the oracle
+    monkeypatch.undo()
+    cfg_path.write_text(ORACLE_OVER_CAP + "[outputs]\ntrajectory = false\n")
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
 
 
 def test_scaling_study_takes_k2_in_closed_form(monkeypatch):

@@ -32,12 +32,19 @@ from tclgen.exact import (
     K4_exact_grid,
     K4_table_exact,
     _expm,
+    _k4_exact_grid,
     forward_map_exact,
     forward_map_exact_grid,
 )
 from tclgen.models import get_preset
 from tclgen.quadrature import QuadratureSpec
-from tclgen.tcl import K2_influence, K4_influence, build_generator, check_k4_routes
+from tclgen.tcl import (
+    K2_influence,
+    K4_influence,
+    _k4_exact_is_cheaper,
+    build_generator,
+    check_k4_routes,
+)
 
 _home = tempfile.mkdtemp(prefix="tclgen-hypothesis-")
 atexit.register(shutil.rmtree, _home, ignore_errors=True)
@@ -170,9 +177,8 @@ def test_block_exponential_counts(monkeypatch, modes):
         form(model, bath, 0.7)
         assert counts == expected
     # a 33-node table hands each chain to one grid call for all its nodes
-    # (two block exponentials per chain, at the step and at isqrt(32) steps);
-    # the nodes before the exact route's cost limit take K4_influence, which
-    # builds no chain
+    # (two block exponentials per chain, at the step and at isqrt(32) steps),
+    # the nodes before the per-time cost limit included
     counts.clear()
     gen = build_generator(model, bath, 4, QuadratureSpec(GL, 16, 1e-8), 2.0)
     assert len(gen.grid) == 33
@@ -201,21 +207,21 @@ def _hermitian(d, scale):
     return entries.map(build)
 
 
-def _baths(max_modes=3):
+def _baths(max_modes=3, min_modes=1):
     return st.builds(
         BathSpec,
         st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
-                 min_size=1, max_size=max_modes),
+                 min_size=min_modes, max_size=max_modes),
         st.one_of(st.just(math.inf), st.floats(1.0, 5.0)),
     )
 
 
 @st.composite
-def instances(draw, dims, max_modes=3):
+def instances(draw, dims, max_modes=3, min_modes=1):
     d = draw(st.sampled_from(dims))
     h = draw(_hermitian(d, 0.5))
     x = draw(_hermitian(d, 1.0))
-    return SystemModel(d, h, x, alpha=0.1), draw(_baths(max_modes))
+    return SystemModel(d, h, x, alpha=0.1), draw(_baths(max_modes, min_modes))
 
 
 @st.composite
@@ -320,6 +326,32 @@ def test_round_off_floor_decides_only_where_k4_vanishes(instance, t):
     trip = 10.0 * quad.tolerance
     if np.linalg.norm(k4) > 1e-6:
         assert roundoff_bound(model, bath, t) <= 0.1 * trip * np.linalg.norm(k4)
+
+
+@settings(DETERMINISTIC, max_examples=8)
+@given(instances((2,), max_modes=6, min_modes=3), st.floats(0.5, 2.5))
+def test_one_k4_route_per_generator_table(instance, t_max):
+    # where the cost rule holds at t_max every node is the closed-form grid's,
+    # elsewhere K4_influence's; on either side of the per-time threshold the
+    # run's route check takes the partner of the table's route
+    model, bath = instance
+    quad = QuadratureSpec()
+    gen = build_generator(model, bath, 4, quad, t_max, interp="cubic")
+    steps = len(gen.grid) - 1
+    exact = _k4_exact_is_cheaper(model, bath, quad, t_max)
+    if exact:
+        table = _k4_exact_grid(model, bath, t_max, steps, K2_exact_grid(model, bath, t_max, steps))
+    for s, t in enumerate(gen.grid):
+        k4 = table[s] if exact else K4_influence(model, bath, t, quad).matrix
+        assert np.array_equal(gen.coefficients(t).k4, k4)
+    # the last node below the per-time threshold and the first above it
+    above = [s for s, t in enumerate(gen.grid) if _k4_exact_is_cheaper(model, bath, quad, t)]
+    first = above[0] if above else steps + 1
+    for s in {max(first - 1, 1), min(first, steps)}:
+        t = gen.grid[s]
+        rel_diff, threshold = check_k4_routes(model, bath, t, quad, gen.coefficients(t).k4,
+                                              gen.grid)
+        assert rel_diff / threshold <= 0.1
 
 
 # --- grid forms against the per-time calls --------------------------------------

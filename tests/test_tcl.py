@@ -15,7 +15,7 @@ import tclgen.exact
 import tclgen.quadrature
 import tclgen.tcl
 from tclgen.algebra import SuperOp, SystemModel
-from tclgen.bath import BathSpec
+from tclgen.bath import BathSpec, discretize_spectral_density
 from tclgen.models import get_preset
 from tclgen.quadrature import QuadratureSpec
 from tclgen.exact import K2_exact, K4_exact
@@ -625,3 +625,28 @@ def test_fourth_order_source_follows_the_cost_of_the_exact_route(monkeypatch):
         (30, 0.5, "quadrature"), (30, 2.0, "quadrature"),
         (40, 0.5, "quadrature"), (40, 2.0, "quadrature"),
     ]
+
+
+@pytest.mark.parametrize("n_modes, exact", [(3, True), (5, True), (11, True), (20, False)])
+def test_a_generator_table_takes_one_k4_route(monkeypatch, n_modes, exact):
+    # the cost rule decides once per table, at t_max: a table the closed
+    # form pays for takes every node from one grid call, one that it does
+    # not takes K4_influence at every node; none mixes the two
+    grids, nodes = [], []
+    original = tclgen.tcl._k4_exact_grid
+
+    def grid_call(*args):
+        grids.append(args[2:4])
+        return original(*args)
+
+    def influence(model, bath, t, quad):
+        nodes.append(t)
+        return SuperOp(model.dim, np.zeros((model.dim**2,) * 2, complex))
+
+    monkeypatch.setattr(tclgen.tcl, "_k4_exact_grid", grid_call)
+    monkeypatch.setattr(tclgen.tcl, "K4_influence", influence)
+    modes = discretize_spectral_density(lambda w: 0.5 * w * math.exp(-w / 2), 6.0, n_modes)
+    gen = build_generator(SPIN_BOSON, BathSpec(modes, 1.0), 4, QuadratureSpec(), 2.0)
+    assert len(gen.grid) == 33
+    assert grids == ([(2.0, 32)] if exact else [])
+    assert nodes == ([] if exact else list(gen.grid))
