@@ -168,13 +168,15 @@ def _node_range(v: int) -> str | None:
 
 
 def _parse_times(raw: str) -> tuple[float, ...]:
-    """Comma-separated generator times: nonnegative, finite, and no two
-    distinct times whose generator CSVs share a name."""
+    """Comma-separated generator times: nonnegative, finite, none repeated,
+    and no two distinct times whose generator CSVs share a name."""
     times = tuple(float(p) for p in raw.split(","))
     if not all(math.isfinite(t) and t >= 0 for t in times):
         raise ValueError("times must be nonnegative and finite")
     seen: dict[str, float] = {}
     for t in times:
+        if t in seen.values():
+            raise ValueError(f"time {t!r} is given twice")
         first = seen.setdefault(f"{t:g}", t)
         if first != t:
             raise ValueError(f"times {first!r} and {t!r} would write the same generator "

@@ -51,7 +51,7 @@ import numpy as np
 
 from .algebra import SystemModel
 from .bath import BathSpec
-from .evolve import Trajectory, _monitors, propagate, trace_distance
+from .evolve import Trajectory, _monitors, _validate_state, propagate, trace_distance
 from .quadrature import QuadratureSpec
 from .tcl import build_generator
 
@@ -71,7 +71,6 @@ __all__ = [
 
 _DIM_CAP = 4096
 _COMMUTE_TOL = 1e-12
-_HERMITIAN_TOL = 1e-10  # as for a configured rho0
 
 
 @dataclass(frozen=True)
@@ -123,35 +122,12 @@ class TruncatedBathConfig:
 # --- Fock-space building blocks ----------------------------------------------
 
 
-def _ladder(n: int) -> np.ndarray:
-    a = np.zeros((n, n), dtype=complex)
-    idx = np.arange(n - 1)
-    a[idx, idx + 1] = np.sqrt(idx + 1.0)
-    return a
-
-
-def _mode_ops(omega: float, mass: float, n: int):
-    """(x, H) for one truncated mode."""
-    a = _ladder(n)
-    x = (a + a.conj().T) / math.sqrt(2.0 * mass * omega)
-    h = omega * (np.diag(np.arange(n) + 0.5)).astype(complex)
-    return x, h
-
-
 def _thermal_weights(beta: float, omega: float, n: int) -> np.ndarray:
+    """Renormalized truncated Gibbs weights of one mode; the vacuum at beta = inf."""
     if math.isinf(beta):
-        w = np.zeros(n)
-        w[0] = 1.0
-        return w
+        return np.eye(n)[0]
     w = np.exp(-beta * omega * np.arange(n))
     return w / w.sum()
-
-
-def _kron_all(mats: list[np.ndarray]) -> np.ndarray:
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
 
 
 def _purified_modes(bath: BathSpec) -> list[tuple[float, float, float, float]]:
@@ -172,10 +148,13 @@ def _purified_modes(bath: BathSpec) -> list[tuple[float, float, float, float]]:
 
 
 def _bath_operators(config: TruncatedBathConfig):
-    """(B, H_B, w) on the truncated multi-mode bath space.
+    """(B, h_B, w) on the truncated multi-mode bath space, in real arithmetic.
 
-    ``w`` is the diagonal of the initial bath state in the Fock product
-    basis: Gibbs weights per mode, or the vacuum for the purified bath.
+    B = Σ_i κ_i 1 ⊗ x_i ⊗ 1 from one ladder matrix x_i per mode.  H_B and
+    the initial bath state are diagonal in the Fock product basis, so
+    ``h_B`` is the diagonal Σ_i sign_i ω_i (n_i + ½) and ``w`` the product of
+    the modes' weights: Gibbs weights per mode, or the vacuum for the
+    purified bath.
     """
     n = config.fock_levels
     if config.purified:
@@ -187,16 +166,20 @@ def _bath_operators(config: TruncatedBathConfig):
              _thermal_weights(config.bath.beta, m.omega, n))
             for m in config.bath.modes
         ]
-    nb = n ** len(factors)
-    b = np.zeros((nb, nb), dtype=complex)
-    h = np.zeros((nb, nb), dtype=complex)
-    for i, (kappa, omega, mass, sign, _) in enumerate(factors):
-        x, hmode = _mode_ops(omega, mass, n)
-        pre = [np.eye(n, dtype=complex)] * i
-        post = [np.eye(n, dtype=complex)] * (len(factors) - i - 1)
-        b += kappa * _kron_all(pre + [x] + post)
-        h += sign * _kron_all(pre + [hmode] + post)
-    return b, h, _kron_all([f[4] for f in factors])
+    k = len(factors)
+    occupations = np.indices((n,) * k).reshape(k, -1)  # n_i at each product index
+    ladder = np.diag(np.sqrt(np.arange(1.0, n)), 1)
+    b = np.zeros((n**k, n**k))
+    h_b = np.zeros(n**k)
+    w = np.ones(n**k)
+    for i, (kappa, omega, mass, sign, weights) in enumerate(factors):
+        # times the reciprocal, which is how NumPy divides a complex array by a
+        # real scalar: x keeps the bits of a complex-arithmetic construction
+        x = (ladder + ladder.T) * (1.0 / math.sqrt(2.0 * mass * omega))
+        b += kappa * np.kron(np.kron(np.eye(n**i), x), np.eye(n ** (k - i - 1)))
+        h_b += sign * (omega * (occupations[i] + 0.5))
+        w *= weights[occupations[i]]
+    return b, h_b, w
 
 
 # --- exact solutions ----------------------------------------------------------
@@ -279,8 +262,10 @@ def exact_small_bath(
     levels; the largest trace distance it moves a state by is returned as
     ``truncation_shift``, and a warning is emitted when it exceeds 1e-6.
     When the bigger space exceeds the dimension cap, the check is skipped
-    with a warning.
+    with a warning.  ``rho0`` is checked first, as :func:`propagate` checks
+    it: shape, Hermiticity, trace and eigenvalues.
     """
+    rho0 = _validate_state(rho0, model.dim)
     t_grid = np.asarray(t_grid, dtype=float)
     config.check_dim(model.dim)
     states = _reduced_states(rho0, model, config, t_grid)
@@ -308,15 +293,12 @@ def exact_small_bath(
 
 def _total_hamiltonian(model: SystemModel, config: TruncatedBathConfig):
     """(H_total, w): H_S ⊗ 1 + 1 ⊗ H_B - α X ⊗ B on the truncated product
-    space, and the diagonal of the bath's initial state (see
-    :func:`_bath_operators`)."""
+    space, H_B added on the diagonal, and the diagonal of the bath's initial
+    state (see :func:`_bath_operators`)."""
     b, h_b, w_b = _bath_operators(config)
-    nb = b.shape[0]
-    h_tot = (
-        np.kron(model.h_sys, np.eye(nb))
-        + np.kron(np.eye(model.dim), h_b)
-        - model.alpha * np.kron(model.coupling, b)
-    )
+    h_tot = np.kron(model.h_sys, np.eye(len(w_b)))
+    h_tot[np.diag_indices_from(h_tot)] += np.tile(h_b, model.dim)
+    h_tot -= model.alpha * np.kron(model.coupling, b)
     return h_tot, w_b
 
 
@@ -375,9 +357,6 @@ def _reduced_states(
     R = Σ_k w_k (U† φ_k)(U† φ_k)†.
     """
     d = model.dim
-    rho0 = np.asarray(rho0, dtype=complex)
-    if np.linalg.norm(rho0 - rho0.conj().T) > _HERMITIAN_TOL:
-        raise ValueError("initial state must be Hermitian")
     h_tot, w_b = _total_hamiltonian(model, config)
     nb = len(w_b)
     evals, u = _eigh_by_blocks(h_tot)

@@ -195,24 +195,20 @@ def _oscillators(modes, beta: float, purified: bool):
     return out
 
 
-def oracle_reduced_states(
+def oracle_total_hamiltonian(
     h_sys: np.ndarray,
     coupling: np.ndarray,
     alpha: float,
     modes,
     beta: float,
     n_levels: int,
-    rho0: np.ndarray,
-    times,
     purified: bool = False,
-) -> np.ndarray:
-    """Interaction-picture reduced states of system plus truncated bath.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(H, rho_B) on the truncated product space, by Kronecker chains.
 
-    H = H_S x 1 + 1 x H_B - alpha X x B on the truncated product space; the
-    state rho0 x rho_B is propagated by a dense matrix exponential of H at
-    every time, partial-traced over the bath and rotated by e^{+i H_S t}.
-    rho_B is the product of renormalized truncated Gibbs states, or the
-    vacuum of the purified bath.
+    H = H_S x 1 + 1 x H_B - alpha X x B, every bath operator a complex
+    Kronecker chain of one mode's matrix and identities; rho_B is the product
+    of renormalized truncated Gibbs states, or the vacuum of the purified bath.
     """
     h_sys = np.asarray(h_sys, dtype=complex)
     d = h_sys.shape[0]
@@ -230,7 +226,31 @@ def oracle_reduced_states(
         factors.append(thermal_state(math.inf if vacuum else beta, omega, n))
     h = (np.kron(h_sys, np.eye(nb)) + np.kron(np.eye(d), h_b)
          - alpha * np.kron(np.asarray(coupling, dtype=complex), b))
-    rho = np.kron(np.asarray(rho0, dtype=complex), _kron_chain(factors))
+    return h, _kron_chain(factors)
+
+
+def oracle_reduced_states(
+    h_sys: np.ndarray,
+    coupling: np.ndarray,
+    alpha: float,
+    modes,
+    beta: float,
+    n_levels: int,
+    rho0: np.ndarray,
+    times,
+    purified: bool = False,
+) -> np.ndarray:
+    """Interaction-picture reduced states of system plus truncated bath.
+
+    With H and rho_B from :func:`oracle_total_hamiltonian`, the state
+    rho0 x rho_B is propagated by a dense matrix exponential of H at every
+    time, partial-traced over the bath and rotated by e^{+i H_S t}.
+    """
+    h, rho_b = oracle_total_hamiltonian(h_sys, coupling, alpha, modes, beta, n_levels,
+                                        purified)
+    d = np.shape(h_sys)[0]
+    nb = len(rho_b)
+    rho = np.kron(np.asarray(rho0, dtype=complex), rho_b)
     out = []
     for t in times:
         u = expm(-1j * float(t) * h)

@@ -187,7 +187,9 @@ def test_colliding_generator_times_rejected():
     # both times would be written to generator_K2_t1.csv
     with pytest.raises(ConfigError, match=r"\[outputs\] generator_times: times 1.0 and 1.0000001"):
         parse_config(PRESET_MIN + "[outputs]\ngenerator_times = 0.5, 1.0, 1.0000001\n")
-    assert parse_config(PRESET_MIN + "[outputs]\ngenerator_times = 1.0, 1.0\n")
+    # so would a repeated time, twice
+    with pytest.raises(ConfigError, match=r"\[outputs\] generator_times: time 1.0 is given twice"):
+        parse_config(PRESET_MIN + "[outputs]\ngenerator_times = 1.0, 1.0\n")
 
 
 def test_unknown_section_and_key_rejected():

@@ -160,6 +160,11 @@ CASES = [
     ("outputs-colliding-times", PRESET + "[outputs]\ngenerator_times = 0.1, 0.1000000001\n", [
         f"[outputs] generator_times: {_SAME_CSV}",
     ]),
+    ("outputs-repeated-time",
+     PRESET + "[run]\nt_max = 0\n[outputs]\ngenerator_times = 0.5, 0.5, 1\n", [
+         "[run] t_max: must be positive and finite, got 0.0",
+         "[outputs] generator_times: time 0.5 is given twice",
+     ]),
     ("everything-wrong",
      "[model]\nalpha = x\ndim = 1\n[bath]\nbeta = y\nfock_levels = 1\n[run]\nt_max = 0\n"
      "rho0 = 1, 0, 0, 0\n[outputs]\nkernels = no way\n[more]\n", [
@@ -188,6 +193,9 @@ CLI_CASES = [
     ]),
     ("times-override-collision", ["generator-dump", "--times", "0.1,0.1000000001"], [
         f"--times: {_SAME_CSV}",
+    ]),
+    ("times-override-repeat", ["generator-dump", "--times", "0.5,0.5"], [
+        "--times: time 0.5 is given twice",
     ]),
     ("times-override-conversion", ["generator-dump", "--times", "0.5,soon"], [
         "--times: could not convert string to float: 'soon'",

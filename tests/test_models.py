@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_reduced_states
+from oracles import oracle_reduced_states, oracle_total_hamiltonian
 from test_exact import DETERMINISTIC, _hermitian
 
 import tclgen.models
@@ -252,14 +252,18 @@ def test_truncation_check_over_the_cap_warns_that_it_was_skipped(monkeypatch):
     assert traj.truncation_shift is None
 
 
-@st.composite
-def _oracle_cases(draw, d, purified):
+def _model_and_bath(draw, d, max_modes):
     model = SystemModel(d, draw(_hermitian(d, 0.5)), draw(_hermitian(d, 1.0)),
                         alpha=draw(st.floats(0.05, 0.5)))
     modes = draw(st.lists(
         st.tuples(st.floats(0.3, 1.0), st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
-        min_size=1, max_size=2))
-    bath = BathSpec(modes, draw(st.one_of(st.just(math.inf), st.floats(0.5, 5.0))))
+        min_size=1, max_size=max_modes))
+    return model, BathSpec(modes, draw(st.one_of(st.just(math.inf), st.floats(0.5, 5.0))))
+
+
+@st.composite
+def _oracle_cases(draw, d, purified):
+    model, bath = _model_and_bath(draw, d, 2)
     config = TruncatedBathConfig(bath, draw(st.integers(3, 5)), purified)
     # a thermal pair of modes, purified, is four oscillators: keep the dense
     # expm reference at most 500 dimensions by lowering the level count
@@ -288,6 +292,35 @@ def test_oracle_matches_a_dense_expm_reference(d, purified, data):
         model.h_sys, model.coupling, model.alpha, config.bath.modes, config.bath.beta,
         config.fock_levels, rho0, grid, purified=config.purified)
     assert np.max(np.abs(traj.states - ref)) < 1e-12
+
+
+@st.composite
+def _hamiltonian_cases(draw, d, purified):
+    model, bath = _model_and_bath(draw, d, 3)
+    config = TruncatedBathConfig(bath, draw(st.integers(2, 4)), purified)
+    # three thermal modes, purified, are six oscillators: keep the dense
+    # Kronecker chains small by lowering the level count, never below 2
+    while config.fock_levels > 2 and config.total_dim(d) > 600:
+        config = TruncatedBathConfig(bath, config.fock_levels - 1, config.purified)
+    return model, config
+
+
+@pytest.mark.parametrize("purified", [False, True])
+@pytest.mark.parametrize("d", [2, 3])
+@settings(DETERMINISTIC, max_examples=10)
+@given(data=st.data())
+def test_total_hamiltonian_matches_dense_kronecker_chains(d, purified, data):
+    # the oracle builds B from one real ladder matrix per mode and H_B as a
+    # diagonal; the reference chains complex matrices with identities.  Three
+    # modes put a middle mode between identities on both sides
+    model, config = data.draw(_hamiltonian_cases(d, purified))
+    h, w = _total_hamiltonian(model, config)
+    ref_h, ref_rho = oracle_total_hamiltonian(
+        model.h_sys, model.coupling, model.alpha, config.bath.modes, config.bath.beta,
+        config.fock_levels, purified=config.purified)
+    assert h.shape == ref_h.shape
+    assert np.max(np.abs(h - ref_h)) <= 1e-14 * np.max(np.abs(ref_h))
+    assert np.max(np.abs(w - np.diag(ref_rho))) <= 1e-14 * np.max(np.abs(ref_rho))
 
 
 def test_split_eigensolver_finds_planted_blocks():

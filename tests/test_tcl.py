@@ -328,6 +328,34 @@ def test_vanishing_k4_passes_the_ordered_check_at_long_times(t):
     assert k4.norm_fro() <= 1e-9
 
 
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+def test_vacuous_simpson_check_where_k4_vanishes_warns(t):
+    # K4 is 0 on dephasing-single-mode, so under Simpson's rule the two forms
+    # are quadrature error alone and the self-estimate raises the threshold
+    # to 158 to 169, past any relative difference (at most 2)
+    preset = get_preset("dephasing-single-mode")
+    quad = QuadratureSpec("simpson-uniform", 16, 1e-8)
+    with pytest.warns(UserWarning, match=rf"t = {t}: the self-estimate raises the "
+                                         r"threshold to 1\.[5-7]\d\de\+02.*cannot fail"):
+        K4_cumulant_ordered(preset.model, preset.bath, t, quad)
+
+
+def test_checks_that_can_fail_do_not_warn():
+    # Gauss-Legendre on the same preset passes on the round-off bound alone,
+    # with no self-estimate; on the criterion-3 instances under Simpson's rule
+    # the self-estimate raises the threshold to 1.75 at most
+    preset = get_preset("dephasing-single-mode")
+    rng = np.random.default_rng(23)
+    cases = [(_random_instance(rng, 2), 8) for _ in range(6)]
+    cases += [(_random_instance(rng, 3), 12) for _ in range(4)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (0.5, 1.0, 2.0):
+            K4_cumulant_ordered(preset.model, preset.bath, t, GL16)
+            for (model, bath), npu in cases:
+                K4_cumulant_ordered(model, bath, t, QuadratureSpec("simpson-uniform", npu, 1e-8))
+
+
 def test_grid_k4_passes_the_run_route_check_where_k4_vanishes():
     # K4 is 0 on dephasing-single-mode, so the route check of `tclgen run`
     # compares round-off of pairing chains of norm up to 1e2.  Against a
@@ -434,6 +462,24 @@ def test_build_generator_validation():
             build_generator(SPIN_BOSON, BATH, 2, GL8, t_max)
     with pytest.raises(ValueError, match="unknown interpolation"):
         build_generator(SPIN_BOSON, BATH, 2, GL8, 1.0, interp="quadratic")
+
+
+@pytest.mark.parametrize("order, interp, message", [
+    (3, "linear", "order must be 2 or 4, got 3"),
+    (4, "quadratic", "unknown interpolation 'quadratic'"),
+])
+def test_build_generator_checks_order_and_interp_before_any_table(
+    monkeypatch, order, interp, message
+):
+    # on spinboson-two-mode to t_max = 20 a bad order used to cost K2 on
+    # 321 nodes and a K4 per node before Generator refused it
+    def no_table(*args):
+        raise AssertionError("K2_exact_grid called before the arguments were checked")
+
+    monkeypatch.setattr(tclgen.tcl, "K2_exact_grid", no_table)
+    preset = get_preset("spinboson-two-mode")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_generator(preset.model, preset.bath, order, QuadratureSpec(), 20.0, interp)
 
 
 def test_default_grid_sizing():
