@@ -12,8 +12,8 @@ scaling-study   error-vs-coupling slope fit against the purified truncated oracl
 Scenario files use INI syntax (sections [model], [bath], [run], [outputs]).
 Their one schema is the table ``_KEYS``: each key's converter, default and
 check; the README's config reference mirrors it and gives byte-level examples
-of every output format.  All floats are written as ``%.12e`` with a ``.``
-decimal separator, so identical configs produce byte-identical CSVs.
+of every output format.  Every CSV is one float table written by
+``np.savetxt`` as ``%.12e``, so identical configs produce byte-identical CSVs.
 
 Exit codes: 0 success, 1 bad config / unreadable file / bad usage,
 2 route-equivalence violation, 3 numeric failure.
@@ -29,7 +29,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .cumulant import drop_odd_terms, enumerate_ordered_cumulant_terms
 from .exact import forward_map_exact
 from .evolve import (
     NumericsError,
+    _validate_state,
     invertibility_diagnostic,
     propagate,
     trace_distance,
@@ -140,12 +141,6 @@ def _parse_modes(raw: str) -> list[tuple[float, float, float]]:
     return modes
 
 
-def _parse_beta(raw: str) -> float:
-    if raw.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return float(raw)
-
-
 def _parse_bool(raw: str) -> bool:
     states = configparser.ConfigParser.BOOLEAN_STATES
     key = raw.strip().lower()
@@ -200,7 +195,7 @@ _KEYS = {
     },
     "bath": {
         "modes": (_parse_modes, None, None),
-        "beta": (_parse_beta, None, None),
+        "beta": (float, None, None),
         "fock_levels": (int, 12, _below_two),
     },
     "run": {
@@ -329,18 +324,12 @@ def parse_config(text: str) -> ScenarioConfig:
     rho0 = None
     rho_raw = get("run", "rho0")
     if rho_raw is not None and model is not None:
-        cand = _square("[run] rho0", rho_raw, model.dim, errors)
-        if cand is not None:
-            if not np.all(np.isfinite(cand)):
-                errors.append("[run] rho0: entries must be finite")
-            elif np.linalg.norm(cand - cand.conj().T) > 1e-10:
-                errors.append("[run] rho0: not Hermitian")
-            elif abs(np.trace(cand).real - 1.0) > 1e-10 or abs(np.trace(cand).imag) > 1e-10:
-                errors.append("[run] rho0: trace is not 1")
-            elif np.linalg.eigvalsh((cand + cand.conj().T) / 2).min() < -1e-10:
-                errors.append("[run] rho0: not positive semidefinite")
-            else:
-                rho0 = cand
+        rho0 = _square("[run] rho0", rho_raw, model.dim, errors)
+        if rho0 is not None:
+            try:
+                _validate_state(rho0, model.dim)
+            except ValueError as exc:
+                errors.append(f"[run] {exc}")
 
     out = {key: get("outputs", key) for key in _KEYS["outputs"]}
 
@@ -378,20 +367,16 @@ def _fmt(x: float) -> str:
     return f"{x:.12e}"
 
 
-def _write_csv(path: Path, meta: str, header: Sequence[str],
-               rows: Iterable[Sequence[str]]) -> None:
-    lines = [f"# {meta}", ",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+def _write_csv(path: Path, meta: str, header: Sequence[str], table: np.ndarray) -> None:
+    """A ``# meta`` line, the header line, then one line per row of ``table``."""
+    with open(path, "w", encoding="ascii") as f:
+        f.write(f"# {meta}\n{','.join(header)}\n")
+        np.savetxt(f, table, fmt="%.12e", delimiter=",")
 
 
-def _matrix_rows(mat: np.ndarray) -> Iterable[list[str]]:
-    for row in mat:
-        yield [s for z in row for s in (_fmt(z.real), _fmt(z.imag))]
-
-
-def _matrix_header(n_cols: int) -> list[str]:
-    return [f"{p}{j}" for j in range(n_cols) for p in ("re", "im")]
+def _re_im(m: np.ndarray) -> np.ndarray:
+    """Complex entries as re/im pairs along the last axis."""
+    return np.ascontiguousarray(m, dtype=complex).view(float)
 
 
 def _vlog(verbose: bool, msg: str) -> None:
@@ -410,10 +395,11 @@ class _OutputDir:
         self.verbose = verbose
         self.paths: list[Path] = []
 
-    def csv(self, name: str, header: Sequence[str], rows: Iterable[Sequence[str]],
+    def csv(self, name: str, header: Sequence[str], columns: Sequence[np.ndarray],
             meta: str = "") -> None:
-        """Write a CSV whose comment line is the directory's plus ``meta``."""
-        _write_csv(self.dir / name, self.meta + meta, header, rows)
+        """Write ``columns``, 1-d or 2-d, side by side as one CSV whose comment
+        line is the directory's plus ``meta``."""
+        _write_csv(self.dir / name, self.meta + meta, header, np.column_stack(columns))
         self._wrote(self.dir / name)
 
     def text(self, name: str, lines: Sequence[str]) -> None:
@@ -430,8 +416,7 @@ class _OutputDir:
 
 def _write_kernels_csv(cfg: ScenarioConfig, out: _OutputDir) -> None:
     k = tabulate_kernels(cfg.bath, cfg.t_max, cfg.n_output)
-    rows = ([_fmt(t), _fmt(a), _fmt(b)] for t, a, b in zip(k.tau_grid, k.D_values, k.D1_values))
-    out.csv("kernels.csv", ["tau", "D", "D1"], rows)
+    out.csv("kernels.csv", ["tau", "D", "D1"], [k.tau_grid, k.D_values, k.D1_values])
 
 
 def _write_generator_csvs(gen: Generator, out: _OutputDir, times: Sequence[float]) -> None:
@@ -440,21 +425,13 @@ def _write_generator_csvs(gen: Generator, out: _OutputDir, times: Sequence[float
     These are the order-coefficient matrices, taken from the generator's
     memo; the propagated generator is alpha^2 K2 + alpha^4 K4.
     """
-    header = _matrix_header(gen.dim**2)
+    header = [f"{p}{j}" for j in range(gen.dim**2) for p in ("re", "im")]
     for t in times:
         coeffs = gen.coefficients(float(t))
         for name, mat in (("K2", coeffs.k2), ("K4", coeffs.k4)):
             if mat is not None:
-                out.csv(f"generator_{name}_t{t:g}.csv", header, _matrix_rows(mat),
+                out.csv(f"generator_{name}_t{t:g}.csv", header, [_re_im(mat)],
                         f" t={_fmt(t)} order_coefficient={name}")
-
-
-def _trajectory_rows(traj) -> Iterable[list[str]]:
-    """Time, the state flattened as re/im pairs, then the three monitors."""
-    states = _matrix_rows(traj.states.reshape(len(traj.times), -1))
-    monitors = zip(traj.trace_deviation, traj.herm_deviation, traj.min_eigenvalue)
-    for t, state, mon in zip(traj.times, states, monitors):
-        yield [_fmt(t), *state, *map(_fmt, mon)]
 
 
 def _oracle_trajectory(cfg: ScenarioConfig, t_grid: np.ndarray):
@@ -523,7 +500,9 @@ def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[
         d = range(cfg.model.dim)
         header = ["time", *(f"{p}_{i}_{j}" for i in d for j in d for p in ("re", "im")),
                   "trace_dev", "herm_dev", "min_eig"]
-        out.csv("trajectory.csv", header, _trajectory_rows(traj))
+        out.csv("trajectory.csv", header,
+                [traj.times, _re_im(traj.states.reshape(len(traj.times), -1)),
+                 traj.trace_deviation, traj.herm_deviation, traj.min_eigenvalue])
         report.append("trajectory monitors:")
         report.append(f"  max |trace - 1|    = {traj.trace_deviation.max():.3e}")
         report.append(f"  max hermiticity dev = {traj.herm_deviation.max():.3e}")
@@ -532,9 +511,8 @@ def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[
 
     if cfg.write_diagnostic:
         diag = invertibility_diagnostic(cfg.model, cfg.bath, t_grid)
-        rows = ([_fmt(t), _fmt(s), _fmt(c)] for t, s, c in
-                zip(diag.times, diag.sigma_min, diag.condition_number))
-        out.csv("diagnostic.csv", ["time", "sigma_min", "condition_number"], rows)
+        out.csv("diagnostic.csv", ["time", "sigma_min", "condition_number"],
+                [diag.times, diag.sigma_min, diag.condition_number])
 
     equivalence_failure = None
     if cfg.write_report:
@@ -697,9 +675,8 @@ def _cmd_scaling_study(args) -> int:
     )
     out = _OutputDir(args.out or os.environ.get(_ENV_OUT) or "out",
                      hashlib.sha256(desc.encode()).hexdigest()[:12], args.verbose)
-    rows = ([_fmt(a), _fmt(e2), _fmt(e4)] for a, e2, e4 in
-            zip(res.alphas, res.errors_order2, res.errors_order4))
-    out.csv("scaling.csv", ["alpha", "err_order2", "err_order4"], rows)
+    out.csv("scaling.csv", ["alpha", "err_order2", "err_order4"],
+            [res.alphas, res.errors_order2, res.errors_order4])
     print(f"order-2 slope: {res.slope_order2:.3f}")
     print(f"order-4 slope: {res.slope_order4:.3f}")
     return 0

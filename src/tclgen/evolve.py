@@ -63,15 +63,21 @@ def _monitors(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _validate_state(rho0: np.ndarray, dim: int) -> np.ndarray:
+    """``rho0`` as a complex d x d array, else a ValueError naming the first
+    rule it breaks: finite entries, then Hermiticity, unit trace and no
+    eigenvalue below zero, each within 1e-10.  The one state rule of the
+    config, :func:`propagate` and both exact references."""
     rho = np.asarray(rho0, dtype=complex)
     if rho.shape != (dim, dim):
-        raise ValueError(f"initial state must be {dim} x {dim}, got {rho.shape}")
+        raise ValueError(f"rho0: must be {dim} x {dim}, got {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("rho0: entries must be finite")
     if np.max(np.abs(rho - rho.conj().T)) > _STATE_TOL:
-        raise ValueError("initial state is not Hermitian within 1e-10")
+        raise ValueError("rho0: not Hermitian")
     if abs(np.trace(rho) - 1.0) > _STATE_TOL:
-        raise ValueError("initial state trace differs from 1 by more than 1e-10")
+        raise ValueError("rho0: trace is not 1")
     if np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0] < -_STATE_TOL:
-        raise ValueError("initial state has an eigenvalue below -1e-10")
+        raise ValueError("rho0: not positive semidefinite")
     return rho
 
 
@@ -92,6 +98,8 @@ def propagate(
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
         raise ValueError("t_grid must be a 1-d array with at least two times")
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError("t_grid must be finite")
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
     rho = _validate_state(rho0, gen.dim)
@@ -279,8 +287,8 @@ def invertibility_diagnostic(
     that makes the generator time local) becomes ill conditioned.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid < 0):
-        raise ValueError("diagnostic times must be nonnegative")
+    if not np.all(np.isfinite(t_grid) & (t_grid >= 0)):
+        raise ValueError("diagnostic times must be finite and nonnegative")
     n = model.dim**2
     steps = len(t_grid) - 1
     if steps >= 0 and np.array_equal(t_grid, np.linspace(0.0, t_grid[-1], steps + 1)):

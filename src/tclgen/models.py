@@ -200,9 +200,9 @@ def dephasing_exact(
     """Schrödinger-picture state of the pure-dephasing model at time t.
 
     Requires a two-level system whose coupling commutes with H_S and has the
-    spectrum {+1, -1}.  Populations are unchanged; the coherence in the
-    coupling eigenbasis acquires the free phase e^{-i ω0 t} and the decay
-    exp(-2 α^2 Γ1(t)).
+    spectrum {+1, -1}; ``rho0`` is then checked as :func:`propagate` checks
+    it.  Populations are unchanged; the coherence in the coupling eigenbasis
+    acquires the free phase e^{-i ω0 t} and the decay exp(-2 α^2 Γ1(t)).
     """
     if model.dim != 2:
         raise ValueError("dephasing solution requires a two-level system")
@@ -216,7 +216,7 @@ def dephasing_exact(
         raise ValueError("coupling spectrum must be {+1, -1}")
     h_d = v.conj().T @ model.h_sys @ v
     omega0 = float((h_d[0, 0] - h_d[1, 1]).real)
-    r = v.conj().T @ np.asarray(rho0, dtype=complex) @ v
+    r = v.conj().T @ _validate_state(rho0, 2) @ v
     decay = math.exp(-2.0 * model.alpha**2 * decoherence_exponent(bath, t))
     out = np.array(
         [
@@ -262,11 +262,13 @@ def exact_small_bath(
     levels; the largest trace distance it moves a state by is returned as
     ``truncation_shift``, and a warning is emitted when it exceeds 1e-6.
     When the bigger space exceeds the dimension cap, the check is skipped
-    with a warning.  ``rho0`` is checked first, as :func:`propagate` checks
-    it: shape, Hermiticity, trace and eigenvalues.
+    with a warning.  ``rho0`` and the times are checked first, ``rho0`` by
+    the rule :func:`propagate` applies.
     """
     rho0 = _validate_state(rho0, model.dim)
     t_grid = np.asarray(t_grid, dtype=float)
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError("t_grid must be finite")
     config.check_dim(model.dim)
     states = _reduced_states(rho0, model, config, t_grid)
     shift = None

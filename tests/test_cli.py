@@ -331,6 +331,66 @@ def test_run_writes_all_artifacts_deterministically(tmp_path, capsys):
         assert fa.read_bytes() == fb.read_bytes(), fname
 
 
+def _assert_csv_text(path: Path, meta: str, header: list[str], rows) -> None:
+    """``path`` holds ``# meta``, the header, then each row as ``%.12e`` values,
+    and ends in one newline."""
+    text = path.read_text()
+    assert text.endswith("\n") and not text.endswith("\n\n"), path.name
+    lines = text[:-1].split("\n")
+    assert lines[0] == f"# {meta}", path.name
+    assert lines[1] == ",".join(header), path.name
+    assert lines[2:] == [",".join(f"{v:.12e}" for v in row) for row in rows], path.name
+
+
+def _re_im_row(m) -> list[float]:
+    return [v for z in np.ravel(m) for v in (z.real, z.imag)]
+
+
+def test_csv_text_is_the_library_arrays(tmp_path):
+    cfg_path = tmp_path / "scenario.ini"
+    cfg_path.write_text(RUN_SMALL)
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+
+    # the library's own arrays, computed in the order run_scenario computes them
+    cfg = parse_config(RUN_SMALL)
+    meta = f"config={cfg.config_hash} version={tclgen.__version__}"
+    t_grid = np.linspace(0.0, cfg.t_max, cfg.n_output)
+    k = tclgen.bath.tabulate_kernels(cfg.bath, cfg.t_max, cfg.n_output)
+    _assert_csv_text(out / "kernels.csv", meta, ["tau", "D", "D1"],
+                     zip(k.tau_grid, k.D_values, k.D1_values))
+    gen = tclgen.tcl.build_generator(cfg.model, cfg.bath, cfg.order, cfg.quad, cfg.t_max,
+                                     interp="cubic")
+    for t in cfg.generator_times:
+        coeffs = gen.coefficients(t)
+        for name, mat in (("K2", coeffs.k2), ("K4", coeffs.k4)):
+            _assert_csv_text(out / f"generator_{name}_t{t:g}.csv",
+                             f"{meta} t={t:.12e} order_coefficient={name}",
+                             [f"{p}{j}" for j in range(4) for p in ("re", "im")],
+                             map(_re_im_row, mat))
+    traj = tclgen.propagate(cfg.rho0, gen, t_grid, stepper=cfg.stepper,
+                            max_step=cfg.max_step, atol=cfg.atol)
+    header = ("time,re_0_0,im_0_0,re_0_1,im_0_1,re_1_0,im_1_0,re_1_1,im_1_1,"
+              "trace_dev,herm_dev,min_eig").split(",")
+    _assert_csv_text(out / "trajectory.csv", meta, header,
+                     ([t, *_re_im_row(state), tr, herm, mn] for t, state, tr, herm, mn in
+                      zip(traj.times, traj.states, traj.trace_deviation,
+                          traj.herm_deviation, traj.min_eigenvalue)))
+    diag = tclgen.invertibility_diagnostic(cfg.model, cfg.bath, t_grid)
+    _assert_csv_text(out / "diagnostic.csv", meta, ["time", "sigma_min", "condition_number"],
+                     zip(diag.times, diag.sigma_min, diag.condition_number))
+
+    out = tmp_path / "scaling"
+    assert main(["scaling-study", "--alphas", "0.1,0.2", "--t-max", "0.5",
+                 "--n-output", "6", "--fock", "4", "--out", str(out)]) == 0
+    res = tclgen.models.scaling_study(preset_name="spinboson-single-mode", alphas=(0.1, 0.2),
+                                      t_max=0.5, fock_levels=4, n_output=6)
+    meta = (out / "scaling.csv").read_text().split("\n", 1)[0][2:]
+    assert re.fullmatch(rf"config=[0-9a-f]{{12}} version={re.escape(tclgen.__version__)}", meta)
+    _assert_csv_text(out / "scaling.csv", meta, ["alpha", "err_order2", "err_order4"],
+                     zip(res.alphas, res.errors_order2, res.errors_order4))
+
+
 def _record_calls(monkeypatch, **originals):
     """Wrap each named function in every tclgen namespace that holds it.
 
@@ -679,6 +739,18 @@ def test_non_finite_input_exits_one_before_any_output(tmp_path, capsys, line, co
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     assert complaint in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rho0_at_the_edge_of_the_state_rule_exits_one_before_any_output(tmp_path, capsys):
+    # trace 1 + 8e-11 + 7e-11j: each part is within 1e-10, its distance from 1
+    # is not; propagate applies the same rule, so the run must stop up front
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(PRESET_MIN + "[run]\nrho0 = 0.50000000004+0.000000000035j, 0, 0, "
+                   "0.50000000004+0.000000000035j\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "error: [run] rho0: trace is not 1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -70,10 +70,19 @@ def test_initial_state_validation():
         propagate(np.array([[0.5, 0.5], [0.0, 0.5]]), gen, grid)
     with pytest.raises(ValueError, match="trace"):
         propagate(np.eye(2), gen, grid)
-    with pytest.raises(ValueError, match="eigenvalue"):
+    with pytest.raises(ValueError, match="positive semidefinite"):
         propagate(np.diag([1.5, -0.5]), gen, grid)
     with pytest.raises(ValueError, match="unknown stepper"):
         propagate(PLUS, gen, grid, stepper="euler")
+
+
+def test_non_finite_output_time_is_rejected():
+    # a NaN passes the strict-increase check, and ``t < nan`` is False, so the
+    # adaptive loop would stop at once and leave every later state unwritten
+    gen = build_generator(spin_boson(0.1), BATH, 2, GL8, 1.0)
+    for stepper in ("rk45-adaptive", "rk4-fixed"):
+        with pytest.raises(ValueError, match="t_grid must be finite"):
+            propagate(PLUS, gen, np.array([0.0, 0.5, np.nan]), stepper=stepper)
 
 
 def test_rk4_max_step_validation():
@@ -282,6 +291,12 @@ def test_diagnostic_uncoupled_is_identity():
 def test_diagnostic_rejects_negative_times():
     with pytest.raises(ValueError, match="nonnegative"):
         invertibility_diagnostic(spin_boson(0.3), BATH, np.array([-0.5, 0.5]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_diagnostic_rejects_non_finite_times(bad):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        invertibility_diagnostic(spin_boson(0.3), BATH, np.array([0.0, 0.5, bad]))
 
 
 def test_diagnostic_interacting_map_contracts():

@@ -214,6 +214,21 @@ def test_brute_force_rejects_a_non_hermitian_initial_state():
         exact_small_bath(rho0, model, TruncatedBathConfig(BATH, 4), np.array([0.0, 1.0]))
 
 
+def test_brute_force_rejects_non_finite_inputs():
+    model = SystemModel(2, 0.5 * SZ, SX, 0.1)
+    config = TruncatedBathConfig(BATH, 4)
+    with pytest.raises(ValueError, match="t_grid must be finite"):
+        exact_small_bath(PLUS, model, config, np.array([0.0, np.nan]))
+    with pytest.raises(ValueError, match="rho0: entries must be finite"):
+        exact_small_bath(np.diag([np.nan, 1.0]), model, config, np.array([0.0, 1.0]))
+
+
+def test_dephasing_exact_checks_the_state():
+    preset = get_preset("dephasing-single-mode")
+    with pytest.raises(ValueError, match="rho0: not Hermitian"):
+        dephasing_exact(np.array([[2.0, 5.0], [0.0, -1.0]]), preset.model, preset.bath, 1.0)
+
+
 def test_truncation_warning_fires_when_starved():
     model = SystemModel(2, 0.5 * SZ, SX, 0.5)
     config = TruncatedBathConfig(BATH, 4)
