@@ -73,7 +73,7 @@ __all__ = [
 ]
 
 _ENV_OUT = "TCLGEN_OUT"
-_STEPPERS = ("rk4-fixed", "rk45-adaptive")
+_STEPPERS = ("magnus4", "rk4-fixed", "rk45-adaptive")
 # quadrature nodes per unit time, which also set the generator grid's density
 _NODES_PER_UNIT_TIME = (4, 96)
 
@@ -202,7 +202,7 @@ _KEYS = {
         "t_max": (float, 2.0, _not_positive),
         "n_output": (int, 41, _below_two),
         "order": (int, 4, lambda v: None if v in ORDERS else f"must be 2 or 4, got {v}"),
-        "stepper": (str.strip, "rk45-adaptive",
+        "stepper": (str.strip, "magnus4",
                     lambda v: None if v in _STEPPERS
                     else f"must be one of {', '.join(_STEPPERS)}, got {v!r}"),
         "max_step": (float, 0.01, _not_positive),
@@ -503,6 +503,7 @@ def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[
         out.csv("trajectory.csv", header,
                 [traj.times, _re_im(traj.states.reshape(len(traj.times), -1)),
                  traj.trace_deviation, traj.herm_deviation, traj.min_eigenvalue])
+        report.append(f"stepper work: {traj.steps} steps, {traj.evaluations} generator evaluations")
         report.append("trajectory monitors:")
         report.append(f"  max |trace - 1|    = {traj.trace_deviation.max():.3e}")
         report.append(f"  max hermiticity dev = {traj.herm_deviation.max():.3e}")

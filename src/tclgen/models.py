@@ -49,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import SystemModel
+from .algebra import SystemModel, _kron_batch
 from .bath import BathSpec
 from .evolve import Trajectory, _monitors, _validate_state, propagate, trace_distance
 from .quadrature import QuadratureSpec
@@ -290,7 +290,7 @@ def exact_small_bath(
                     stacklevel=2,
                 )
     tr, herm, mins = _monitors(states)
-    return OracleTrajectory(t_grid.copy(), states, tr, herm, mins, shift)
+    return OracleTrajectory(t_grid.copy(), states, tr, herm, mins, truncation_shift=shift)
 
 
 def _total_hamiltonian(model: SystemModel, config: TruncatedBathConfig):
@@ -298,32 +298,32 @@ def _total_hamiltonian(model: SystemModel, config: TruncatedBathConfig):
     space, H_B added on the diagonal, and the diagonal of the bath's initial
     state (see :func:`_bath_operators`)."""
     b, h_b, w_b = _bath_operators(config)
-    h_tot = np.kron(model.h_sys, np.eye(len(w_b)))
+    h_tot = _kron_batch(model.h_sys[None], np.eye(len(w_b))[None])[0]
     h_tot[np.diag_indices_from(h_tot)] += np.tile(h_b, model.dim)
-    h_tot -= model.alpha * np.kron(model.coupling, b)
+    h_tot -= model.alpha * _kron_batch(model.coupling[None], b[None])[0]
     return h_tot, w_b
 
 
 def _components(h: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of the nonzero pattern of h,
-    found by breadth-first search over the rows (total cost ~N²)."""
-    linked = h != 0
-    label = np.full(len(h), -1)
-    out = []
-    while (free := np.flatnonzero(label < 0)).size:
-        frontier = np.zeros(len(h), dtype=bool)
-        frontier[free[0]] = True
-        while frontier.any():
-            label[frontier] = len(out)
-            frontier = linked[frontier].any(axis=0) & (label < 0)
-        out.append(np.flatnonzero(label == len(out)))
-    return out
+    """Index sets of the connected components of the nonzero pattern of h, by
+    smallest index: each pass over the nonzero entries gives every index the
+    smallest label of its neighbours, then its label's label, until none moves."""
+    rows, cols = np.nonzero(h)
+    label = np.arange(len(h))
+    while True:
+        new = label.copy()
+        np.minimum.at(new, rows, label[cols])
+        new = new[new]
+        if np.array_equal(new, label):
+            return [np.flatnonzero(label == k) for k in np.flatnonzero(label == np.arange(len(h)))]
+        label = new
 
 
-def _eigh_by_blocks(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eigh_by_blocks(h: np.ndarray, parts: list[np.ndarray] | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """(evals, U) with h = U diag(evals) U†, one ``eigh`` per connected
-    component of h's exact nonzero pattern, in real arithmetic when h has no
-    imaginary part.
+    component of h's exact nonzero pattern (``parts`` if given), in real
+    arithmetic when h has no imaginary part.
 
     A permutation that groups each component's indices makes h block
     diagonal, so the eigenvectors of each block, placed on its indices, are
@@ -332,7 +332,7 @@ def _eigh_by_blocks(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if not np.any(h.imag):
         h = h.real
-    parts = _components(h)
+    parts = _components(h) if parts is None else parts
     if len(parts) == 1:
         return np.linalg.eigh(h)
     evals = np.empty(len(h))
@@ -353,33 +353,44 @@ def _reduced_states(
     With H_total = U diag(E) U† and R = U† (rho0 ⊗ rho_B) U, the reduced state
     is rho_ij(t) = p(t)ᵀ (R ∘ M_ij) p(t)*, where p(t) = e^{-iEt} and
     M_ij = U_iᵀ conj(U_j) is the partial-trace overlap of the row blocks
-    U_i = U[(i, n), :].  Each pair i <= j costs one (T x N)(N x N) product for
-    the whole grid, and rho_ji = conj(rho_ij).  R comes from the vectors
-    φ_k = (eigenvector of rho0) ⊗ (Fock product state) of nonzero weight w_k:
-    R = Σ_k w_k (U† φ_k)(U† φ_k)†.
+    U_i = U[(i, n), :].  It is summed one pair of components (C, C') of H_total
+    at a time, over the n with (i, n) in C and (j, n) in C', skipping pairs
+    with none: one (T x |C|)(|C| x |C'|) product for the whole grid; and
+    rho_ji = conj(rho_ij).  R comes from the vectors φ_k = (eigenvector of
+    rho0) ⊗ (Fock product state) of nonzero weight w_k:
+    R = Σ_k w_k (U† φ_k)(U† φ_k)†, by the same blocks, R_C'C = R_CC'†.
     """
     d = model.dim
     h_tot, w_b = _total_hamiltonian(model, config)
     nb = len(w_b)
-    evals, u = _eigh_by_blocks(h_tot)
+    parts = _components(h_tot)
+    evals, u = _eigh_by_blocks(h_tot, parts)
     del h_tot
+    edges = np.cumsum([0] + [len(idx) for idx in parts])
+    cols = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    comp = np.repeat(np.arange(len(parts)), np.diff(edges))[np.concatenate(parts).argsort()]
+    comp = comp.reshape(d, nb)  # the component of each row (i, n)
     p, v = np.linalg.eigh((rho0 + rho0.conj().T) / 2.0)
     weights = np.kron(p, w_b)
     keep = weights != 0.0
     blocks = u.reshape(d, nb, -1)
     # eigenbasis components of v_i ⊗ |n⟩, column index (i, n) as in weights
     c = np.einsum("ai,anj->jin", v, blocks.conj()).reshape(len(evals), -1)[:, keep]
-    r = (c * weights[keep]) @ c.conj().T
-    del c
-    phases = np.exp(-1j * np.outer(t_grid, evals))
-    conj_phases = phases.conj()
-    out = np.empty((len(t_grid), d, d), dtype=complex)
-    m = np.empty_like(r)
+    cw = c * weights[keep]
+    r: dict = {}
+    phases = [np.exp(-1j * np.outer(t_grid, evals[k])) for k in cols]
+    out = np.zeros((len(t_grid), d, d), dtype=complex)
     for i in range(d):
         for j in range(i, d):
-            np.matmul(blocks[i].T, blocks[j].conj(), out=m)
-            m *= r
-            out[:, i, j] = np.einsum("tb,tb->t", phases @ m, conj_phases)
+            pair = comp[i] * len(parts) + comp[j]
+            for key in np.flatnonzero(np.bincount(pair)):
+                k, l = divmod(int(key), len(parts))
+                if (k, l) not in r:
+                    r[k, l] = (r[l, k].conj().T if (l, k) in r
+                               else cw[cols[k]] @ c[cols[l]].conj().T)
+                ns = np.flatnonzero(pair == key)
+                m = (blocks[i, ns, cols[k]].T @ blocks[j, ns, cols[l]].conj()) * r[k, l]
+                out[:, i, j] += np.einsum("tb,tb->t", phases[k] @ m, phases[l].conj())
             if j > i:
                 out[:, j, i] = out[:, i, j].conj()
     return to_interaction_picture(model, out, t_grid)

@@ -461,25 +461,47 @@ class Generator:
             raise ValueError("an order-4 generator needs K4 in its coefficients")
         return self.alpha**2 * k2 + self.alpha**4 * k4
 
+    def _spline(self, c: np.ndarray, z) -> np.ndarray:
+        zz = z * z  # summed in this order and not by Horner's rule, as SciPy's PPoly
+        value = c[..., 3, :] + c[..., 2, :] * z + c[..., 1, :] * zz + c[..., 0, :] * (zz * z)
+        return value.reshape(value.shape[:-1] + (self.dim**2, self.dim**2))
+
     def evaluator(self, t: float) -> np.ndarray:
         """The matrix of the fully scaled generator at t, unvalidated: the
-        stepper's right-hand side calls this."""
+        Runge-Kutta steppers' right-hand side calls this."""
         if self.grid is None:
             return self._scaled(t)
         if t < self.grid[0] or t > self.grid[-1]:
             raise ValueError(f"time {t} outside cached range [0, {self.grid[-1]}]")
         if self._cubic is not None:
             i = min(bisect_right(self._nodes, t), len(self._nodes) - 1) - 1
-            c, z = self._cubic[i], float(t - self._nodes[i])
-            # summed in this order and not by Horner's rule, as SciPy's PPoly
-            value = c[3] + c[2] * z + c[1] * (z * z) + c[0] * (z * z * z)
-            return value.reshape(self.dim**2, self.dim**2)
+            return self._spline(self._cubic[i], float(t - self._nodes[i]))
         idx = np.searchsorted(self.grid, t)
         if self.grid[idx] == t:
             return self._values[idx].copy()
         lo = idx - 1
         theta = (t - self.grid[lo]) / (self.grid[idx] - self.grid[lo])
         return (1 - theta) * self._values[lo] + theta * self._values[idx]
+
+    def values(self, ts) -> np.ndarray:
+        """:meth:`evaluator` at every time of the 1-d ``ts``, bitwise, stacked
+        (T, d^2, d^2) from one batched search of the table."""
+        ts = np.asarray(ts, dtype=float)
+        if self.grid is None:
+            return np.stack([self._scaled(t) for t in ts.tolist()])
+        outside = (ts < self.grid[0]) | (ts > self.grid[-1])
+        if outside.any():
+            return self.evaluator(ts[outside][0])  # raises its ValueError
+        if self._cubic is not None:
+            i = np.minimum(np.searchsorted(self.grid, ts, side="right"), len(self.grid) - 1) - 1
+            return self._spline(self._cubic[i], (ts - self.grid[i])[:, None])
+        idx = np.searchsorted(self.grid, ts)
+        lo = idx - 1  # wraps at the first node, which is always hit
+        theta = ((ts - self.grid[lo]) / (self.grid[idx] - self.grid[lo]))[:, None, None]
+        value = (1 - theta) * self._values[lo] + theta * self._values[idx]
+        hit = self.grid[idx] == ts
+        value[hit] = self._values[idx[hit]]
+        return value
 
     def __call__(self, t: float) -> SuperOp:
         """The fully scaled generator at t."""

@@ -339,3 +339,25 @@ def test_criterion_8_stepper_and_quadrature_convergence_orders(capsys):
     assert abs(rk4_mean - 4.0) <= 0.3
     for s in simpson_slopes:
         assert abs(s - 4.0) <= 0.8
+
+
+def test_magnus4_stepper_convergence_order(capsys):
+    # criterion 8's instance, generator and reference, for the fourth-order
+    # Magnus stepper that ``tclgen run`` takes by default
+    preset = get_preset("spinboson-single-mode")
+    quad = QuadratureSpec(GL, 8, 1e-8)
+    gen = build_generator(preset.model, preset.bath, 2, quad, 1.0, interp="direct")
+    rho0 = np.full((2, 2), 0.5, dtype=complex)
+    grid = np.array([0.0, 1.0])
+    ref = propagate(rho0, gen, grid, stepper="rk45-adaptive", atol=1e-13).states[-1]
+    errors = [
+        np.max(np.abs(
+            propagate(rho0, gen, grid, stepper="magnus4", max_step=h).states[-1] - ref
+        ))
+        for h in (0.2, 0.1, 0.05)
+    ]
+    slopes = [math.log2(errors[k] / errors[k + 1]) for k in range(2)]
+    mean = sum(slopes) / len(slopes)
+    say(capsys, f"magnus4 stepper order 4 +/- 0.3 by step halving: "
+        f"{verdict(abs(mean - 4.0) <= 0.3)} (slopes {slopes[0]:.2f}, {slopes[1]:.2f})")
+    assert abs(mean - 4.0) <= 0.3

@@ -67,7 +67,7 @@ def test_preset_config_defaults():
     assert cfg.model.alpha == 0.1
     assert cfg.fock_levels == 12
     assert (cfg.t_max, cfg.n_output, cfg.order) == (2.0, 41, 4)
-    assert cfg.stepper == "rk45-adaptive"
+    assert cfg.stepper == "magnus4"
     assert cfg.quad == QuadratureSpec("gauss-legendre-nested", 16, 1e-8)
     assert cfg.out_dir == "out"
     assert cfg.generator_times == (0.5, 1.0, 2.0)
@@ -588,6 +588,28 @@ def test_report_contents_for_dephasing(tmp_path):
     assert float(coh.group(1)) < 1e-6
     trend = re.search(r"sigma_min non-increasing in alpha: (yes|no) \((\d+)/19 steps\)", report)
     assert trend is not None
+
+
+@pytest.mark.parametrize("stepper", ["magnus4", "rk45-adaptive"])
+def test_report_states_the_stepper_work(tmp_path, stepper):
+    # one line before the trajectory monitors: the trajectory's own counts
+    # magnus4 is the default, which RUN_SMALL leaves unset
+    setting = "" if stepper == "magnus4" else f"stepper = {stepper}\n"
+    cfg_path = tmp_path / "s.ini"
+    cfg_path.write_text(RUN_SMALL.replace("order = 4\n", "order = 4\n" + setting))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    cfg = parse_config(cfg_path.read_text())
+    gen = tclgen.tcl.build_generator(cfg.model, cfg.bath, cfg.order, cfg.quad, cfg.t_max,
+                                     interp="cubic")
+    traj = tclgen.propagate(cfg.rho0, gen, np.linspace(0.0, cfg.t_max, cfg.n_output),
+                            stepper=cfg.stepper, max_step=cfg.max_step, atol=cfg.atol)
+    lines = (out / "report.txt").read_text().splitlines()
+    assert f"stepper={stepper}" in lines[4]
+    at = lines.index("trajectory monitors:")
+    assert lines[at - 1] == (f"stepper work: {traj.steps} steps, {traj.evaluations} "
+                             "generator evaluations")
+    assert sum(line.startswith("stepper work:") for line in lines) == 1
 
 
 def test_report_states_the_reference_truncation_shift(tmp_path, monkeypatch):

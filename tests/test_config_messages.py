@@ -97,7 +97,7 @@ CASES = [
          "[run] t_max: could not convert string to float: 'x'",
          "[run] n_output: invalid literal for int() with base 10: '2.5'",
          "[run] order: invalid literal for int() with base 10: 'four'",
-         "[run] stepper: must be one of rk4-fixed, rk45-adaptive, got 'euler'",
+         "[run] stepper: must be one of magnus4, rk4-fixed, rk45-adaptive, got 'euler'",
          "[run] max_step: could not convert string to float: 'y'",
          "[run] atol: could not convert string to float: 'z'",
          "[run] quad_nodes_per_unit_time: invalid literal for int() with base 10: 'many'",
@@ -110,7 +110,7 @@ CASES = [
          "[run] t_max: must be positive and finite, got -1.0",
          "[run] n_output: must be >= 2, got 1",
          "[run] order: must be 2 or 4, got 3",
-         "[run] stepper: must be one of rk4-fixed, rk45-adaptive, got 'rk4'",
+         "[run] stepper: must be one of magnus4, rk4-fixed, rk45-adaptive, got 'rk4'",
          "[run] max_step: must be positive and finite, got 0.0",
          "[run] atol: must be positive and finite, got nan",
          "[run] quad_nodes_per_unit_time: must be from 4 to 96, got 97",

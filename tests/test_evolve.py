@@ -1,14 +1,20 @@
 """Propagation, conservation monitors, stepper order, invertibility diagnostics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+
+from test_exact import DETERMINISTIC, instances
 
 import tclgen.evolve
 from tclgen.algebra import SystemModel, unvec, vec
 from tclgen.bath import BathSpec
+from tclgen.cli import parse_config
 from tclgen.evolve import (
     NumericsError,
     _monitors,
@@ -20,7 +26,7 @@ from tclgen.evolve import (
     trace_distance,
 )
 from tclgen.exact import forward_map_exact
-from tclgen.models import dephasing_exact, get_preset, to_interaction_picture
+from tclgen.models import PRESET_NAMES, dephasing_exact, get_preset, to_interaction_picture
 from tclgen.quadrature import QuadratureSpec
 from tclgen.tcl import Coefficients, Generator, build_generator
 
@@ -208,6 +214,115 @@ def test_rk4_step_halving_is_fourth_order():
     slopes = [math.log2(errs[k] / errs[k + 1]) for k in range(2)]
     for s in slopes:
         assert 3.7 < s < 4.3
+
+
+# --- the fourth-order Magnus stepper ------------------------------------------------------
+
+_TABLES: dict = {}
+
+
+def _table(interp):
+    """One order-4 generator per interpolation, on 33 nodes over [0, 2]."""
+    if interp not in _TABLES:
+        _TABLES[interp] = build_generator(spin_boson(0.3), BATH, 4, GL8, 2.0, interp=interp)
+    return _TABLES[interp]
+
+
+@settings(DETERMINISTIC, max_examples=30)
+@given(st.sampled_from(["linear", "cubic", "direct"]),
+       st.lists(st.one_of(st.floats(0.0, 2.0), st.integers(0, 32).map(lambda i: i / 16)),
+                min_size=1, max_size=12))
+def test_batched_values_are_bitwise_the_one_time_values(interp, ts):
+    # times off the grid and on its nodes (multiples of 1/16), in any order
+    gen = _table(interp)
+    one_time = np.stack([gen.evaluator(t) for t in ts])
+    assert gen.values(np.array(ts)).tobytes() == one_time.tobytes()
+
+
+@pytest.mark.parametrize("interp", ["linear", "cubic"])
+def test_batched_values_refuse_a_time_outside_the_table(interp):
+    gen = _table(interp)
+    for bad in (-0.1, 2.5):
+        with pytest.raises(ValueError, match="outside cached range") as one:
+            gen.evaluator(bad)
+        with pytest.raises(ValueError) as batch:
+            gen.values([0.5, bad, 3.0])
+        assert str(batch.value) == str(one.value)
+
+
+@settings(DETERMINISTIC, max_examples=10)
+@given(instances((2, 3)), st.floats(0.05, 0.5))
+def test_magnus4_keeps_trace_and_hermiticity(instance, alpha):
+    model, bath = instance
+    gen = replace(build_generator(model, bath, 4, GL8, 2.0, interp="cubic"), alpha=alpha)
+    rho0 = np.full((model.dim, model.dim), 1.0 / model.dim, dtype=complex)
+    traj = propagate(rho0, gen, np.linspace(0.0, 2.0, 11), stepper="magnus4")
+    assert traj.trace_deviation.max() <= 1e-12
+    assert traj.herm_deviation.max() <= 1e-12
+
+
+# the two benchmark runs and every preset's defaults; run-o4 is the
+# spinboson-single-mode defaults, stated in full
+_RUN_CONFIGS = {
+    "run-o4": "[model]\npreset = spinboson-single-mode\n[run]\norder = 4\nt_max = 2.0\n"
+              "n_output = 41\n",
+    "run-o2-long": "[model]\npreset = spinboson-two-mode\n[run]\norder = 2\nt_max = 10.0\n"
+                   "n_output = 101\natol = 1e-12\n",
+    **{name: f"[model]\npreset = {name}\n" for name in PRESET_NAMES
+       if name != "spinboson-single-mode"},
+}
+
+
+@pytest.mark.parametrize("name", list(_RUN_CONFIGS))
+def test_magnus4_meets_the_run_accuracy_contract(name):
+    # On the run's own table, magnus4 errs no more than rk45-adaptive at the
+    # configured atol, both against rk45 at atol 1e-14 on that table; against
+    # rk45 at atol 1e-13 on the closed forms at every stage, it errs at most
+    # 1.1x the rk45 path, whose own error partly cancels the table's.  Seen:
+    # stepper 1.15e-9 -> 1.05e-12 and total 5.66e-9 -> 5.95e-9 on run-o4,
+    # 3.06e-10 -> 5.85e-12 and 9.43e-9 -> 9.69e-9 on run-o2-long.
+    cfg = parse_config(_RUN_CONFIGS[name])
+    grid = np.linspace(0.0, cfg.t_max, cfg.n_output)
+
+    def run(interp, stepper, atol):
+        gen = build_generator(cfg.model, cfg.bath, cfg.order, cfg.quad, cfg.t_max, interp)
+        return propagate(cfg.rho0, gen, grid, stepper, cfg.max_step, atol).states
+
+    magnus, rk45 = run("cubic", "magnus4", cfg.atol), run("cubic", "rk45-adaptive", cfg.atol)
+    table = run("cubic", "rk45-adaptive", 1e-14)
+    exact = run("direct", "rk45-adaptive", 1e-13)
+    assert np.max(trace_distance(magnus, table)) <= np.max(trace_distance(rk45, table))
+    assert np.max(trace_distance(magnus, exact)) <= 1.1 * np.max(trace_distance(rk45, exact))
+
+
+@pytest.mark.parametrize("stepper", ["magnus4", "rk4-fixed", "rk45-adaptive"])
+def test_trajectory_records_the_stepper_work(stepper):
+    # every generator value the stepper takes, one-time or batched, is counted
+    gen = build_generator(spin_boson(0.3), BATH, 2, GL8, 1.0, interp="cubic")
+    calls = {"n": 0}
+    evaluate, batch = gen.evaluator, gen.values
+
+    def counting(t):
+        calls["n"] += 1
+        return evaluate(t)
+
+    def counting_batch(ts):
+        calls["n"] += len(ts)
+        return batch(ts)
+
+    gen.evaluator, gen.values = counting, counting_batch
+    traj = propagate(PLUS, gen, np.linspace(0.0, 1.0, 6), stepper=stepper, max_step=0.03)
+    assert traj.evaluations == calls["n"] > 0
+    if stepper != "rk45-adaptive":  # 0.2 / 0.03: 7 steps per output interval
+        assert traj.steps == 5 * 7
+        assert traj.evaluations == traj.steps * (2 if stepper == "magnus4" else 4)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_magnus4_reports_blowup():
+    gen = constant_generator(1e8 * np.eye(4))
+    with pytest.raises(NumericsError, match="magnus4 state became non-finite at t = 0.5"):
+        propagate(PLUS, gen, np.array([0.0, 0.5, 1.0]), stepper="magnus4")
 
 
 # --- the adaptive stepper is SciPy's RK45, operation for operation ---------------------------
