@@ -37,30 +37,14 @@ from . import __version__
 from .algebra import SystemModel
 from .bath import BathSpec, tabulate_kernels
 from .cumulant import drop_odd_terms, enumerate_ordered_cumulant_terms
-from .exact import forward_map_exact
-from .evolve import (
-    NumericsError,
-    _validate_state,
-    invertibility_diagnostic,
-    propagate,
-    trace_distance,
-)
-from .models import (
-    TruncatedBathConfig,
-    _default_rho0,
-    dephasing_exact,
-    exact_small_bath,
-    get_preset,
-    scaling_study,
-    to_interaction_picture,
-)
+from .evolve import NumericsError, _validate_state
+from .models import _default_rho0, _truncated_reference, get_preset, scaling_study, simulate
 from .quadrature import QuadratureSpec
 from .tcl import (
     ORDERS,
     EquivalenceError,
     Generator,
     build_generator,
-    check_k4_routes,
     format_k4_table,
 )
 
@@ -423,7 +407,7 @@ def _write_generator_csvs(gen: Generator, out: _OutputDir, times: Sequence[float
     """K2(t) (and K4(t) at order 4) as row-major re/im interleaved CSVs.
 
     These are the order-coefficient matrices, taken from the generator's
-    memo; the propagated generator is alpha^2 K2 + alpha^4 K4.
+    memo; a trajectory steps with alpha^2 K2 + alpha^4 K4.
     """
     header = [f"{p}{j}" for j in range(gen.dim**2) for p in ("re", "im")]
     for t in times:
@@ -434,40 +418,28 @@ def _write_generator_csvs(gen: Generator, out: _OutputDir, times: Sequence[float
                         f" t={_fmt(t)} order_coefficient={name}")
 
 
-def _oracle_trajectory(cfg: ScenarioConfig, t_grid: np.ndarray):
-    """Exact interaction-picture reference states, or None when unavailable,
-    with the reference's label and, for a truncated bath, how far two more
-    Fock levels move it."""
-    if cfg.preset is None:
-        return None, "", None
-    if cfg.preset.startswith("dephasing"):
-        states = np.stack([
-            to_interaction_picture(
-                cfg.model, dephasing_exact(cfg.rho0, cfg.model, cfg.bath, t), t
-            )
-            for t in t_grid
-        ])
-        return states, "closed-form dephasing solution", None
-    config = TruncatedBathConfig(cfg.bath, cfg.fock_levels)
-    traj = exact_small_bath(cfg.rho0, cfg.model, config, t_grid)
-    label = f"truncated product-space evolution ({cfg.fock_levels} levels/mode)"
-    shift = ("not checked (over the dimension cap)" if traj.truncation_shift is None
-             else f"{traj.truncation_shift:.3e}")
-    return traj.states, label, shift
-
-
 def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[Path]]:
     """Execute one scenario end to end; returns (0, written paths).
 
-    Equivalence violations and numeric failures raise after all files that
-    could be produced were written, so the report stays available forensically.
-    A truncated-bath oracle over its dimension cap fails first, before any work.
+    The numbers come from one :func:`tclgen.models.simulate` call, and every
+    file after ``kernels.csv`` is written from its :class:`RunResult`.  A
+    truncated-bath reference over its dimension cap fails first, before any
+    file; a numeric failure (exit 3) inside the call leaves ``kernels.csv``
+    alone.  An equivalence violation raises after every file is written, so
+    the report stays available forensically.
     """
-    oracle = cfg.write_trajectory and cfg.write_report and cfg.preset is not None
-    if oracle and not cfg.preset.startswith("dephasing"):
-        TruncatedBathConfig(cfg.bath, cfg.fock_levels).check_dim(cfg.model.dim)
+    if cfg.write_trajectory and cfg.write_report:
+        _truncated_reference(cfg.preset, cfg.bath, cfg.fock_levels, cfg.model.dim)
     out = _OutputDir(cfg.out_dir, cfg.config_hash, verbose)
-    t_grid = np.linspace(0.0, cfg.t_max, cfg.n_output)
+    if cfg.write_kernels:
+        _write_kernels_csv(cfg, out)
+    res = simulate(cfg.model, cfg.bath, cfg.rho0, t_max=cfg.t_max, n_output=cfg.n_output,
+                   order=cfg.order, quad=cfg.quad, stepper=cfg.stepper, max_step=cfg.max_step,
+                   atol=cfg.atol, generator_times=cfg.generator_times, preset=cfg.preset,
+                   fock_levels=cfg.fock_levels, trajectory=cfg.write_trajectory,
+                   diagnostic=cfg.write_diagnostic, report=cfg.write_report, verbose=verbose)
+    if cfg.write_generator:
+        _write_generator_csvs(res.generator, out, cfg.generator_times)
     report: list[str] = [
         "reduced-dynamics run report",
         f"version: {__version__}",
@@ -480,100 +452,62 @@ def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[
         "",
     ]
 
-    if cfg.write_kernels:
-        _write_kernels_csv(cfg, out)
-
-    # one coefficient memo serves the trajectory, the CSVs and the route report
-    if cfg.write_trajectory:
-        _vlog(verbose, "building generator table")
-    gen = build_generator(cfg.model, cfg.bath, cfg.order, cfg.quad, cfg.t_max,
-                          interp="cubic" if cfg.write_trajectory else "direct")
-
-    if cfg.write_generator:
-        _write_generator_csvs(gen, out, cfg.generator_times)
-
-    traj = None
-    if cfg.write_trajectory:
-        _vlog(verbose, "propagating")
-        traj = propagate(cfg.rho0, gen, t_grid, stepper=cfg.stepper,
-                         max_step=cfg.max_step, atol=cfg.atol)
+    traj, diag = res.trajectory, res.diagnostic
+    if traj is not None:
         d = range(cfg.model.dim)
         header = ["time", *(f"{p}_{i}_{j}" for i in d for j in d for p in ("re", "im")),
                   "trace_dev", "herm_dev", "min_eig"]
         out.csv("trajectory.csv", header,
                 [traj.times, _re_im(traj.states.reshape(len(traj.times), -1)),
                  traj.trace_deviation, traj.herm_deviation, traj.min_eigenvalue])
-        report.append(f"stepper work: {traj.steps} steps, {traj.evaluations} generator evaluations")
-        report.append("trajectory monitors:")
-        report.append(f"  max |trace - 1|    = {traj.trace_deviation.max():.3e}")
-        report.append(f"  max hermiticity dev = {traj.herm_deviation.max():.3e}")
-        report.append(f"  min eigenvalue      = {traj.min_eigenvalue.min():.3e}")
-        report.append("")
-
-    if cfg.write_diagnostic:
-        diag = invertibility_diagnostic(cfg.model, cfg.bath, t_grid)
+        report += [f"stepper work: {traj.steps} steps, {traj.evaluations} generator evaluations",
+                   "trajectory monitors:",
+                   f"  max |trace - 1|    = {traj.trace_deviation.max():.3e}",
+                   f"  max hermiticity dev = {traj.herm_deviation.max():.3e}",
+                   f"  min eigenvalue      = {traj.min_eigenvalue.min():.3e}", ""]
+    if diag is not None:
         out.csv("diagnostic.csv", ["time", "sigma_min", "condition_number"],
                 [diag.times, diag.sigma_min, diag.condition_number])
 
-    equivalence_failure = None
     if cfg.write_report:
         if cfg.order == 4:
-            report.append(
-                "fourth-order route comparison (kernel table vs ordered cumulant):")
-            for t in map(float, cfg.generator_times):
-                _vlog(verbose, f"route comparison at t={t:g}")
-                rel, threshold = check_k4_routes(
-                    cfg.model, cfg.bath, t, cfg.quad, gen.coefficients(t).k4, gen.grid)
-                report.append(
-                    f"  t= {_fmt(t)}  rel_diff= {rel:.3e}  margin= {rel / threshold:.3e}")
-                if rel > threshold and equivalence_failure is None:
-                    equivalence_failure = (t, rel, threshold)
+            report.append("fourth-order route comparison (kernel table vs ordered cumulant):")
+            report += [f"  t= {_fmt(t)}  rel_diff= {rel:.3e}  margin= {rel / threshold:.3e}"
+                       for t, rel, threshold in res.routes]
         else:
             report.append("(order-2 run: fourth-order routes not exercised)")
         report.append("")
 
-        if traj is not None:
-            exact_states, label, shift = _oracle_trajectory(cfg, t_grid)
-            if exact_states is not None:
-                err = np.max(trace_distance(traj.states, exact_states))
-                report.append(f"exact reference comparison ({label}):")
-                report.append(
-                    f"  max trace distance over grid = {err:.3e}")
-                if shift is not None:
-                    report.append(f"  reference shift at +2 levels = {shift}")
-                if cfg.model.dim == 2:
-                    coh = np.max(np.abs(traj.states[:, 0, 1] - exact_states[:, 0, 1]))
-                    report.append(f"  max coherence error          = {coh:.3e}")
-            else:
-                report.append("(no exact reference for this scenario)")
+        if traj is not None and res.reference_states is None:
+            report += ["(no exact reference for this scenario)", ""]
+        elif traj is not None:
+            report += [f"exact reference comparison ({res.reference_label}):",
+                       f"  max trace distance over grid = {res.reference_error:.3e}"]
+            if res.reference_levels is not None:
+                shift = res.truncation_shift
+                report.append("  reference shift at +2 levels = " + (
+                    "not checked (over the dimension cap)" if shift is None else f"{shift:.3e}"))
+            if cfg.model.dim == 2:
+                report.append(f"  max coherence error          = {res.coherence_error:.3e}")
             report.append("")
 
-        j = forward_map_exact(cfg.model, cfg.bath, cfg.t_max)
-        eye = np.eye(cfg.model.dim**2)
-        scan_alphas = np.linspace(0.1, 2.0, 20)
-        svals = np.linalg.svd(eye + (scan_alphas * scan_alphas)[:, None, None] * j,
-                              compute_uv=False)
-        sig = svals[:, -1]
-        report.append(
-            f"coupling scan of forward-map conditioning at t = {cfg.t_max:g}:")
-        report.append("  alpha  sigma_min  cond")
-        for a, s in zip(scan_alphas, svals):
-            report.append(f"  {a:.6f}  {_fmt(s[-1])}  {_fmt(s[0] / s[-1])}")
-        steps = len(scan_alphas) - 1
-        drops = int(np.sum(np.diff(sig) <= 1e-14))
-        trend = "yes" if drops == steps else "no"
-        report.append(
-            f"  sigma_min non-increasing in alpha: {trend} ({drops}/{steps} steps)")
-        report.append("")
-
+        svals = res.scan_singular_values
+        steps = len(svals) - 1
+        drops = int(np.sum(np.diff(svals[:, -1]) <= 1e-14))
+        report += [f"coupling scan of forward-map conditioning at t = {cfg.t_max:g}:",
+                   "  alpha  sigma_min  cond",
+                   *(f"  {a:.6f}  {_fmt(s[-1])}  {_fmt(s[0] / s[-1])}"
+                     for a, s in zip(res.scan_alphas, svals)),
+                   f"  sigma_min non-increasing in alpha: {'yes' if drops == steps else 'no'} "
+                   f"({drops}/{steps} steps)", ""]
         out.text("report.txt", report)
 
-    if equivalence_failure is not None:
-        t, rel, threshold = equivalence_failure
-        raise EquivalenceError(
-            f"fourth-order routes disagree at t = {t:g}: relative difference "
-            f"{rel:.3e} exceeds {threshold:.3e} (see report.txt)"
-        )
+    for t, rel, threshold in res.routes:
+        if rel > threshold:
+            raise EquivalenceError(
+                f"fourth-order routes disagree at t = {t:g}: relative difference "
+                f"{rel:.3e} exceeds {threshold:.3e} (see report.txt)"
+            )
     return 0, out.paths
 
 

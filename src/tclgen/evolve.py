@@ -151,7 +151,7 @@ def _run_rk4(rho: np.ndarray, gen: Generator, t_grid: np.ndarray, max_step: floa
             k1 = rhs(t, y)
             k2 = rhs(t + h / 2, y + (h / 2) * k1)
             k3 = rhs(t + h / 2, y + (h / 2) * k2)
-            k4 = rhs(t + h, y + h * k3)
+            k4 = rhs(min(t + h, t1), y + h * k3)  # t + h may pass t1 by an ulp
             y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
             t += h
         if not np.all(np.isfinite(y)):

@@ -33,27 +33,29 @@ validated:
   far two more Fock levels move the states, the oracle's truncation check,
   is returned as ``OracleTrajectory.truncation_shift``.
 
-Plus a small registry of named benchmark scenarios, and
+Plus a small registry of named benchmark scenarios;
 :func:`scaling_study`, which propagates the generator :func:`build_generator`
 builds across a coupling ladder and fits the error-vs-coupling slopes
-against the purified oracle.
+against the purified oracle; and :func:`simulate`, which computes the
+numbers of one ``tclgen run`` and returns them as a :class:`RunResult`.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .algebra import SystemModel, _kron_batch
 from .bath import BathSpec
-from .evolve import Trajectory, _monitors, _validate_state, propagate, trace_distance
+from .evolve import (DiagnosticTable, Trajectory, _monitors, _validate_state,
+                     invertibility_diagnostic, propagate, trace_distance)
+from .exact import forward_map_exact
 from .quadrature import QuadratureSpec
-from .tcl import build_generator
+from .tcl import Generator, build_generator, check_k4_routes
 
 __all__ = [
     "TruncatedBathConfig",
@@ -67,6 +69,8 @@ __all__ = [
     "PRESET_NAMES",
     "ScalingResult",
     "scaling_study",
+    "RunResult",
+    "simulate",
 ]
 
 _DIM_CAP = 4096
@@ -260,9 +264,8 @@ def exact_small_bath(
     the thermofield-purified bath when ``config.purified`` is set.  If
     ``check_truncation`` is set, the run is repeated with two extra Fock
     levels; the largest trace distance it moves a state by is returned as
-    ``truncation_shift``, and a warning is emitted when it exceeds 1e-6.
-    When the bigger space exceeds the dimension cap, the check is skipped
-    with a warning.  ``rho0`` and the times are checked first, ``rho0`` by
+    ``truncation_shift``, which stays None when the bigger space exceeds the
+    dimension cap.  ``rho0`` and the times are checked first, ``rho0`` by
     the rule :func:`propagate` applies.
     """
     rho0 = _validate_state(rho0, model.dim)
@@ -272,23 +275,9 @@ def exact_small_bath(
     config.check_dim(model.dim)
     states = _reduced_states(rho0, model, config, t_grid)
     shift = None
-    if check_truncation:
-        bigger = replace(config, fock_levels=config.fock_levels + 2)
-        if bigger.total_dim(model.dim) > _DIM_CAP:
-            warnings.warn(
-                f"truncation check skipped: {bigger.fock_levels} Fock levels per mode "
-                f"need dimension {bigger.total_dim(model.dim)}, over the cap {_DIM_CAP}",
-                stacklevel=2,
-            )
-        else:
-            ref = _reduced_states(rho0, model, bigger, t_grid)
-            shift = float(np.max(trace_distance(states, ref)))
-            if shift > 1e-6:
-                warnings.warn(
-                    f"truncation-sensitive result: adding two Fock levels moves "
-                    f"states by up to {shift:.3e} in trace distance",
-                    stacklevel=2,
-                )
+    bigger = replace(config, fock_levels=config.fock_levels + 2)
+    if check_truncation and bigger.total_dim(model.dim) <= _DIM_CAP:
+        shift = float(np.max(trace_distance(states, _reduced_states(rho0, model, bigger, t_grid))))
     tr, herm, mins = _monitors(states)
     return OracleTrajectory(t_grid.copy(), states, tr, herm, mins, truncation_shift=shift)
 
@@ -525,3 +514,99 @@ def scaling_study(
     slope2, slope4 = (float(np.polyfit(la, np.log(errs[n]), 1)[0]) for n in (2, 4))
     return ScalingResult(tuple(float(a) for a in alphas), tuple(errs[2]), tuple(errs[4]),
                          slope2, slope4)
+
+
+# --- one run -------------------------------------------------------------------
+
+
+def _truncated_reference(preset: str | None, bath: BathSpec, fock_levels: int,
+                         system_dim: int) -> TruncatedBathConfig | None:
+    """The truncated-bath reference of a run on ``preset``, checked against the
+    dimension cap; None without a preset and for a dephasing preset's closed form."""
+    if preset is None or preset.startswith("dephasing"):
+        return None
+    config = TruncatedBathConfig(bath, fock_levels)
+    config.check_dim(system_dim)
+    return config
+
+
+@dataclass
+class RunResult:
+    """The numbers of one run, as :func:`simulate` computes them; a part not
+    asked for stays None or empty.  ``routes`` holds (t, relative
+    difference, threshold) per generator time.  ``reference_levels`` is None
+    for the closed-form reference, ``truncation_shift`` where the truncated
+    one's check was over the dimension cap.  ``scan_singular_values`` are
+    those of 1 + alpha^2 J(t_max) at each of ``scan_alphas``, largest first.
+    """
+
+    generator: Generator
+    trajectory: Trajectory | None = None
+    diagnostic: DiagnosticTable | None = None
+    routes: list[tuple[float, float, float]] = field(default_factory=list)
+    reference_states: np.ndarray | None = None
+    reference_label: str = ""
+    reference_levels: int | None = None
+    truncation_shift: float | None = None
+    reference_error: float | None = None  # the largest trace distance
+    coherence_error: float | None = None  # the largest error of the (0, 1) entry
+    scan_alphas: np.ndarray | None = None
+    scan_singular_values: np.ndarray | None = None
+
+
+def simulate(
+    model: SystemModel, bath: BathSpec, rho0: np.ndarray, *, t_max: float, n_output: int,
+    order: int, quad: QuadratureSpec, stepper: str, max_step: float, atol: float,
+    generator_times: Sequence[float], preset: str | None, fock_levels: int,
+    trajectory: bool, diagnostic: bool, report: bool, verbose: bool = False,
+) -> RunResult:
+    """The numbers of one ``tclgen run``: the generator to ``t_max``, and as
+    asked the trajectory of ``rho0`` on ``n_output`` uniform points, the
+    invertibility diagnostic there, and the report's parts: the route check
+    at each of ``generator_times`` (order 4), the distance from the exact
+    reference of ``preset`` and the coupling scan at ``t_max``.  A truncated
+    reference over the dimension cap raises ValueError before any work; a
+    failed route check only shows in ``routes``.
+    """
+    say = (lambda msg: print(msg, file=sys.stderr)) if verbose else (lambda msg: None)
+    t_grid = np.linspace(0.0, t_max, n_output)
+    compare = trajectory and report and preset is not None
+    truncated = _truncated_reference(preset, bath, fock_levels, model.dim) if compare else None
+    if trajectory:
+        say("building generator table")
+    # one coefficient memo serves the trajectory, the route checks and the CSVs
+    gen = build_generator(model, bath, order, quad, t_max,
+                          interp="cubic" if trajectory else "direct")
+    res = RunResult(gen)
+    if trajectory:
+        say("propagating")
+        res.trajectory = propagate(rho0, gen, t_grid, stepper=stepper, max_step=max_step,
+                                   atol=atol)
+    if diagnostic:
+        res.diagnostic = invertibility_diagnostic(model, bath, t_grid)
+    if not report:
+        return res
+    for t in map(float, generator_times if order == 4 else ()):
+        say(f"route comparison at t={t:g}")
+        res.routes.append((t, *check_k4_routes(model, bath, t, quad, gen.coefficients(t).k4,
+                                               gen.grid)))
+    if compare:
+        if truncated is None:
+            res.reference_label = "closed-form dephasing solution"
+            res.reference_states = np.stack([
+                to_interaction_picture(model, dephasing_exact(rho0, model, bath, t), t)
+                for t in t_grid])
+        else:
+            oracle = exact_small_bath(rho0, model, truncated, t_grid)
+            res.reference_label = f"truncated product-space evolution ({fock_levels} levels/mode)"
+            res.reference_states, res.reference_levels = oracle.states, fock_levels
+            res.truncation_shift = oracle.truncation_shift
+        states, exact = res.trajectory.states, res.reference_states
+        res.reference_error = float(np.max(trace_distance(states, exact)))
+        res.coherence_error = float(np.max(np.abs(states[:, 0, 1] - exact[:, 0, 1])))
+    res.scan_alphas = np.linspace(0.1, 2.0, 20)
+    j = forward_map_exact(model, bath, t_max)
+    res.scan_singular_values = np.linalg.svd(
+        np.eye(model.dim**2) + (res.scan_alphas * res.scan_alphas)[:, None, None] * j,
+        compute_uv=False)
+    return res

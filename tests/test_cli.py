@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -391,6 +392,52 @@ def test_csv_text_is_the_library_arrays(tmp_path):
                      zip(res.alphas, res.errors_order2, res.errors_order4))
 
 
+def test_report_is_the_run_result(tmp_path):
+    cfg_path = tmp_path / "scenario.ini"
+    cfg_path.write_text(RUN_SMALL)
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+
+    # every number below the report's header is a field of the library's
+    # RunResult, formatted as the report formats it
+    cfg = parse_config(RUN_SMALL)
+    res = tclgen.models.simulate(
+        cfg.model, cfg.bath, cfg.rho0, t_max=cfg.t_max, n_output=cfg.n_output,
+        order=cfg.order, quad=cfg.quad, stepper=cfg.stepper, max_step=cfg.max_step,
+        atol=cfg.atol, generator_times=cfg.generator_times, preset=cfg.preset,
+        fock_levels=cfg.fock_levels, trajectory=True, diagnostic=True, report=True)
+    traj, svals = res.trajectory, res.scan_singular_values
+    drops = int(np.sum(np.diff(svals[:, -1]) <= 1e-14))
+    expected = [
+        f"stepper work: {traj.steps} steps, {traj.evaluations} generator evaluations",
+        "trajectory monitors:",
+        f"  max |trace - 1|    = {traj.trace_deviation.max():.3e}",
+        f"  max hermiticity dev = {traj.herm_deviation.max():.3e}",
+        f"  min eigenvalue      = {traj.min_eigenvalue.min():.3e}",
+        "",
+        "fourth-order route comparison (kernel table vs ordered cumulant):",
+        *(f"  t= {t:.12e}  rel_diff= {rel:.3e}  margin= {rel / threshold:.3e}"
+          for t, rel, threshold in res.routes),
+        "",
+        f"exact reference comparison ({res.reference_label}):",
+        f"  max trace distance over grid = {res.reference_error:.3e}",
+        f"  reference shift at +2 levels = {res.truncation_shift:.3e}",
+        f"  max coherence error          = {res.coherence_error:.3e}",
+        "",
+        f"coupling scan of forward-map conditioning at t = {cfg.t_max:g}:",
+        "  alpha  sigma_min  cond",
+        *(f"  {a:.6f}  {s[-1]:.12e}  {s[0] / s[-1]:.12e}" for a, s in zip(res.scan_alphas, svals)),
+        f"  sigma_min non-increasing in alpha: {'yes' if drops == 19 else 'no'} "
+        f"({drops}/19 steps)",
+        "",
+    ]
+    assert (out / "report.txt").read_text().splitlines()[6:] == expected
+    assert [t for t, _, _ in res.routes] == [0.5, 1.0]
+    assert res.reference_label == "truncated product-space evolution (12 levels/mode)"
+    assert res.reference_error == pytest.approx(
+        max(tclgen.trace_distance(a, b) for a, b in zip(traj.states, res.reference_states)))
+
+
 def _record_calls(monkeypatch, **originals):
     """Wrap each named function in every tclgen namespace that holds it.
 
@@ -419,13 +466,13 @@ def test_run_computes_each_k4_once(tmp_path, monkeypatch):
     originals = {"exact": tclgen.exact.K4_exact, "grid": tclgen.exact._k4_exact_grid,
                  "influence": tclgen.tcl.K4_influence, "table": tclgen.exact.K4_table_exact}
     calls = _record_calls(monkeypatch, **originals)
-    built, build = [], tclgen.cli.build_generator
+    built, build = [], tclgen.models.build_generator
 
     def keep(*args, **kwargs):
         built.append(build(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(tclgen.cli, "build_generator", keep)
+    monkeypatch.setattr(tclgen.models, "build_generator", keep)
     cfg_path = tmp_path / "scenario.ini"
     cfg_path.write_text(RUN_SMALL)
     out = tmp_path / "out"
@@ -523,6 +570,18 @@ def test_cli_holds_no_k4_route():
     assert not objects & {id(value) for value in vars(tclgen.cli).values()}
 
 
+def test_cli_holds_no_run_science():
+    # the reference choice, the route loop, the trace distances, the
+    # diagnostic and the coupling scan's SVD live in tclgen.models.simulate
+    names = ("trace_distance", "exact_small_bath", "dephasing_exact", "forward_map_exact",
+             "invertibility_diagnostic", "propagate", "check_k4_routes")
+    source = Path(tclgen.cli.__file__).read_text()
+    for name in ("svd", *names):
+        assert name not in vars(tclgen.cli) and name not in source
+    objects = {id(np.linalg.svd), *(id(getattr(tclgen.models, name)) for name in names)}
+    assert not objects & {id(value) for value in vars(tclgen.cli).values()}
+
+
 def test_order_four_run_uses_no_quadrature(tmp_path, monkeypatch):
     # the generator and both sides of the route check are closed-form
     calls = _record_calls(
@@ -571,6 +630,16 @@ def test_run_trajectory_is_constant_when_uncoupled(tmp_path):
     assert np.max(np.abs(states - states[0])) < 1e-12
 
 
+def test_rk4_fixed_run_stays_inside_the_generator_table(tmp_path):
+    # 20 steps of 0.01 from t = 0.8 end one ulp past t = 1.0, the table's
+    # end; each step's last stage is taken no later than its interval's end
+    cfg_path = tmp_path / "s.ini"
+    cfg_path.write_text(RUN_SMALL.replace("order = 4\n", "order = 4\nstepper = rk4-fixed\n"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert "stepper=rk4-fixed" in (out / "report.txt").read_text()
+
+
 def test_report_contents_for_dephasing(tmp_path):
     cfg_path = tmp_path / "s.ini"
     cfg_path.write_text(
@@ -613,8 +682,9 @@ def test_report_states_the_stepper_work(tmp_path, stepper):
 
 
 def test_report_states_the_reference_truncation_shift(tmp_path, monkeypatch):
-    # the shift comes from the oracle call the comparison already makes; over
-    # the cap the report says the check did not run, and the oracle warns
+    # the shift comes from the oracle call the comparison already makes, and
+    # only the report states it (6.7e-5 at 6 levels); over the cap the report
+    # says the check did not run
     cfg_path = tmp_path / "s.ini"
     cfg_path.write_text(
         PRESET_MIN + "[bath]\nfock_levels = 6\n"
@@ -622,19 +692,17 @@ def test_report_states_the_reference_truncation_shift(tmp_path, monkeypatch):
         "[outputs]\nkernels = false\ngenerator = false\ndiagnostic = false\n"
     )
     cfg = parse_config(cfg_path.read_text())
-    with pytest.warns(UserWarning, match="truncation-sensitive"):  # 6.7e-5 at 6 levels
-        oracle = tclgen.exact_small_bath(
-            cfg.rho0, cfg.model, tclgen.TruncatedBathConfig(cfg.bath, 6),
-            np.linspace(0.0, 1.0, 5))
-    with pytest.warns(UserWarning, match="truncation-sensitive"):
+    oracle = tclgen.exact_small_bath(
+        cfg.rho0, cfg.model, tclgen.TruncatedBathConfig(cfg.bath, 6), np.linspace(0.0, 1.0, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "a")]) == 0
     report = (tmp_path / "a" / "report.txt").read_text()
     assert f"  reference shift at +2 levels = {oracle.truncation_shift:.3e}\n" in report
     assert "  max trace distance over grid = " in report
 
     monkeypatch.setattr(tclgen.models, "_DIM_CAP", 12)  # 6 levels fit, 8 do not
-    with pytest.warns(UserWarning, match="truncation check skipped"):
-        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "b")]) == 0
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "b")]) == 0
     report = (tmp_path / "b" / "report.txt").read_text()
     assert "  reference shift at +2 levels = not checked (over the dimension cap)\n" in report
 
@@ -849,19 +917,19 @@ def test_quadrature_route_violation_exits_two_after_writing_report(
 
 
 def test_numeric_failure_exits_three(tmp_path, capsys, monkeypatch):
+    # kernels.csv is written before the library call, every other file after it
     def raiser(*args, **kwargs):
         raise NumericsError("stub stepper failure")
 
-    monkeypatch.setattr(tclgen.cli, "propagate", raiser)
+    monkeypatch.setattr(tclgen.models, "propagate", raiser)
     cfg_path = tmp_path / "s.ini"
     cfg_path.write_text(
         "[model]\npreset = dephasing-single-mode\n"
         "[run]\norder = 2\nt_max = 1.0\nquad_nodes_per_unit_time = 8\n"
-        "[outputs]\nkernels = false\ngenerator = false\ndiagnostic = false\n"
-        "report = false\n"
     )
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
     assert "numeric failure: stub stepper failure" in capsys.readouterr().err
+    assert [p.name for p in (tmp_path / "o").iterdir()] == ["kernels.csv"]
 
 
 # --- output directory precedence ----------------------------------------------------------
@@ -1029,7 +1097,7 @@ def test_run_checks_the_oracle_dimension_before_any_work(tmp_path, monkeypatch, 
     def no_generator(*args, **kwargs):
         raise AssertionError("generator built before the dimension check")
 
-    monkeypatch.setattr(tclgen.cli, "build_generator", no_generator)
+    monkeypatch.setattr(tclgen.models, "build_generator", no_generator)
     cfg_path = tmp_path / "scenario.ini"
     cfg_path.write_text(ORACLE_OVER_CAP)
     out = tmp_path / "out"

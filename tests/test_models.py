@@ -229,25 +229,35 @@ def test_dephasing_exact_checks_the_state():
         dephasing_exact(np.array([[2.0, 5.0], [0.0, -1.0]]), preset.model, preset.bath, 1.0)
 
 
-def test_truncation_warning_fires_when_starved():
+def test_truncation_shift_is_large_when_starved():
     model = SystemModel(2, 0.5 * SZ, SX, 0.5)
     config = TruncatedBathConfig(BATH, 4)
-    with pytest.warns(UserWarning, match="truncation-sensitive"):
-        exact_small_bath(PLUS, model, config, np.linspace(0.0, 4.0, 5))
+    traj = exact_small_bath(PLUS, model, config, np.linspace(0.0, 4.0, 5))
+    assert traj.truncation_shift > 1e-6
 
 
-def test_truncation_check_can_be_disabled(recwarn):
+def test_truncation_check_can_be_disabled(monkeypatch):
+    # disabled, the check evolves no bigger space and reports no shift
+    levels, original = [], tclgen.models._reduced_states
+
+    def recording(rho0, model, config, t_grid):
+        levels.append(config.fock_levels)
+        return original(rho0, model, config, t_grid)
+
+    monkeypatch.setattr(tclgen.models, "_reduced_states", recording)
     model = SystemModel(2, 0.5 * SZ, SX, 0.5)
     config = TruncatedBathConfig(BATH, 4)
-    exact_small_bath(PLUS, model, config, np.linspace(0.0, 4.0, 5), check_truncation=False)
-    assert len(recwarn) == 0
+    grid = np.linspace(0.0, 4.0, 5)
+    assert exact_small_bath(PLUS, model, config, grid, check_truncation=False).truncation_shift is None
+    assert levels == [4]
+    assert exact_small_bath(PLUS, model, config, grid).truncation_shift is not None
+    assert levels == [4, 4, 6]
 
 
 def test_truncation_shift_is_the_two_level_movement():
     model = SystemModel(2, 0.5 * SZ, SX, 0.5)
     grid = np.linspace(0.0, 4.0, 5)
-    with pytest.warns(UserWarning, match="truncation-sensitive"):
-        traj = exact_small_bath(PLUS, model, TruncatedBathConfig(BATH, 4), grid)
+    traj = exact_small_bath(PLUS, model, TruncatedBathConfig(BATH, 4), grid)
     bigger = exact_small_bath(PLUS, model, TruncatedBathConfig(BATH, 6), grid,
                               check_truncation=False)
     assert traj.truncation_shift == pytest.approx(_max_distance(traj, bigger), rel=1e-12)
@@ -256,14 +266,11 @@ def test_truncation_shift_is_the_two_level_movement():
     assert unchecked.truncation_shift is None
 
 
-def test_truncation_check_over_the_cap_warns_that_it_was_skipped(monkeypatch):
+def test_truncation_check_over_the_cap_is_skipped(monkeypatch):
     # 4 levels fit a cap of 10 (dimension 8); the check's 6 levels (12) do not
     monkeypatch.setattr(tclgen.models, "_DIM_CAP", 10)
     model = SystemModel(2, 0.5 * SZ, SX, 0.1)
-    with pytest.warns(UserWarning, match=r"truncation check skipped: 6 Fock levels "
-                                         r"per mode need dimension 12, over the cap 10"):
-        traj = exact_small_bath(PLUS, model, TruncatedBathConfig(BATH, 4),
-                                np.linspace(0.0, 1.0, 3))
+    traj = exact_small_bath(PLUS, model, TruncatedBathConfig(BATH, 4), np.linspace(0.0, 1.0, 3))
     assert traj.truncation_shift is None
 
 
