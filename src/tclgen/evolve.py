@@ -7,6 +7,8 @@ measurements) and the adaptive Dormand-Prince 5(4) pair with dense output
 (the library default).  The trajectory carries per-time conservation
 monitors: trace deviation, Hermiticity deviation and the smallest eigenvalue
 of the Hermitized state, and the stepper's steps and generator evaluations.
+Every stepper reads K(t) through batched :meth:`tclgen.tcl.Generator.values`
+calls, since the stage times depend only on t and the step, never on the state.
 
 The invertibility diagnostic conditions the lowest-order forward map, whose
 correction J(t) it takes in closed form, for a whole uniform grid at once
@@ -122,11 +124,6 @@ def propagate(
     return Trajectory(t_grid.copy(), states, tr, herm, mins, **work)
 
 
-def _rhs(gen: Generator):
-    """The right-hand side of the Runge-Kutta steppers: d vec(rho)/dt = K(t) vec(rho)."""
-    return lambda t, v: gen.evaluator(t) @ v
-
-
 def _substeps(t_grid: np.ndarray, max_step: float) -> np.ndarray:
     """Per output interval, the fewest equal steps no longer than ``max_step``."""
     if not max_step > 0:
@@ -134,35 +131,42 @@ def _substeps(t_grid: np.ndarray, max_step: float) -> np.ndarray:
     return np.maximum(1, np.ceil(np.diff(t_grid) / max_step)).astype(int)
 
 
+_GAUSS = (0.5 - 3**0.5 / 6, 0.5 + 3**0.5 / 6)  # the Gauss nodes of a unit step
+_BATCH = 1 << 16  # entries of the generator values, or magnus4 step maps, held at once
+
+
 def _run_rk4(rho: np.ndarray, gen: Generator, t_grid: np.ndarray, max_step: float,
              work: dict):
+    """Classic fixed-step RK4, ``_substeps`` equal steps h per output interval
+    [t0, t1].  A step from t takes K at t, t + h/2 (twice) and min(t + h, t1),
+    as t + h may pass t1 by an ulp; the next starts at t += h.  Up to ``_BATCH``
+    entries of stage values come from one ``values`` call."""
     subs = _substeps(t_grid, max_step)
-    d = gen.dim
-    y = vec(rho)
+    d, y = gen.dim, vec(rho)
+    n = d * d
+    per = max(1, _BATCH // (4 * n * n))  # steps per values call
     out = np.empty((len(t_grid), d, d), dtype=complex)
     out[0] = rho
-    rhs = _rhs(gen)
-    for k in range(len(t_grid) - 1):
-        t0, t1 = t_grid[k], t_grid[k + 1]
-        nsub = int(subs[k])
-        h = (t1 - t0) / nsub
-        t = t0
-        for _ in range(nsub):
-            k1 = rhs(t, y)
-            k2 = rhs(t + h / 2, y + (h / 2) * k1)
-            k3 = rhs(t + h / 2, y + (h / 2) * k2)
-            k4 = rhs(min(t + h, t1), y + h * k3)  # t + h may pass t1 by an ulp
-            y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
+    for k, nsub in enumerate(subs.tolist()):
+        t, t1 = t_grid[k], t_grid[k + 1]
+        h = (t1 - t) / nsub
+        for lo in range(0, nsub, per):
+            m = min(per, nsub - lo)
+            starts = np.cumsum(np.r_[t, np.full(m - 1, h)])  # t += h, added in sequence
+            t = starts[-1] + h
+            mid = starts + h / 2
+            stage = np.stack([starts, mid, mid, np.minimum(starts + h, t1)], axis=1)
+            for a, b, c, e in gen.values(stage.ravel()).reshape(m, 4, n, n):
+                k1 = a @ y
+                k2 = b @ (y + (h / 2) * k1)
+                k3 = c @ (y + (h / 2) * k2)
+                k4 = e @ (y + h * k3)
+                y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.all(np.isfinite(y)):
             raise NumericsError(f"rk4 state became non-finite at t = {t1}")
         out[k + 1] = unvec(y, d)
     work.update(steps=int(subs.sum()), evaluations=4 * int(subs.sum()))
     return out
-
-
-_GAUSS = (0.5 - 3**0.5 / 6, 0.5 + 3**0.5 / 6)  # the Gauss nodes of a unit step
-_MAGNUS_BATCH = 1 << 16  # entries of the step maps exponentiated at once
 
 
 def _run_magnus4(rho: np.ndarray, gen: Generator, t_grid: np.ndarray, max_step: float,
@@ -180,7 +184,7 @@ def _run_magnus4(rho: np.ndarray, gen: Generator, t_grid: np.ndarray, max_step: 
     n, y = gen.dim**2, vec(rho)
     out = np.empty((len(t_grid), gen.dim, gen.dim), dtype=complex)
     out[0] = rho
-    per = max(1, _MAGNUS_BATCH // (n * n * subs.max()))  # output intervals per batch
+    per = max(1, _BATCH // (n * n * subs.max()))  # output intervals per batch
     for lo in range(0, len(subs), per):
         s = slice(*np.searchsorted(owner, [lo, lo + per]))
         am, ap = gen.values(nodes[:, s].ravel()).reshape(2, -1, n, n)
@@ -236,13 +240,13 @@ def _rms(x: np.ndarray):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(rhs, t0, y0, f0, span, rtol, atol):
+def _initial_step(gen: Generator, t0, y0, f0, span, rtol, atol):
     """First step size, by Hairer, Norsett and Wanner, Solving ODEs I, II.4."""
     scale = atol + np.abs(y0) * rtol
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
-    f1 = rhs(t0 + h0, y0 + h0 * f0)
+    f1 = gen.values([t0 + h0])[0] @ (y0 + h0 * f0)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -260,18 +264,18 @@ def _run_rk45(rho: np.ndarray, gen: Generator, t_grid: np.ndarray, atol: float,
     step is accepted below 1.  Step sizes, operations and their order are
     those of SciPy's ``solve_ivp(method="RK45", t_eval=t_grid)``, so the
     states are bitwise the same for the same right-hand side.  A step
-    forced below 10 ulp of t raises :class:`NumericsError`.  ``work`` gets
+    forced below 10 ulp of t raises :class:`NumericsError`.  Each attempt
+    takes its six stage values from one ``values`` call.  ``work`` gets
     the accepted steps and the evaluations: two, and six per attempt.
     """
     if atol < 0:
         raise ValueError(f"atol must be nonnegative, got {atol}")
     rtol = max(atol, 1e-13)
-    rhs = _rhs(gen)
     d = gen.dim
     t, t_end = t_grid[0], t_grid[-1]
     y = vec(rho)
-    f = rhs(t, y)
-    h_abs = _initial_step(rhs, t, y, f, t_end - t, rtol, atol)
+    f = gen.values([t])[0] @ y
+    h_abs = _initial_step(gen, t, y, f, t_end - t, rtol, atol)
     stages = np.empty((7, len(y)), dtype=complex)
     out = np.empty((len(t_grid), d, d), dtype=complex)
     done = 0  # states filled so far
@@ -288,12 +292,13 @@ def _run_rk45(rho: np.ndarray, gen: Generator, t_grid: np.ndarray, atol: float,
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = np.abs(h)
+            ks = gen.values(np.r_[t + _DP_C[1:] * h, t + h])
             stages[0] = f
             for s in range(1, 6):
                 dy = np.dot(stages[:s].T, _DP_A[s, :s]) * h
-                stages[s] = rhs(t + _DP_C[s] * h, y + dy)
+                stages[s] = ks[s - 1] @ (y + dy)
             y_new = y + h * np.dot(stages[:-1].T, _DP_B)
-            f_new = rhs(t + h, y_new)
+            f_new = ks[5] @ y_new
             stages[-1] = f_new
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             err = _rms(np.dot(stages.T, _DP_E) * h / scale)

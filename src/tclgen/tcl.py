@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -432,7 +431,8 @@ class Generator:
     ``grid``, ``interp`` (``"linear"`` or ``"cubic"``, a not-a-knot spline on
     at least 4 nodes) interpolates the scaled matrices tabulated on its nodes
     and raises ``ValueError`` outside them, and ``"direct"`` is refused;
-    without one, ``evaluator(t)`` evaluates at t directly.
+    without one, every time is evaluated directly.  :meth:`values` is the one
+    lookup: :meth:`evaluator` and the generator called at t read one time of it.
     """
 
     order: int
@@ -450,7 +450,6 @@ class Generator:
             self._values = np.stack([self._scaled(t) for t in self.grid])
             self._cubic = None
             if self.interp == "cubic":
-                self._nodes = self.grid.tolist()
                 self._cubic = _not_a_knot(self.grid, self._values.reshape(len(self.grid), -1))
 
     def _scaled(self, t: float) -> np.ndarray:
@@ -461,40 +460,26 @@ class Generator:
             raise ValueError("an order-4 generator needs K4 in its coefficients")
         return self.alpha**2 * k2 + self.alpha**4 * k4
 
-    def _spline(self, c: np.ndarray, z) -> np.ndarray:
-        zz = z * z  # summed in this order and not by Horner's rule, as SciPy's PPoly
-        value = c[..., 3, :] + c[..., 2, :] * z + c[..., 1, :] * zz + c[..., 0, :] * (zz * z)
-        return value.reshape(value.shape[:-1] + (self.dim**2, self.dim**2))
-
     def evaluator(self, t: float) -> np.ndarray:
-        """The matrix of the fully scaled generator at t, unvalidated: the
-        Runge-Kutta steppers' right-hand side calls this."""
-        if self.grid is None:
-            return self._scaled(t)
-        if t < self.grid[0] or t > self.grid[-1]:
-            raise ValueError(f"time {t} outside cached range [0, {self.grid[-1]}]")
-        if self._cubic is not None:
-            i = min(bisect_right(self._nodes, t), len(self._nodes) - 1) - 1
-            return self._spline(self._cubic[i], float(t - self._nodes[i]))
-        idx = np.searchsorted(self.grid, t)
-        if self.grid[idx] == t:
-            return self._values[idx].copy()
-        lo = idx - 1
-        theta = (t - self.grid[lo]) / (self.grid[idx] - self.grid[lo])
-        return (1 - theta) * self._values[lo] + theta * self._values[idx]
+        """The matrix of the fully scaled generator at t: :meth:`values` at one time."""
+        return self.values([t])[0]
 
     def values(self, ts) -> np.ndarray:
-        """:meth:`evaluator` at every time of the 1-d ``ts``, bitwise, stacked
-        (T, d^2, d^2) from one batched search of the table."""
+        """The fully scaled generator at every time of the 1-d ``ts``, stacked
+        (T, d^2, d^2) from one ``searchsorted`` over the table: every stepper
+        reads K(t) here.  A time outside the table, NaN too, raises ValueError."""
         ts = np.asarray(ts, dtype=float)
         if self.grid is None:
             return np.stack([self._scaled(t) for t in ts.tolist()])
-        outside = (ts < self.grid[0]) | (ts > self.grid[-1])
+        outside = ~((ts >= self.grid[0]) & (ts <= self.grid[-1]))
         if outside.any():
-            return self.evaluator(ts[outside][0])  # raises its ValueError
+            raise ValueError(f"time {ts[outside][0]} outside cached range [0, {self.grid[-1]}]")
         if self._cubic is not None:
             i = np.minimum(np.searchsorted(self.grid, ts, side="right"), len(self.grid) - 1) - 1
-            return self._spline(self._cubic[i], (ts - self.grid[i])[:, None])
+            c, z = self._cubic[i], (ts - self.grid[i])[:, None]
+            zz = z * z  # summed in this order and not by Horner's rule, as SciPy's PPoly
+            value = c[:, 3] + c[:, 2] * z + c[:, 1] * zz + c[:, 0] * (zz * z)
+            return value.reshape(len(ts), self.dim**2, self.dim**2)
         idx = np.searchsorted(self.grid, ts)
         lo = idx - 1  # wraps at the first node, which is always hit
         theta = ((ts - self.grid[lo]) / (self.grid[idx] - self.grid[lo]))[:, None, None]

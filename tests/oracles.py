@@ -5,9 +5,10 @@ section, shares no code with tclgen: reservoir operators are explicit
 truncated-Fock matrices, picture changes go through dense matrix
 exponentials, and reduced maps are assembled column by column from basis
 matrices.  Slow is fine; these only ever run at tiny dimensions.  The last
-section keeps the order-4 cumulant assembly that integrates each term on its
-own, from tclgen's generic moment builder, as the reference for the one-pass
-integrand.
+two sections keep the order-4 cumulant assembly that integrates each term on
+its own, from tclgen's generic moment builder, as the reference for the
+one-pass integrand, and a fixed-step RK4 loop that takes a tclgen generator
+one time at a time, as the reference for the batched stepper.
 """
 
 from __future__ import annotations
@@ -299,3 +300,29 @@ def order4_pieces_per_term(model, bath, t: float, quad):
         else:
             products = part if products is None else products + part
     return four_point, products
+
+
+# --- fixed-step RK4, one generator value at a time ------------------------------------
+
+
+def rk4_fixed(rho0: np.ndarray, gen, t_grid: np.ndarray, max_step: float) -> np.ndarray:
+    """States on ``t_grid`` by classic RK4 on the column-stacked state: per
+    output interval [t0, t1] the fewest equal steps h <= ``max_step``, each
+    from t taking ``gen.evaluator`` at t, t + h/2, t + h/2 and min(t + h, t1),
+    and the next step starting at t += h."""
+    d = gen.dim
+    y = np.asarray(rho0, dtype=complex).reshape(-1, order="F")
+    out = [np.asarray(rho0, dtype=complex)]
+    for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
+        nsub = max(1, math.ceil((t1 - t0) / max_step))
+        h = (t1 - t0) / nsub
+        t = t0
+        for _ in range(nsub):
+            k1 = gen.evaluator(t) @ y
+            k2 = gen.evaluator(t + h / 2) @ (y + (h / 2) * k1)
+            k3 = gen.evaluator(t + h / 2) @ (y + (h / 2) * k2)
+            k4 = gen.evaluator(min(t + h, t1)) @ (y + h * k3)
+            y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += h
+        out.append(y.reshape((d, d), order="F"))
+    return np.array(out)

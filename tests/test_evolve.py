@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from oracles import rk4_fixed
 from test_exact import DETERMINISTIC, instances
 
 import tclgen.evolve
@@ -18,7 +19,6 @@ from tclgen.cli import parse_config
 from tclgen.evolve import (
     NumericsError,
     _monitors,
-    _rhs,
     _run_rk45,
     forward_map_correction,
     invertibility_diagnostic,
@@ -250,6 +250,48 @@ def test_batched_values_refuse_a_time_outside_the_table(interp):
         assert str(batch.value) == str(one.value)
 
 
+@pytest.mark.parametrize("interp", ["linear", "cubic"])
+def test_table_lookup_refuses_nan(interp):
+    # NaN fails every comparison, so it must fail the range test as well
+    gen = _table(interp)
+    for lookup in (gen, gen.evaluator, lambda t: gen.values([0.5, t])):
+        with pytest.raises(ValueError, match="time nan outside cached range"):
+            lookup(math.nan)
+
+
+@pytest.mark.parametrize("stepper", ["magnus4", "rk4-fixed", "rk45-adaptive"])
+def test_steppers_read_the_generator_only_through_values(stepper):
+    gen = build_generator(spin_boson(0.3), BATH, 2, GL8, 1.0, interp="cubic")
+
+    def refuse(t):
+        raise AssertionError("a stepper called Generator.evaluator")
+
+    gen.evaluator = refuse
+    traj = propagate(PLUS, gen, np.linspace(0.0, 1.0, 6), stepper=stepper, max_step=0.03)
+    assert traj.evaluations > 0 and np.all(np.isfinite(traj.states))
+
+
+# the end-of-table rk4-fixed run of test_cli: 20 steps of 0.01 from t = 0.8 end
+# one ulp past t = 1.0, the table's end
+_RK4_END_OF_TABLE = ("[model]\npreset = spinboson-single-mode\n[run]\nstepper = rk4-fixed\n"
+                     "t_max = 1.0\nn_output = 6\norder = 4\nquad_nodes_per_unit_time = 8\n")
+
+
+@pytest.mark.parametrize("interp, batch", [("linear", None), ("cubic", None), ("direct", None),
+                                           ("linear", 3 * 4 * 16), ("cubic", 3 * 4 * 16)])
+def test_rk4_fixed_is_bitwise_the_scalar_rk4_loop(interp, batch, monkeypatch):
+    # a batch of 3 * 4 * 16 entries holds three two-level steps, so the
+    # intervals split over several values calls
+    if batch is not None:
+        monkeypatch.setattr(tclgen.evolve, "_BATCH", batch)
+    cfg = parse_config(_RK4_END_OF_TABLE)
+    gen = build_generator(cfg.model, cfg.bath, cfg.order, cfg.quad, cfg.t_max, interp)
+    for grid, max_step in ((np.linspace(0.0, cfg.t_max, cfg.n_output), cfg.max_step),
+                           (np.array([0.0, 0.13, 0.5, 1.0]), 0.03)):
+        traj = propagate(cfg.rho0, gen, grid, "rk4-fixed", max_step)
+        assert traj.states.tobytes() == rk4_fixed(cfg.rho0, gen, grid, max_step).tobytes()
+
+
 @settings(DETERMINISTIC, max_examples=10)
 @given(instances((2, 3)), st.floats(0.05, 0.5))
 def test_magnus4_keeps_trace_and_hermiticity(instance, alpha):
@@ -348,18 +390,20 @@ def _random_three_level_case():
                          ids=["spinboson-two-mode", "random-d3"])
 def test_rk45_is_bitwise_scipy_rk45(case):
     gen, rho, grid, atol = case()
+    # every generator value is counted: the stepper's batched ones, and
+    # SciPy's through evaluator, which is one values call at one time
     calls = {"n": 0}
-    evaluate = gen.evaluator
+    batch = gen.values
 
-    def counting(t):
-        calls["n"] += 1
-        return evaluate(t)
+    def counting_batch(ts):
+        calls["n"] += len(ts)
+        return batch(ts)
 
-    gen.evaluator = counting
+    gen.values = counting_batch
     states = _run_rk45(rho, gen, grid, atol)
     ours, calls["n"] = calls["n"], 0
-    sol = solve_ivp(_rhs(gen), (grid[0], grid[-1]), vec(rho), method="RK45", t_eval=grid,
-                    atol=atol, rtol=max(atol, 1e-13))
+    sol = solve_ivp(lambda t, v: gen.evaluator(t) @ v, (grid[0], grid[-1]), vec(rho),
+                    method="RK45", t_eval=grid, atol=atol, rtol=max(atol, 1e-13))
     assert sol.success
     assert ours == calls["n"] == sol.nfev
     assert np.array_equal(states, np.stack([unvec(y, gen.dim) for y in sol.y.T]))
