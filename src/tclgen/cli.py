@@ -207,6 +207,15 @@ _KEYS = {
     },
 }
 
+# Flags that stand for config keys, {args attribute: (flag, section, key)}.  A
+# given flag's string is read in place of the file's value, by that key's
+# converter and check, and follows the config text into its hash in this order.
+_FLAG_KEYS = {
+    "order": ("--order", "run", "order"),
+    "quad_nodes": ("--quad-nodes", "run", "quad_nodes_per_unit_time"),
+    "times": ("--times", "outputs", "generator_times"),
+}
+
 
 def _square(label: str, entries: list, d: int, errors: list[str]) -> np.ndarray | None:
     """``entries`` as a row-major d x d matrix, or None after a complaint."""
@@ -218,9 +227,13 @@ def _square(label: str, entries: list, d: int, errors: list[str]) -> np.ndarray 
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a scenario config, aggregating every error found."""
-    cp = configparser.ConfigParser(
-        interpolation=None, inline_comment_prefixes=("#", ";")
-    )
+    return _parse_config(text, {})
+
+
+def _parse_config(text: str, flags: dict[tuple[str, str], tuple[str, str]]) -> ScenarioConfig:
+    """:func:`parse_config`, with ``flags`` {(section, key): (flag, raw)}
+    read in place of the file's values and hashed after its text."""
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -236,20 +249,22 @@ def parse_config(text: str) -> ScenarioConfig:
                 errors.append(f"[{section}] unknown key {key!r}")
 
     def get(section, key, default=None):
-        """Fetch and check one key by its ``_KEYS`` entry.  An absent or
-        rejected key gives ``default``, or the table's default if that is None."""
+        """Fetch and check one key, or its flag, by its ``_KEYS`` entry.  An absent
+        or rejected key gives ``default``, or the table's default if that is None."""
         conv, fallback, check = _KEYS[section][key]
         default = fallback if default is None else default
-        if not cp.has_option(section, key):
+        label, raw = flags.get((section, key),
+                               (f"[{section}] {key}", cp.get(section, key, fallback=None)))
+        if raw is None:
             return default
         try:
-            val = conv(cp.get(section, key))
+            val = conv(raw)
         except (ValueError, TypeError) as exc:
-            errors.append(f"[{section}] {key}: {exc}")
+            errors.append(f"{label}: {exc}")
             return default
         msg = check(val) if check is not None else None
         if msg:
-            errors.append(f"[{section}] {key}: {msg}")
+            errors.append(f"{label}: {msg}")
             return default
         return val
 
@@ -324,6 +339,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     if rho0 is None:
         rho0 = _default_rho0(model.dim)
+    hashed = text + "".join(f"\n{flag} {raw}" for flag, raw in flags.values())
 
     return ScenarioConfig(
         model=model,
@@ -340,7 +356,7 @@ def parse_config(text: str) -> ScenarioConfig:
         write_diagnostic=out["diagnostic"],
         write_report=out["report"],
         generator_times=out["generator_times"],
-        config_hash=hashlib.sha256(text.encode()).hexdigest()[:12],
+        config_hash=hashlib.sha256(hashed.encode()).hexdigest()[:12],
     )
 
 
@@ -525,17 +541,10 @@ def _load_config(args) -> ScenarioConfig:
     if args.config is None:
         raise ConfigError(["--config PATH is required for this subcommand"])
     text = Path(args.config).read_text(encoding="utf-8")
-    cfg = parse_config(text)
-    if getattr(args, "order", None) is not None:
-        cfg.order = args.order
-    if getattr(args, "quad_nodes", None) is not None:
-        problem = _node_range(args.quad_nodes)
-        if problem:
-            raise ConfigError([f"--quad-nodes: {problem}"])
-        cfg.quad = replace(cfg.quad, nodes_per_unit_time=args.quad_nodes)
-    out = args.out or os.environ.get(_ENV_OUT)
-    if out:
-        cfg.out_dir = out
+    cfg = _parse_config(text, {(section, key): (flag, raw)
+                               for dest, (flag, section, key) in _FLAG_KEYS.items()
+                               if (raw := getattr(args, dest, None)) is not None})
+    cfg.out_dir = args.out or os.environ.get(_ENV_OUT) or cfg.out_dir
     return cfg
 
 
@@ -549,15 +558,10 @@ def _cmd_generator_dump(args) -> int:
     cfg = _load_config(args)
     if args.print_k4_table:
         print(format_k4_table())
-    times = cfg.generator_times
-    if args.times is not None:
-        try:
-            times = _parse_times(args.times)
-        except ValueError as exc:
-            raise ConfigError([f"--times: {exc}"]) from None
     gen = build_generator(cfg.model, cfg.bath, cfg.order, cfg.quad, cfg.t_max,
                           interp="direct")
-    _write_generator_csvs(gen, _OutputDir(cfg.out_dir, cfg.config_hash, args.verbose), times)
+    _write_generator_csvs(gen, _OutputDir(cfg.out_dir, cfg.config_hash, args.verbose),
+                          cfg.generator_times)
     return 0
 
 
@@ -585,6 +589,8 @@ def _cmd_scaling_study(args) -> int:
         alphas = ()
     if alphas and (len(alphas) < 2 or any(_not_positive(a) for a in alphas)):
         problems.append("--alphas: need >= 2 positive finite values")
+    elif alphas and len(set(alphas)) < 2:
+        problems.append(f"--alphas: need >= 2 distinct values, got {args.alphas!r}")
     for flag, value, check in (("--t-max", args.t_max, _not_positive),
                                ("--n-output", args.n_output, _below_two),
                                ("--fock", args.fock, _below_two)):
@@ -593,21 +599,12 @@ def _cmd_scaling_study(args) -> int:
     if problems:
         raise ConfigError(problems)
 
-    res = scaling_study(
-        preset_name=args.preset,
-        alphas=alphas,
-        t_max=args.t_max,
-        fock_levels=args.fock,
-        n_output=args.n_output,
-        verbose=args.verbose,
-    )
+    res = scaling_study(preset_name=args.preset, alphas=alphas, t_max=args.t_max,
+                        fock_levels=args.fock, n_output=args.n_output, verbose=args.verbose)
 
-    desc = (
-        f"scaling preset={args.preset} "
-        f"alphas={','.join(f'{a:g}' for a in res.alphas)} t_max={args.t_max:g} "
-        f"fock={args.fock if args.fock is not None else 'preset'} "
-        f"n_output={args.n_output}"
-    )
+    desc = (f"scaling preset={args.preset} alphas={','.join(f'{a:g}' for a in res.alphas)} "
+            f"t_max={args.t_max:g} fock={args.fock if args.fock is not None else 'preset'} "
+            f"n_output={args.n_output}")
     out = _OutputDir(args.out or os.environ.get(_ENV_OUT) or "out",
                      hashlib.sha256(desc.encode()).hexdigest()[:12], args.verbose)
     out.csv("scaling.csv", ["alpha", "err_order2", "err_order4"],
@@ -617,14 +614,15 @@ def _cmd_scaling_study(args) -> int:
     return 0
 
 
-def _add_common_flags(sp) -> None:
+def _add_common_flags(sp, run_keys: bool = True) -> None:
+    """--config, --out, --verbose and, with ``run_keys``, --order and --quad-nodes."""
     sp.add_argument("--config", metavar="PATH", help="scenario config file")
     sp.add_argument("--out", metavar="DIR",
                     help=f"output directory (overrides config and ${_ENV_OUT})")
-    sp.add_argument("--order", type=int, choices=ORDERS,
-                    help="override the run order")
-    sp.add_argument("--quad-nodes", type=int, metavar="N",
-                    help="override quadrature nodes per unit time (4 to 96)")
+    if run_keys:
+        sp.add_argument("--order", metavar="N", help="[run] order (2 or 4)")
+        sp.add_argument("--quad-nodes", metavar="N",
+                        help="[run] quad_nodes_per_unit_time (4 to 96)")
     sp.add_argument("--verbose", action="store_true",
                     help="progress messages on stderr")
 
@@ -635,14 +633,14 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("kernels", help="tabulate D and D1 kernels as CSV")
-    _add_common_flags(sp)
+    _add_common_flags(sp, run_keys=False)
     sp.set_defaults(func=_cmd_kernels)
 
     sp = sub.add_parser("generator-dump",
                         help="write K2/K4 matrices at selected times")
     _add_common_flags(sp)
     sp.add_argument("--times", metavar="T1,T2,...",
-                    help="evaluation times (default: [outputs] generator_times)")
+                    help="[outputs] generator_times")
     sp.add_argument("--print-k4-table", action="store_true",
                     help="also print the fourth-order term table")
     sp.set_defaults(func=_cmd_generator_dump)

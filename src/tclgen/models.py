@@ -467,7 +467,6 @@ def scaling_study(
     t_max: float = 4.0,
     fock_levels: int | None = None,
     n_output: int = 81,
-    atol: float = 1e-13,
     verbose: bool = False,
 ) -> ScalingResult:
     """Fit the error-vs-coupling slopes for order-2 and order-4 propagation.
@@ -483,10 +482,12 @@ def scaling_study(
     thermal mode becomes two vacuum-started modes of ``fock_levels`` levels,
     which converge where a truncated Gibbs state does not.  The purified
     dimension is checked against the oracle's cap before any generator work.
-    The slopes are least-squares fits of log(max error) against log(alpha).
+    Every rung propagates by ``rk45-adaptive`` at ``atol = 1e-13``.  The
+    slopes are least-squares fits of log(max error) against log(alpha), so
+    at least two of the couplings must differ.
     """
-    if len(alphas) < 2:
-        raise ValueError("need at least two coupling values to fit a slope")
+    if len(set(alphas)) < 2:
+        raise ValueError("need at least two distinct coupling values to fit a slope")
     if not all(math.isfinite(a) and a > 0 for a in alphas):
         raise ValueError("couplings must be positive and finite")
     preset = get_preset(preset_name)
@@ -504,7 +505,7 @@ def scaling_study(
         oracle = exact_small_bath(rho0, model, reference, t_grid, check_truncation=False)
         for order in (2, 4):
             gen = replace(table, alpha=alpha, order=order)
-            traj = propagate(rho0, gen, t_grid, stepper="rk45-adaptive", atol=atol)
+            traj = propagate(rho0, gen, t_grid, stepper="rk45-adaptive", atol=1e-13)
             err = float(np.max(trace_distance(traj.states, oracle.states)))
             errs[order].append(err)
             if verbose:

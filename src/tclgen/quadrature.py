@@ -98,18 +98,12 @@ def cumulative_weights(n: int, h: float) -> np.ndarray:
     """Weight matrix W with (W @ f)[m] ~ int_0^{m h} f for grid values f.
 
     Row m holds the quadrature weights over nodes 0..n for the integral up to
-    node m.  All rows are fourth-order accurate except on grids too short to
-    support a cubic (n < 3), which fall back to the best available rule.
+    node m; every row is fourth-order accurate.  ``n`` is at least 4, as
+    :meth:`QuadratureSpec.intervals` gives it.
     """
     w = np.zeros((n + 1, n + 1))
-    if n >= 1:
-        if n >= 3:
-            # cubic through nodes 0..3 integrated over the first interval
-            w[1, :4] = np.array([9.0, 19.0, -5.0, 1.0]) * (h / 24.0)
-        elif n == 2:
-            w[1, :3] = np.array([5.0, 8.0, -1.0]) * (h / 12.0)
-        else:
-            w[1, :2] = np.array([0.5, 0.5]) * h
+    # cubic through nodes 0..3 integrated over the first interval
+    w[1, :4] = np.array([9.0, 19.0, -5.0, 1.0]) * (h / 24.0)
     for m in range(2, n + 1):
         if m % 2 == 0:
             w[m, : m + 1] = _simpson_row(m, h)

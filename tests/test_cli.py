@@ -1,5 +1,6 @@
 """Config parsing, CSV determinism, exit codes, subcommand behavior."""
 
+import hashlib
 import math
 import re
 import sys
@@ -862,7 +863,7 @@ def test_bad_usage_is_exit_one(capsys):
 def test_bad_quad_nodes_override(tmp_path, capsys):
     cfg_path = tmp_path / "s.ini"
     cfg_path.write_text(PRESET_MIN)
-    assert main(["kernels", "--config", str(cfg_path), "--quad-nodes", "3",
+    assert main(["generator-dump", "--config", str(cfg_path), "--quad-nodes", "3",
                  "--out", str(tmp_path / "o")]) == 1
     assert "--quad-nodes" in capsys.readouterr().err
 
@@ -873,6 +874,64 @@ def test_quad_nodes_override_above_96_rejected(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path), "--quad-nodes", "97",
                  "--out", str(tmp_path / "o")]) == 1
     assert "--quad-nodes: must be from 4 to 96, got 97" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_file_and_flag_problems_are_reported_together(tmp_path, capsys):
+    cfg_path = tmp_path / "s.ini"
+    cfg_path.write_text(PRESET_MIN + "[run]\nt_max = -1\nstepper = euler\n")
+    assert main(["generator-dump", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                 "--quad-nodes", "200", "--order", "3", "--times", "0.5,0.5"]) == 1
+    assert capsys.readouterr().err == (
+        "error: \n"
+        "  - [run] t_max: must be positive and finite, got -1.0\n"
+        "  - --order: must be 2 or 4, got 3\n"
+        "  - [run] stepper: must be one of magnus4, rk4-fixed, rk45-adaptive, got 'euler'\n"
+        "  - --quad-nodes: must be from 4 to 96, got 200\n"
+        "  - --times: time 0.5 is given twice\n")
+    assert not (tmp_path / "o").exists()
+
+
+def _run_outputs(tmp_path, name, text, *flags):
+    """Every file of a ``tclgen run`` of ``text``, as {name: lines}."""
+    cfg_path = tmp_path / f"{name}.ini"
+    cfg_path.write_text(text)
+    out = tmp_path / name
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), *flags]) == 0
+    return {p.name: p.read_text().splitlines() for p in sorted(out.iterdir())}
+
+
+def _config_hashes(files):
+    return {h for lines in files.values() for line in lines
+            for h in re.findall(r"^(?:# config=|config: )([0-9a-f]{12})\b", line)}
+
+
+def test_run_flags_act_as_their_config_keys_and_enter_the_hash(tmp_path):
+    base = PRESET_MIN + "[run]\nt_max = 0.5\nn_output = 6\n"
+    plain = _run_outputs(tmp_path, "plain", base)
+    flagged = [_run_outputs(tmp_path, f"flags{i}", base, "--order", "2", "--quad-nodes", "8")
+               for i in range(2)]
+    keyed = _run_outputs(tmp_path, "keys", base + "order = 2\nquad_nodes_per_unit_time = 8\n")
+    assert flagged[0] == flagged[1]
+    assert flagged[0].keys() == keyed.keys()
+    for name, lines in flagged[0].items():
+        differ = [(a, b) for a, b in zip(lines, keyed[name]) if a != b]
+        assert len(lines) == len(keyed[name]) and differ, name
+        assert all(a.startswith(("# config=", "config: ")) for a, _ in differ), name
+    assert "order=2" in " ".join(flagged[0]["report.txt"])
+    (plain_hash,), (flag_hash,), (key_hash,) = (_config_hashes(f)
+                                                for f in (plain, flagged[0], keyed))
+    assert len({plain_hash, flag_hash, key_hash}) == 3
+    assert plain_hash == hashlib.sha256(base.encode()).hexdigest()[:12]
+
+
+def test_kernels_takes_no_run_flags(tmp_path, capsys):
+    cfg_path = tmp_path / "s.ini"
+    cfg_path.write_text(PRESET_MIN)
+    for flags in (["--order", "2"], ["--quad-nodes", "8"]):
+        assert main(["kernels", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                     *flags]) == 1
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -1070,6 +1129,18 @@ def test_scaling_study_rejects_non_finite_flags(capsys):
                              (["--alphas", "0.1,nan"], "--alphas: need >= 2 positive finite")):
         assert main(["scaling-study", *flags]) == 1
         assert complaint in capsys.readouterr().err
+
+
+def test_scaling_study_rejects_repeated_couplings(tmp_path, capsys):
+    with pytest.raises(ValueError, match="two distinct coupling values"):
+        tclgen.models.scaling_study(alphas=(0.1, 0.1), t_max=0.5, fock_levels=4, n_output=6)
+    out = tmp_path / "o"
+    assert main(["scaling-study", "--alphas", "0.1,0.1", "--t-max", "0.5", "--n-output", "6",
+                 "--fock", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: \n  - --alphas: need >= 2 distinct values, got '0.1,0.1'\n"
+        "  - --fock: must be >= 2, got 1\n")
+    assert not out.exists()
 
 
 def test_scaling_study_rejects_an_oversized_purified_reference(monkeypatch, capsys):

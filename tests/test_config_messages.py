@@ -185,8 +185,14 @@ CLI_CASES = [
     ("quad-nodes-override", ["run", "--quad-nodes", "3"], [
         "--quad-nodes: must be from 4 to 96, got 3",
     ]),
-    ("quad-nodes-override-high", ["kernels", "--quad-nodes", "97"], [
+    ("quad-nodes-override-high", ["generator-dump", "--quad-nodes", "97"], [
         "--quad-nodes: must be from 4 to 96, got 97",
+    ]),
+    ("quad-nodes-override-conversion", ["run", "--quad-nodes", "8.5"], [
+        "--quad-nodes: invalid literal for int() with base 10: '8.5'",
+    ]),
+    ("order-override", ["generator-dump", "--order", "3"], [
+        "--order: must be 2 or 4, got 3",
     ]),
     ("times-override", ["generator-dump", "--times", "-1"], [
         "--times: times must be nonnegative and finite",
