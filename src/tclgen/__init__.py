@@ -40,6 +40,7 @@ from .exact import (
     K4_exact,
     K4_exact_grid,
     K4_table_exact,
+    K4_table_exact_times,
     forward_map_exact,
     forward_map_exact_grid,
 )
@@ -109,6 +110,7 @@ __all__ = [
     "K4_exact",
     "K4_exact_grid",
     "K4_table_exact",
+    "K4_table_exact_times",
     "forward_map_exact",
     "forward_map_exact_grid",
     # tcl

@@ -55,6 +55,12 @@ and so cost accuracy.  Both forms of K4 hold the pairing chains
 (t, t2)(t1, t3) and (t, t3)(t1, t2), so each checks the other's remainder:
 the pairing (t, t1)(t2, t3) minus K2 J against the two interleaved chains.
 
+J4', J and the kernel table are each one call of the chain engine
+:func:`_chain_sum`, which takes the chains of every family at once, each
+with its coefficient and its output: all pairings of J4' or of J, and in
+:func:`K4_table_exact_times` both chronological pairings and both
+interleaved families at every time asked for.
+
 On a uniform grid t_s = s h every chain is tabulated at once.  Its block
 matrix is t M with M independent of t, so exp(t_s M) = exp(h M)^s: each
 chain is exponentiated at h, and the first block row of each power is
@@ -75,7 +81,9 @@ alone drift from the per-time values linearly in s: on
 drift passed the check's former floor of 1e-6 from t = 3.6.  So each chain
 is also exponentiated once at H = m h, m = isqrt(steps), each at its own unit
 blocks: node a m + r is the a-th power of exp(H M), brought to the blocks of
-h, times r powers of exp(h M), at most about 2 sqrt(steps) products.  On
+h, times r powers of exp(h M).  The a-th powers are carried one after
+another, and each further step of h is carried for all anchors at once, so
+a grid takes about 2 sqrt(steps) sequential batched products.  On
 ``spinboson-single-mode`` at 16 steps per unit time the grid K4 is within
 2.0e-14 relative of the per-time calls up to t = 32, and on
 ``dephasing-single-mode`` within 5.0e-12 absolute.  K2 is elementwise in t,
@@ -100,6 +108,7 @@ __all__ = [
     "K4_exact",
     "K4_exact_grid",
     "K4_table_exact",
+    "K4_table_exact_times",
     "forward_map_exact",
     "forward_map_exact_grid",
     "k4_chain_count",
@@ -155,7 +164,10 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
            960960.0, 16380.0, 182.0, 1.0)
 _THETA13 = 5.371920351148152
-_CHUNK_ENTRIES = 1 << 18  # bounds each exponentiated stack to 4 MB
+# bounds each stack of block matrices, node rows or node corners to 128 KB:
+# an exponentiated stack has about seven of its size alive at once, and at
+# this size a chunk stays in cache (larger chunks ran slower)
+_CHUNK_ENTRIES = 1 << 13
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -164,6 +176,8 @@ def _expm(a: np.ndarray) -> np.ndarray:
     Uses NumPy's own BLAS: with more than one BLAS thread, SciPy's
     ``expm`` on these small matrices ran about 80x slower right after
     NumPy-heavy work (the two libraries keep separate OpenBLAS thread pools).
+    The Pade sums accumulate in place, so at most about seven stacks of the
+    input's size are alive at once.
     """
     b = _PADE13
     norm = np.abs(a).sum(axis=1).max(axis=1)
@@ -173,33 +187,52 @@ def _expm(a: np.ndarray) -> np.ndarray:
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-    r = np.linalg.solve(v - u, v + u)
+    u = b[13] * a6
+    u += b[11] * a4
+    u += b[9] * a2
+    u = a6 @ u
+    for c, p in zip(b[7:0:-2], (a6, a4, a2, eye)):
+        u += c * p
+    u = a @ u
+    del a
+    v = b[12] * a6
+    v += b[10] * a4
+    v += b[8] * a2
+    v = a6 @ v
+    for c, p in zip(b[6::-2], (a6, a4, a2, eye)):
+        v += c * p
+    del a2, a4, a6
+    r = v + u
+    v -= u
+    del u
+    r = np.linalg.solve(v, r)
     for k in range(s.max(initial=0)):
         r = np.where((k < s)[:, None, None], r @ r, r)
     return r
 
 
-def _chain_sum(h: float, steps: int, g: np.ndarray, shifts: list[np.ndarray],
-               blocks: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Sum over a batch of chains of the integrals of
+def _chain_sum(h, steps: int, g: np.ndarray, shifts: list[np.ndarray],
+               blocks: list[tuple[np.ndarray, np.ndarray]], coef=1.0, group=0,
+               groups: int = 1) -> np.ndarray:
+    """Sums over a batch of chains of their integrals of
     e^{u0 A0} B1 e^{u1 A1} ... B_k e^{u_k A_k} over u0 + ... + u_k = t, at
     every t_s = s h of a uniform grid, s = 1 .. ``steps``.
 
     Chain b has A_i = i shifts[i][b] - G, with G diagonal (its diagonal is
     ``g``), and B_i = table_i[index_i[b]] for ``blocks[i-1] = (table_i,
-    index_i)``; an index of length 1 gives every chain the same B_i.  Each
-    B_i enters its block matrix at unit norm and the result is rescaled, so
-    the top-right block is O(1) next to the unitary diagonal blocks.  The
-    block matrix is exponentiated at h and, for more than three steps, at
-    H = isqrt(steps) h; the value at t_s is the corner of a power, reached by
-    carrying first block rows through products with the two (see the module
-    docstring).  With one step this is the per-time block exponential.  The
-    block matrices are built and exponentiated in chunks of at most
+    index_i)``.  With one step ``h`` may hold a span per chain.  Chain b
+    enters sum ``group[b]`` of ``groups`` with coefficient ``coef[b]``; a
+    scalar serves every chain.  Each B_i enters its block matrix at unit norm and the
+    result is rescaled, so the top-right block is O(1) next to the unitary
+    diagonal blocks.  The block matrix is exponentiated at h and, for more
+    than three steps, at H = isqrt(steps) h; the value at t_s is the corner
+    of a power, reached by carrying first block rows through products with
+    the two, for all anchors at once (see the module docstring and
+    :func:`_node_corners`).  With one step this is the per-time block
+    exponential.  Chains are taken in chunks such that no exponentiated
+    stack, stack of node rows or stack of node corners holds more than
     ``_CHUNK_ENTRIES`` entries, so memory stays bounded however many chains
-    there are.  Returns the (steps, n, n) sums.
+    there are.  Returns the (groups, steps, n, n) sums.
     """
     shifts = np.stack(shifts, axis=1)
     batch, k = shifts.shape[0], len(blocks)
@@ -208,59 +241,99 @@ def _chain_sum(h: float, steps: int, g: np.ndarray, shifts: list[np.ndarray],
     norms = [np.linalg.norm(tab, axis=(1, 2)) for tab, _ in blocks]
     norms = [np.where(nb > 0, nb, 1.0) for nb in norms]
     units = [tab / nb[:, None, None] for (tab, _), nb in zip(blocks, norms)]
-    indices = [np.broadcast_to(index, (batch,)) for _, index in blocks]
-    diag = np.arange(size)
-    total = np.zeros((steps, n, n), dtype=complex)
+    h, coef, group = (np.broadcast_to(x, (batch,)) for x in (h, coef, group))
     # node s = a * stride + r is reached from node a * stride, the a-th power
     # of a second step exponential at H = stride * h, by r steps of h
     stride = max(1, math.isqrt(steps))
-    spans = np.array([h] if stride == 1 else [h, stride * h])
+    scales = np.array([1.0] if stride == 1 else [1.0, stride])
     # the rows of e^{HM} at their own unit blocks, brought to those of h
     to_h = np.repeat(float(stride) ** np.arange(k + 1), n)
-    chunk = max(1, _CHUNK_ENTRIES // (size**2 * spans.size))
+    chunk = max(1, _CHUNK_ENTRIES // max(scales.size * size**2, steps * n * n,
+                                         (steps // stride + 1) * n * size))
+    diag = np.arange(size)
+    total = np.zeros((groups, steps * n * n), dtype=complex)
     for lo in range(0, batch, chunk):
         part = slice(lo, lo + chunk)
-        big = np.zeros((spans.size, len(shifts[part]), size, size), dtype=complex)
-        big[:, :, diag, diag] = spans[:, None, None] * (
+        spans = scales[:, None] * h[part]
+        big = np.zeros(spans.shape + (size, size), dtype=complex)
+        big[:, :, diag, diag] = spans[:, :, None] * (
             1j * np.repeat(shifts[part], n, axis=1) - np.tile(g, k + 1))
-        weight = np.full(big.shape[1], float(h) ** k)
-        for i, (index, unit, nb) in enumerate(zip(indices, units, norms)):
-            big[:, :, i * n:(i + 1) * n, (i + 1) * n:(i + 2) * n] = unit[index[part]]
-            weight *= nb[index[part]]
         # one weight serves every power: the unit blocks are a similarity
         # transform of the true ones that is the same at every t_s
-        step, leap = _expm(big.reshape(-1, size, size)).reshape(big.shape)[[0, -1]]
-        row = None
-        for s in range(1, steps + 1):
-            if s % stride == 0:
-                anchor = leap[:, :n] if s == stride else anchor @ leap
-                row = anchor * to_h
-            else:
-                row = step[:, :n] if row is None else row @ step
-            total[s - 1] += np.tensordot(weight, row[:, :, k * n:], axes=1)
-    return total
+        weight = coef[part] * h[part] ** k
+        for i, ((_, index), unit, nb) in enumerate(zip(blocks, units, norms)):
+            big[:, :, i * n:(i + 1) * n, (i + 1) * n:(i + 2) * n] = unit[index[part]]
+            weight = weight * nb[index[part]]
+        powers = _expm(big.reshape(-1, size, size)).reshape(big.shape)
+        del big
+        corners = _node_corners(powers[0], powers[-1], steps, stride, to_h, k * n)
+        select = np.zeros((groups, weight.size))
+        select[group[part], np.arange(weight.size)] = weight
+        total += select @ corners.reshape(weight.size, -1)
+    return total.reshape(groups, steps, n, n)
+
+
+def _node_corners(step: np.ndarray, leap: np.ndarray, steps: int, stride: int,
+                  to_h: np.ndarray, col: int) -> np.ndarray:
+    """The top-right corners (columns from ``col``) of the first block rows
+    of the powers of a batch of block exponentials, at s = 1 .. ``steps``:
+    (batch, steps, n, n) from ``step`` = e^{hM} and ``leap`` = e^{HM},
+    H = ``stride`` h, the latter at its own unit blocks, which ``to_h``
+    rescales to those of h.
+
+    Node a stride + r is ((anchor_a to_h) step) step ... with r factors of
+    step, anchor_a the first block row of leap^a (node r of a = 0 is
+    step^r).  The anchors are carried one after another; each of the
+    stride - 1 further levels then takes one product for all anchors at
+    once.
+    """
+    n = step.shape[-1] - col
+    corners = np.empty((step.shape[0], steps, n, n), dtype=complex)
+    anchors = np.empty((steps // stride,) + step[:, :n].shape, dtype=complex)
+    anchor = leap[:, :n]
+    for a in range(anchors.shape[0]):
+        if a:
+            anchor = anchor @ leap
+        anchors[a] = anchor * to_h
+    corners[:, stride - 1::stride] = anchors[..., col:].swapaxes(0, 1)
+    # level r holds the nodes a stride + r, a = 0 .. (steps - r) // stride
+    for r in range(1, stride):
+        count = (steps - r) // stride + 1
+        rows = (np.concatenate([step[None, :, :n], anchors[:count - 1] @ step]) if r == 1
+                else rows[:count] @ step)
+        corners[:, r - 1::stride] = rows[..., col:].swapaxes(0, 1)
+    return corners
+
+
+def _pairing_layout(c: _Eigenbasis, pairings, free: int) -> tuple[np.ndarray, np.ndarray]:
+    """The chronological chains of ``pairings`` of n slots, one per pairing
+    and tuple of kernel labels, with ``free`` intervals in front of slot 0:
+    their interval shifts (n + free, chains) and their slot indices
+    (n, chains) into the table [Xc, W_nu ...] (index 0 is Xc, 1 + nu is
+    W_nu)."""
+    n, m = 2 * len(pairings[0]), c.nu.size
+    labels = [a.ravel() for a in np.indices((m,) * (n // 2))]
+    shifts = np.zeros((len(pairings), n + free, labels[0].size))
+    slots = np.zeros((len(pairings), n, labels[0].size), dtype=int)
+    for pairing, shift, slot in zip(pairings, shifts, slots):
+        for (a, b), label in zip(pairing, labels):
+            slot[b] = 1 + label
+            shift[a + free:b + free] += c.nu[label]
+    return np.concatenate(shifts, axis=1), np.concatenate(slots, axis=1)
 
 
 def _pairing_chains(c: _Eigenbasis, h: float, steps: int, pairings, pinned: bool) -> np.ndarray:
     """(-1/2)^(n/2) times the sum of the chronological chains of ``pairings``
     of n slots, one block exponential per pairing and tuple of kernel labels,
-    in the eigenbasis, at t_s = s h for s = 1 .. ``steps``.  With ``pinned``
-    slot 0 sits at t and is left to the caller's U(t) Xc; otherwise a free
-    interval comes first and U(t) is left.
+    all in one :func:`_chain_sum` call, in the eigenbasis, at t_s = s h for
+    s = 1 .. ``steps``.  With ``pinned`` slot 0 sits at t and is left to the
+    caller's U(t) Xc; otherwise a free interval comes first and U(t) is left.
     """
-    n, m = 2 * len(pairings[0]), c.nu.size
-    labels = [a.ravel() for a in np.indices((m,) * (n // 2))]
     free = 0 if pinned else 1  # intervals in front of slot 0
-    total = 0
-    for pairing in pairings:
-        shifts = [np.zeros(labels[0].size)] * (n + free)
-        slots = [None] * n
-        for (a, b), label in zip(pairing, labels):
-            slots[a], slots[b] = (c.xc[None], np.zeros(1, dtype=int)), (c.w, label)
-            for k in range(a + free, b + free):
-                shifts[k] = shifts[k] + c.nu[label]
-        total = total + _chain_sum(h, steps, c.g, shifts, slots[1 - free:])
-    return (-0.5) ** (n // 2) * total
+    shifts, slots = _pairing_layout(c, pairings, free)
+    table = np.concatenate([c.xc[None], c.w])
+    return _chain_sum(h, steps, c.g, list(shifts), [(table, s) for s in slots[1 - free:]],
+                      (-0.5) ** len(pairings[0]))[0]
 
 
 def K2_exact_grid(model: SystemModel, bath: BathSpec, t_max: float, steps: int) -> np.ndarray:
@@ -370,35 +443,60 @@ def K4_exact(model: SystemModel, bath: BathSpec, t: float) -> SuperOp:
 
 
 def K4_table_exact(model: SystemModel, bath: BathSpec, t: float) -> SuperOp:
+    """The fourth-order kernel table in closed form at one time: one time of
+    :func:`K4_table_exact_times`."""
+    return SuperOp(model.dim, K4_table_exact_times(model, bath, [t])[0])
+
+
+def K4_table_exact_times(model: SystemModel, bath: BathSpec, times) -> np.ndarray:
     """The fourth-order kernel table (:data:`tclgen.tcl.K4_TERM_TABLE`, the
     quadrature route :func:`tclgen.tcl.K4_influence`) integrated in closed
-    form; at order 4 it is the fully ordered cumulant sum.
+    form at each of ``times``: (len(times), d^2, d^2) in the site basis.  At
+    order 4 it is the fully ordered cumulant sum.
 
     (1/4) U(t) Xc times two chronological chains and two interleaved chains
     whose out-of-order slot is split into Bohr components, one block
-    exponential per chain and label tuple.  Against :func:`K4_exact`, whose
-    chronological chains it shares, it checks the Wick pairing (t, t1)(t2, t3)
-    minus K2 J.  K4(0) is exactly 0, returned without building a chain.
+    exponential per chain, label tuple and nonzero time, all in one
+    :func:`_chain_sum` call.  Against :func:`K4_exact`, whose chronological
+    chains it shares, it checks the Wick pairing (t, t1)(t2, t3) minus K2 J.
+    K4(0) is exactly 0, and a time of 0 builds no chain.
     """
-    if t == 0:
-        return SuperOp(model.dim, np.zeros((model.dim**2, model.dim**2), dtype=complex))
+    times = np.asarray(times, dtype=float).reshape(-1)
+    out = np.zeros((times.size, model.dim**2, model.dim**2), dtype=complex)
+    live = times[times != 0]
+    if live.size == 0:
+        return out
     c = _Eigenbasis(model, bath)
     m, n = c.nu.size, c.g.size
     omega, xc_w, xa_w = _bohr_parts(model)
     p = omega.size
-    eye = (np.eye(n, dtype=complex)[None], np.zeros(1, dtype=int))
+    # one table for every slot: Xc, the W_nu, the identity, and W_{nu,w} Xc
+    # for every label nu and Bohr part w, at 2 + m + nu * p + w
+    table = np.concatenate([
+        c.xc[None], c.w, np.eye(n)[None],
+        ((c.cc[:, None, None, None] * xc_w + c.ca[:, None, None, None] * xa_w)
+         @ c.xc).reshape(m * p, n, n)])
     # chronological chains: the pairings that the (t, t1)(t2, t3) product spares
-    inner = _pairing_chains(c, t, 1, [pp for pp in _pairings(4) if (0, 1) not in pp], pinned=True)
+    shifts, slots = _pairing_layout(c, [pp for pp in _pairings(4) if (0, 1) not in pp], 0)
+    coef = np.full(shifts.shape[1], 0.25)
     # interleaved chains: the out-of-order slot (label nu) split by Bohr
     # frequency w, which shifts the intervals that slot spans by -w
     i, j, q = (a.ravel() for a in np.indices((m, m, p)))
     nu, mu, w, zero = c.nu[i], c.nu[j], omega[q], np.zeros(i.size)
-    # W_{nu,w} Xc for every label nu and Bohr part w, indexed by nu * p + w
-    table = ((c.cc[:, None, None, None] * xc_w + c.ca[:, None, None, None] * xa_w)
-             @ c.xc).reshape(m * p, n, n)
-    first = (table, i * p + q)
-    # -Xc(t) W(t2) Xc(t1) W(t3): nu on u0, u1; mu on u1, u2; -w on u1
-    inner -= 0.25 * _chain_sum(t, 1, c.g, [nu, nu + mu - w, mu, zero], [first, eye, (c.w, j)])
-    # -Xc(t) W(t3) Xc(t1) W(t2): nu on u0..u2; mu on u1; -w on u1, u2
-    inner -= 0.25 * _chain_sum(t, 1, c.g, [nu, nu + mu - w, nu - w, zero], [first, (c.w, j), eye])
-    return SuperOp(model.dim, c.lead(np.array([t]), inner)[0])
+    first, eye, wj = 2 + m + i * p + q, np.full(i.size, 1 + m), 1 + j
+    shifts = np.concatenate([
+        shifts,
+        # -Xc(t) W(t2) Xc(t1) W(t3): nu on u0, u1; mu on u1, u2; -w on u1
+        [nu, nu + mu - w, mu, zero],
+        # -Xc(t) W(t3) Xc(t1) W(t2): nu on u0..u2; mu on u1; -w on u1, u2
+        [nu, nu + mu - w, nu - w, zero]], axis=1)
+    slots = np.concatenate([slots[1:], [first, eye, wj], [first, wj, eye]], axis=1)
+    coef = np.concatenate([coef, np.full(2 * i.size, -0.25)])
+    # every chain at every nonzero time, summed per time
+    chains = coef.size
+    inner = _chain_sum(np.repeat(live, chains), 1, c.g, list(np.tile(shifts, live.size)),
+                       [(table, s) for s in np.tile(slots, live.size)],
+                       np.tile(coef, live.size), np.repeat(np.arange(live.size), chains),
+                       live.size)[:, 0]
+    out[times != 0] = c.lead(live, inner)
+    return out

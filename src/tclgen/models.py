@@ -587,10 +587,12 @@ def simulate(
         res.diagnostic = invertibility_diagnostic(model, bath, t_grid)
     if not report:
         return res
-    for t in map(float, generator_times if order == 4 else ()):
-        say(f"route comparison at t={t:g}")
-        res.routes.append((t, *check_k4_routes(model, bath, t, quad, gen.coefficients(t).k4,
-                                               gen.grid)))
+    times = [float(t) for t in generator_times] if order == 4 else []
+    if times:
+        say("route comparison at t=" + ", ".join(f"{t:g}" for t in times))
+        k4 = np.stack([gen.coefficients(t).k4 for t in times])
+        res.routes = [(t, *check) for t, check in
+                      zip(times, check_k4_routes(model, bath, times, quad, k4, gen.grid))]
     if compare:
         if truncated is None:
             res.reference_label = "closed-form dephasing solution"

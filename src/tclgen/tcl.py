@@ -50,7 +50,7 @@ from .exact import (
     K2_exact,
     K2_exact_grid,
     K4_exact,
-    K4_table_exact,
+    K4_table_exact_times,
     _Eigenbasis,
     _k4_exact_grid,
     k4_chain_count,
@@ -342,29 +342,41 @@ def _k4_exact_is_cheaper(model: SystemModel, bath: BathSpec, quad: QuadratureSpe
 
 
 def check_k4_routes(
-    model: SystemModel, bath: BathSpec, t: float, quad: QuadratureSpec, k4: np.ndarray,
+    model: SystemModel, bath: BathSpec, times, quad: QuadratureSpec, k4: np.ndarray,
     grid: np.ndarray | None = None,
-) -> tuple[float, float]:
-    """A run's route check at t: (relative difference, threshold) by the
-    route rule, with trip 10x the quadrature tolerance: neither pair below
-    carries quadrature error between its routes.
+) -> tuple[float, float] | list[tuple[float, float]]:
+    """A run's route check at each of ``times``: (relative difference,
+    threshold) by the route rule, with trip 10x the quadrature tolerance:
+    neither pair below carries quadrature error between its routes.
 
-    ``k4`` is the generator's K4(t) and ``grid`` its table's nodes
-    (:attr:`Generator.grid`).  The check takes the partner of the route
-    that K4(t) came from: on a node of the grid, the route the cost rule
-    (:func:`_k4_exact_is_cheaper`) chose for the whole table at its last
+    ``k4`` is the generator's K4 at each time, stacked, and ``grid`` its
+    table's nodes (:attr:`Generator.grid`).  The check takes the partner of
+    the route that K4(t) came from: on a node of the grid, the route the cost
+    rule (:func:`_k4_exact_is_cheaper`) chose for the whole table at its last
     node; anywhere else, the route it chose at t.  Against :func:`K4_exact`
-    (J4' - K2 J) it sets the kernel table in closed form
-    (:func:`tclgen.exact.K4_table_exact`), which shares two pairing chains,
-    so this tests the third pairing minus K2 J against the Bohr-split
-    interleaved chains; against :func:`K4_influence`, :func:`K_n_cumulant`
-    on the same grid.
+    (J4' - K2 J) it sets the kernel table in closed form, for all such
+    times from one :func:`tclgen.exact.K4_table_exact_times` call; that
+    shares two pairing chains, so this tests the third pairing minus K2 J
+    against the Bohr-split interleaved chains.  Against
+    :func:`K4_influence`, :func:`K_n_cumulant` on the same grid, one time at
+    a time.  A single time (a float, with ``k4`` one matrix) returns one
+    pair, a sequence a list of them.
     """
-    if _k4_exact_is_cheaper(model, bath, quad, grid[-1] if grid is not None and t in grid else t):
-        other = K4_table_exact(model, bath, t).matrix
-    else:
-        other = K_n_cumulant(model, bath, t, 4, quad).matrix
-    return _route_agreement(model, bath, t, other, k4, 10.0 * quad.tolerance)
+    one = np.ndim(times) == 0
+    times = [float(t) for t in np.reshape(times, -1)]
+    k4 = np.reshape(k4, (len(times),) + np.shape(k4)[-2:])
+    exact = [_k4_exact_is_cheaper(model, bath, quad,
+                                  grid[-1] if grid is not None and t in grid else t)
+             for t in times]
+    other = np.empty_like(k4)
+    if any(exact):
+        other[exact] = K4_table_exact_times(model, bath, np.compress(exact, times))
+    for i, t in enumerate(times):
+        if not exact[i]:
+            other[i] = K_n_cumulant(model, bath, t, 4, quad).matrix
+    checks = [_route_agreement(model, bath, t, a, b, 10.0 * quad.tolerance)
+              for t, a, b in zip(times, other, k4)]
+    return checks[0] if one else checks
 
 
 class Coefficients(NamedTuple):

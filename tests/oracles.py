@@ -8,7 +8,10 @@ matrices.  Slow is fine; these only ever run at tiny dimensions.  The last
 two sections keep the order-4 cumulant assembly that integrates each term on
 its own, from tclgen's generic moment builder, as the reference for the
 one-pass integrand, and a fixed-step RK4 loop that takes a tclgen generator
-one time at a time, as the reference for the batched stepper.
+one time at a time, as the reference for the batched stepper.  The last
+section is the closed-form chain engine with one call per Wick pairing or
+chain family, one node at a time, and the kernel table one time at a time,
+as the reference for the batched engine.
 """
 
 from __future__ import annotations
@@ -18,7 +21,13 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from tclgen.cumulant import _moment_matrix_batch, drop_odd_terms, enumerate_ordered_cumulant_terms
+from tclgen.cumulant import (
+    _moment_matrix_batch,
+    _pairings,
+    drop_odd_terms,
+    enumerate_ordered_cumulant_terms,
+)
+from tclgen.exact import _bohr_parts, _Eigenbasis, _expm
 from tclgen.quadrature import integrate_simplex3
 
 
@@ -326,3 +335,88 @@ def rk4_fixed(rho0: np.ndarray, gen, t_grid: np.ndarray, max_step: float) -> np.
             t += h
         out.append(y.reshape((d, d), order="F"))
     return np.array(out)
+
+
+# --- closed-form chains, one family per call and one node at a time ------------------
+
+
+def chain_sum_per_node(h: float, steps: int, g: np.ndarray, shifts: list[np.ndarray],
+                       blocks: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Sum over one batch of chains of their integrals at t_s = s h,
+    s = 1 .. ``steps``, as the engine of ``tclgen.exact`` took it one chain
+    family per call: every block matrix exponentiated at h and, from four
+    steps on, at H = isqrt(steps) h, in one batch, then the first block rows
+    carried node by node.  Returns the (steps, n, n) sums."""
+    shifts = np.stack(shifts, axis=1)
+    batch, k = shifts.shape[0], len(blocks)
+    n = g.size
+    size = (k + 1) * n
+    norms = [np.linalg.norm(tab, axis=(1, 2)) for tab, _ in blocks]
+    norms = [np.where(nb > 0, nb, 1.0) for nb in norms]
+    units = [tab / nb[:, None, None] for (tab, _), nb in zip(blocks, norms)]
+    indices = [np.broadcast_to(index, (batch,)) for _, index in blocks]
+    diag = np.arange(size)
+    total = np.zeros((steps, n, n), dtype=complex)
+    stride = max(1, math.isqrt(steps))
+    spans = np.array([h] if stride == 1 else [h, stride * h])
+    to_h = np.repeat(float(stride) ** np.arange(k + 1), n)
+    big = np.zeros((spans.size, batch, size, size), dtype=complex)
+    big[:, :, diag, diag] = spans[:, None, None] * (
+        1j * np.repeat(shifts, n, axis=1) - np.tile(g, k + 1))
+    weight = np.full(batch, float(h) ** k)
+    for i, (index, unit, nb) in enumerate(zip(indices, units, norms)):
+        big[:, :, i * n:(i + 1) * n, (i + 1) * n:(i + 2) * n] = unit[index]
+        weight *= nb[index]
+    step, leap = _expm(big.reshape(-1, size, size)).reshape(big.shape)[[0, -1]]
+    row = None
+    for s in range(1, steps + 1):
+        if s % stride == 0:
+            anchor = leap[:, :n] if s == stride else anchor @ leap
+            row = anchor * to_h
+        else:
+            row = step[:, :n] if row is None else row @ step
+        total[s - 1] += np.tensordot(weight, row[:, :, k * n:], axes=1)
+    return total
+
+
+def pairing_chains_per_pairing(c: _Eigenbasis, h: float, steps: int, pairings,
+                               pinned: bool) -> np.ndarray:
+    """(-1/2)^(n/2) times the chronological chains of ``pairings`` of n
+    slots at t_s = s h, one :func:`chain_sum_per_node` call per pairing."""
+    n, m = 2 * len(pairings[0]), c.nu.size
+    labels = [a.ravel() for a in np.indices((m,) * (n // 2))]
+    free = 0 if pinned else 1
+    total = 0
+    for pairing in pairings:
+        shifts = [np.zeros(labels[0].size)] * (n + free)
+        slots = [None] * n
+        for (a, b), label in zip(pairing, labels):
+            slots[a], slots[b] = (c.xc[None], np.zeros(1, dtype=int)), (c.w, label)
+            for k in range(a + free, b + free):
+                shifts[k] = shifts[k] + c.nu[label]
+        total = total + chain_sum_per_node(h, steps, c.g, shifts, slots[1 - free:])
+    return (-0.5) ** (n // 2) * total
+
+
+def k4_table_per_time(model, bath, t: float) -> np.ndarray:
+    """The closed-form kernel table at one time, one chain family per
+    call: the two chronological pairings, then each interleaved family."""
+    if t == 0:
+        return np.zeros((model.dim**2, model.dim**2), dtype=complex)
+    c = _Eigenbasis(model, bath)
+    m, n = c.nu.size, c.g.size
+    omega, xc_w, xa_w = _bohr_parts(model)
+    p = omega.size
+    eye = (np.eye(n, dtype=complex)[None], np.zeros(1, dtype=int))
+    inner = pairing_chains_per_pairing(
+        c, t, 1, [pp for pp in _pairings(4) if (0, 1) not in pp], pinned=True)
+    i, j, q = (a.ravel() for a in np.indices((m, m, p)))
+    nu, mu, w, zero = c.nu[i], c.nu[j], omega[q], np.zeros(i.size)
+    table = ((c.cc[:, None, None, None] * xc_w + c.ca[:, None, None, None] * xa_w)
+             @ c.xc).reshape(m * p, n, n)
+    first = (table, i * p + q)
+    inner -= 0.25 * chain_sum_per_node(t, 1, c.g, [nu, nu + mu - w, mu, zero],
+                                       [first, eye, (c.w, j)])
+    inner -= 0.25 * chain_sum_per_node(t, 1, c.g, [nu, nu + mu - w, nu - w, zero],
+                                       [first, (c.w, j), eye])
+    return c.lead(np.array([t]), inner)[0]

@@ -465,7 +465,8 @@ def test_run_computes_each_k4_once(tmp_path, monkeypatch):
     # count the K4 routes in every tclgen namespace that holds them, and keep
     # the generator the run builds, whose memo the CSVs are written from
     originals = {"exact": tclgen.exact.K4_exact, "grid": tclgen.exact._k4_exact_grid,
-                 "influence": tclgen.tcl.K4_influence, "table": tclgen.exact.K4_table_exact}
+                 "influence": tclgen.tcl.K4_influence,
+                 "table": tclgen.exact.K4_table_exact_times}
     calls = _record_calls(monkeypatch, **originals)
     built, build = [], tclgen.models.build_generator
 
@@ -480,12 +481,13 @@ def test_run_computes_each_k4_once(tmp_path, monkeypatch):
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
     # the 33 table nodes, both generator times among them, come from one grid
     # call of 32 steps to t_max; the closed-form kernel table runs only in
-    # the report's route check, once per generator time, and neither the
+    # the report's route check, at each generator time, and neither the
     # per-time closed form nor the quadrature table runs at all
     cfg = parse_config(RUN_SMALL)
     assert [tuple(map(float, args[2:4])) for args in calls["grid"]] == [(1.0, 32.0)]
     assert calls["exact"] == []
-    assert [float(args[2]) for args in calls["table"]] == [float(t) for t in cfg.generator_times]
+    assert ([float(t) for args in calls["table"] for t in args[2]]
+            == [float(t) for t in cfg.generator_times])
     assert calls["influence"] == []
     (gen,) = built
     for t in cfg.generator_times:
@@ -496,6 +498,21 @@ def test_run_computes_each_k4_once(tmp_path, monkeypatch):
         assert lines[2:] == expected
         per_time = originals["exact"](cfg.model, cfg.bath, t).matrix
         assert np.linalg.norm(k4 - per_time) <= 1e-13 * np.linalg.norm(per_time)
+
+
+def test_run_checks_every_generator_time_in_one_call(tmp_path, monkeypatch):
+    # the benchmark's order-4 run: its three generator times go to one route
+    # check, which takes the closed-form kernel table for all three in one call
+    calls = _record_calls(monkeypatch, check=tclgen.tcl.check_k4_routes,
+                          table=tclgen.exact.K4_table_exact_times)
+    cfg_path = tmp_path / "scenario.ini"
+    cfg_path.write_text("[model]\npreset = spinboson-single-mode\n\n"
+                        "[run]\norder = 4\nt_max = 2.0\nn_output = 41\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert len(calls["check"]) == len(calls["table"]) == 1
+    assert list(calls["table"][0][2]) == [0.5, 1.0, 2.0]
+    assert len(re.findall(r"margin= ", (out / "report.txt").read_text())) == 3
 
 
 FIVE_MODES = (
@@ -528,7 +545,7 @@ def test_route_check_follows_the_cost_rule_at_each_time(tmp_path, monkeypatch):
     # the check reuses each and runs the other route at that time only
     calls = _record_calls(
         monkeypatch, exact=tclgen.exact.K4_exact, influence=tclgen.tcl.K4_influence,
-        table=tclgen.exact.K4_table_exact, cumulant=tclgen.cumulant.K_n_cumulant)
+        table=tclgen.exact.K4_table_exact_times, cumulant=tclgen.cumulant.K_n_cumulant)
     cfg_path = tmp_path / "scenario.ini"
     cfg_path.write_text(
         "[model]\ndim = 2\nh_sys = 0.5, 0, 0, -0.5\ncoupling = 0, 1, 1, 0\n"
@@ -538,7 +555,8 @@ def test_route_check_follows_the_cost_rule_at_each_time(tmp_path, monkeypatch):
         "[outputs]\ngenerator_times = 0.5, 1.0\ntrajectory = false\n")
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-    times = {key: [float(args[2]) for args in made] for key, made in calls.items()}
+    times = {key: [float(t) for args in made for t in np.atleast_1d(args[2])]
+             for key, made in calls.items()}
     assert times == {"exact": [1.0], "influence": [0.5], "table": [1.0], "cumulant": [0.5]}
     assert len(re.findall(r"rel_diff= \S+  margin= \S+", (out / "report.txt").read_text())) == 2
 
@@ -547,14 +565,14 @@ def test_route_check_follows_the_table_of_a_grid_run(tmp_path, monkeypatch):
     # five modes to t_max = 2 take every node from the closed-form grid,
     # t = 0.5 too, where the per-time rule would take quadrature: the check
     # sets that node against the closed-form kernel table
-    calls = _record_calls(monkeypatch, table=tclgen.exact.K4_table_exact,
+    calls = _record_calls(monkeypatch, table=tclgen.exact.K4_table_exact_times,
                           cumulant=tclgen.cumulant.K_n_cumulant)
     cfg_path = tmp_path / "scenario.ini"
     cfg_path.write_text(FIVE_MODES.replace("t_max = 0.5", "t_max = 2")
                         .replace("trajectory = false", "trajectory = true"))
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-    assert [float(args[2]) for args in calls["table"]] == [0.5]
+    assert [float(t) for args in calls["table"] for t in args[2]] == [0.5]
     assert calls["cumulant"] == []
     row = re.search(r"t= 5\.000000000000e-01  rel_diff= \S+  margin= (\S+)",
                     (out / "report.txt").read_text())
@@ -770,15 +788,14 @@ def test_round_off_floor_trips_at_eps_b(tmp_path, monkeypatch, shift, code):
     # table route at t = 32 by twice it fails the run, by half of it passes
     preset = tclgen.models.get_preset("dephasing-single-mode")
     floor = roundoff_bound(preset.model, preset.bath, 32.0)
-    original = tclgen.tcl.K4_table_exact
+    original = tclgen.tcl.K4_table_exact_times
 
-    def shifted(model, bath, t):
-        out = original(model, bath, t)
-        if t != 32.0:
-            return out
-        return SuperOp(out.dim, out.matrix + shift * floor / out.dim * np.eye(out.dim**2))
+    def shifted(model, bath, times):
+        out = original(model, bath, times)
+        out[np.asarray(times) == 32.0] += shift * floor / model.dim * np.eye(model.dim**2)
+        return out
 
-    monkeypatch.setattr(tclgen.tcl, "K4_table_exact", shifted)
+    monkeypatch.setattr(tclgen.tcl, "K4_table_exact_times", shifted)
     cfg_path = tmp_path / "s.ini"
     cfg_path.write_text(DEPHASING_LONG.format("false"))
     out = tmp_path / "out"
@@ -936,18 +953,21 @@ def test_kernels_takes_no_run_flags(tmp_path, capsys):
 
 
 def _perturb(monkeypatch, name):
-    """Shift the K4 that ``tclgen.tcl.<name>`` returns by 1e-3 times the identity."""
+    """Shift the K4 that ``tclgen.tcl.<name>`` returns, one SuperOp or a
+    stack of matrices, by 1e-3 times the identity."""
     original = getattr(tclgen.tcl, name)
 
     def perturbed(*args):
         out = original(*args)
-        return SuperOp(out.dim, out.matrix + 1e-3 * np.eye(out.dim**2))
+        if isinstance(out, SuperOp):
+            return SuperOp(out.dim, out.matrix + 1e-3 * np.eye(out.dim**2))
+        return out + 1e-3 * np.eye(out.shape[-1])
 
     monkeypatch.setattr(tclgen.tcl, name, perturbed)
 
 
 def test_equivalence_violation_exits_two_after_writing_report(tmp_path, capsys, monkeypatch):
-    _perturb(monkeypatch, "K4_table_exact")
+    _perturb(monkeypatch, "K4_table_exact_times")
     cfg_path = tmp_path / "s.ini"
     cfg_path.write_text(
         PRESET_MIN

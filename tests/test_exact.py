@@ -11,6 +11,7 @@ import atexit
 import math
 import shutil
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,12 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from oracles import k4_table_per_time, pairing_chains_per_pairing
 from test_acceptance import _random_instance
 
 import tclgen.exact
 from tclgen.algebra import SystemModel
 from tclgen.bath import BathSpec
-from tclgen.cumulant import K_n_cumulant
+from tclgen.cumulant import K_n_cumulant, _pairings
 from tclgen.evolve import forward_map_correction
 from tclgen.exact import (
     K2_exact,
@@ -31,6 +33,7 @@ from tclgen.exact import (
     K4_exact,
     K4_exact_grid,
     K4_table_exact,
+    K4_table_exact_times,
     _expm,
     _k4_exact_grid,
     forward_map_exact,
@@ -162,9 +165,9 @@ def test_block_exponential_counts(monkeypatch, modes):
     bohr_parts = tclgen.exact._bohr_parts(model)[0].size
     original, counts = tclgen.exact._chain_sum, {}
 
-    def counting(h, steps, g, shifts, blocks):
+    def counting(h, steps, g, shifts, blocks, *weights):
         counts[len(blocks) + 1] = counts.get(len(blocks) + 1, 0) + len(shifts[0])
-        return original(h, steps, g, shifts, blocks)
+        return original(h, steps, g, shifts, blocks, *weights)
 
     monkeypatch.setattr(tclgen.exact, "_chain_sum", counting)
     labels = 2 * modes
@@ -401,3 +404,117 @@ def test_long_grid_stays_near_the_per_time_calls():
     k4 = K4_exact_grid(p.model, p.bath, 32.0, 512)
     assert max(np.linalg.norm(k4[s] - K4_exact(p.model, p.bath, times[s]).matrix)
                for s in range(16, 513, 16)) < 1e-11
+
+
+# --- the batched chain engine against the per-family reference -------------------
+
+# step counts where the anchor layout changes: every perfect square to 40, +-1
+LAYOUT_STEPS = sorted({k * k + e for k in range(1, 7) for e in (-1, 0, 1)} - {0})
+
+
+@st.composite
+def chain_cases(draw):
+    """A d = 2 or 3 model on one or two modes, a grid's step count, times
+    with 0 and a repeated time among them, and a cap on the chunk entries."""
+    d = draw(st.sampled_from((2, 3)))
+    model = SystemModel(d, draw(_hermitian(d, 0.5)), draw(_hermitian(d, 1.0)), alpha=0.1)
+    steps = draw(st.one_of(st.sampled_from(LAYOUT_STEPS), st.integers(1, 40)))
+    times = draw(st.lists(st.floats(0.05, 3.0), min_size=1, max_size=3))
+    times = draw(st.permutations(times + [0.0, times[0]]))
+    return model, draw(_baths(max_modes=2)), steps, times, draw(st.integers(1, 4096))
+
+
+def close(a, ref):
+    # relative, and absolute below norm 1, where K4 vanishes
+    return np.linalg.norm(a - ref) <= 1e-13 * max(np.linalg.norm(ref), 1.0)
+
+
+@settings(DETERMINISTIC, max_examples=25)
+@given(chain_cases(), st.floats(0.5, 6.0))
+def test_batched_chains_match_the_per_family_engine(case, t_max):
+    # one call for all pairings, all nodes, all families and all times, in
+    # chunks that cut through families and anchor batches, against one call
+    # per pairing or family, per node and per time
+    model, bath, steps, times, cap = case
+    c = tclgen.exact._Eigenbasis(model, bath)
+    h = t_max / steps
+    with mock.patch.object(tclgen.exact, "_CHUNK_ENTRIES", cap):
+        for n, pinned in ((4, True), (2, False)):
+            grid = tclgen.exact._pairing_chains(c, h, steps, _pairings(n), pinned)
+            ref = pairing_chains_per_pairing(c, h, steps, _pairings(n), pinned)
+            assert grid.shape == ref.shape == (steps, model.dim**2, model.dim**2)
+            assert all(close(a, b) for a, b in zip(grid, ref))
+        table = K4_table_exact_times(model, bath, times)
+    assert table.shape == (len(times), model.dim**2, model.dim**2)
+    for t, k4 in zip(times, table):
+        assert close(k4, k4_table_per_time(model, bath, t))
+        assert t != 0 or not np.any(k4)
+
+
+def test_each_closed_form_quantity_is_one_chain_call(monkeypatch):
+    # the grid K4 hands every pairing of J4' to one call of size 4 and J to
+    # one of size 3; the kernel table hands both chronological pairings and
+    # both interleaved families at every time to one call
+    model, bath = _random_instance(np.random.default_rng(3), 2)
+    original, sizes = tclgen.exact._chain_sum, []
+
+    def recording(h, steps, g, shifts, blocks, *weights):
+        sizes.append(len(blocks) + 1)
+        return original(h, steps, g, shifts, blocks, *weights)
+
+    monkeypatch.setattr(tclgen.exact, "_chain_sum", recording)
+    _k4_exact_grid(model, bath, 2.0, 32, K2_exact_grid(model, bath, 2.0, 32))
+    assert sorted(sizes) == [3, 4]
+    sizes.clear()
+    K4_table_exact_times(model, bath, [0.5, 1.0, 0.0, 2.0, 1.0])
+    assert sizes == [4]
+
+
+@pytest.mark.parametrize("cap", [1 << 13, 4096, 700, 1])
+def test_kernel_table_exponentiates_one_stack_per_chunk(monkeypatch, cap):
+    # per time 2 (2M)^2 (1 + P) chains of size 4 d^2, each one block matrix;
+    # the three nonzero times share the chunks
+    model, bath = _random_instance(np.random.default_rng(3), 2)
+    chains = 3 * 2 * (2 * len(bath.omegas)) ** 2 * (1 + tclgen.exact._bohr_parts(model)[0].size)
+    original, stacks = tclgen.exact._expm, []
+
+    def recording(a):
+        stacks.append(len(a))
+        return original(a)
+
+    monkeypatch.setattr(tclgen.exact, "_expm", recording)
+    monkeypatch.setattr(tclgen.exact, "_CHUNK_ENTRIES", cap)
+    K4_table_exact_times(model, bath, [0.5, 0.0, 1.0, 2.0])
+    chunk = max(1, cap // (4 * model.dim**2) ** 2)
+    assert sum(stacks) == chains
+    assert len(stacks) == -(-chains // chunk)
+
+
+def test_chain_stacks_stay_within_the_chunk_cap(monkeypatch):
+    # twelve modes make thousands of chains per quantity, yet no
+    # exponentiated stack, stack of node rows or stack of node corners holds
+    # more than _CHUNK_ENTRIES entries, so memory does not grow with the modes
+    cap = tclgen.exact._CHUNK_ENTRIES
+    expm, corners = tclgen.exact._expm, tclgen.exact._node_corners
+    sizes = []
+
+    def expm_recording(a):
+        sizes.append(a.size)
+        return expm(a)
+
+    def corners_recording(step, leap, steps, stride, to_h, col):
+        batch, size = step.shape[0], step.shape[-1]
+        sizes.append((steps // stride + 1) * batch * (size - col) * size)  # node rows
+        out = corners(step, leap, steps, stride, to_h, col)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(tclgen.exact, "_expm", expm_recording)
+    monkeypatch.setattr(tclgen.exact, "_node_corners", corners_recording)
+    preset = get_preset("spinboson-single-mode")
+    bath = BathSpec([(0.3, 0.5 + 0.1 * k, 1.0) for k in range(12)], 1.0)
+    _k4_exact_grid(preset.model, bath, 2.0, 32, K2_exact_grid(preset.model, bath, 2.0, 32))
+    forward_map_exact_grid(preset.model, bath, 10.0, 100)
+    K4_table_exact_times(preset.model, bath, [0.5, 1.0, 2.0])
+    assert len(sizes) > 100
+    assert max(sizes) <= cap
