@@ -44,7 +44,6 @@ from .tcl import (
     ORDERS,
     EquivalenceError,
     Generator,
-    build_generator,
     format_k4_table,
 )
 
@@ -558,11 +557,9 @@ def _cmd_generator_dump(args) -> int:
     cfg = _load_config(args)
     if args.print_k4_table:
         print(format_k4_table())
-    gen = build_generator(cfg.model, cfg.bath, cfg.order, cfg.quad, cfg.t_max,
-                          interp="direct")
-    _write_generator_csvs(gen, _OutputDir(cfg.out_dir, cfg.config_hash, args.verbose),
-                          cfg.generator_times)
-    return 0
+    return run_scenario(replace(cfg, write_kernels=False, write_generator=True,
+                                write_trajectory=False, write_diagnostic=False,
+                                write_report=False), verbose=args.verbose)[0]
 
 
 def _cmd_cumulant_terms(args) -> int:

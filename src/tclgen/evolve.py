@@ -56,7 +56,7 @@ class Trajectory:
     herm_deviation: np.ndarray
     min_eigenvalue: np.ndarray
     steps: int = 0
-    evaluations: int = 0
+    evaluations: int = 0  # right-hand sides, not generator values
 
 
 def _monitors(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -138,13 +138,13 @@ _BATCH = 1 << 16  # entries of the generator values, or magnus4 step maps, held 
 def _run_rk4(rho: np.ndarray, gen: Generator, t_grid: np.ndarray, max_step: float,
              work: dict):
     """Classic fixed-step RK4, ``_substeps`` equal steps h per output interval
-    [t0, t1].  A step from t takes K at t, t + h/2 (twice) and min(t + h, t1),
-    as t + h may pass t1 by an ulp; the next starts at t += h.  Up to ``_BATCH``
-    entries of stage values come from one ``values`` call."""
+    [t0, t1].  A step from t takes K at t, t + h/2 (for two stages) and
+    min(t + h, t1), as t + h may pass t1 by an ulp; the next starts at t += h.
+    Up to ``_BATCH`` entries of stage values come from one ``values`` call."""
     subs = _substeps(t_grid, max_step)
     d, y = gen.dim, vec(rho)
     n = d * d
-    per = max(1, _BATCH // (4 * n * n))  # steps per values call
+    per = max(1, _BATCH // (3 * n * n))  # steps per values call
     out = np.empty((len(t_grid), d, d), dtype=complex)
     out[0] = rho
     for k, nsub in enumerate(subs.tolist()):
@@ -154,12 +154,11 @@ def _run_rk4(rho: np.ndarray, gen: Generator, t_grid: np.ndarray, max_step: floa
             m = min(per, nsub - lo)
             starts = np.cumsum(np.r_[t, np.full(m - 1, h)])  # t += h, added in sequence
             t = starts[-1] + h
-            mid = starts + h / 2
-            stage = np.stack([starts, mid, mid, np.minimum(starts + h, t1)], axis=1)
-            for a, b, c, e in gen.values(stage.ravel()).reshape(m, 4, n, n):
+            stage = np.stack([starts, starts + h / 2, np.minimum(starts + h, t1)], axis=1)
+            for a, b, e in gen.values(stage.ravel()).reshape(m, 3, n, n):
                 k1 = a @ y
                 k2 = b @ (y + (h / 2) * k1)
-                k3 = c @ (y + (h / 2) * k2)
+                k3 = b @ (y + (h / 2) * k2)
                 k4 = e @ (y + h * k3)
                 y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.all(np.isfinite(y)):
@@ -265,8 +264,8 @@ def _run_rk45(rho: np.ndarray, gen: Generator, t_grid: np.ndarray, atol: float,
     those of SciPy's ``solve_ivp(method="RK45", t_eval=t_grid)``, so the
     states are bitwise the same for the same right-hand side.  A step
     forced below 10 ulp of t raises :class:`NumericsError`.  Each attempt
-    takes its six stage values from one ``values`` call.  ``work`` gets
-    the accepted steps and the evaluations: two, and six per attempt.
+    takes K at t + C[1:] h from one ``values`` call (C[5] = 1).  ``work``
+    gets the accepted steps and the evaluations: two, and six per attempt.
     """
     if atol < 0:
         raise ValueError(f"atol must be nonnegative, got {atol}")
@@ -292,13 +291,13 @@ def _run_rk45(rho: np.ndarray, gen: Generator, t_grid: np.ndarray, atol: float,
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = np.abs(h)
-            ks = gen.values(np.r_[t + _DP_C[1:] * h, t + h])
+            ks = gen.values(t + _DP_C[1:] * h)
             stages[0] = f
             for s in range(1, 6):
                 dy = np.dot(stages[:s].T, _DP_A[s, :s]) * h
                 stages[s] = ks[s - 1] @ (y + dy)
             y_new = y + h * np.dot(stages[:-1].T, _DP_B)
-            f_new = ks[5] @ y_new
+            f_new = ks[4] @ y_new
             stages[-1] = f_new
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             err = _rms(np.dot(stages.T, _DP_E) * h / scale)

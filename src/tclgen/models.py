@@ -575,7 +575,7 @@ def simulate(
     truncated = _truncated_reference(preset, bath, fock_levels, model.dim) if compare else None
     if trajectory:
         say("building generator table")
-    # one coefficient memo serves the trajectory, the route checks and the CSVs
+    # one memo, filled alike in every mode, serves the trajectory, checks and CSVs
     gen = build_generator(model, bath, order, quad, t_max,
                           interp="cubic" if trajectory else "direct")
     res = RunResult(gen)

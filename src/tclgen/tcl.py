@@ -11,14 +11,14 @@ table of kernel-product times superoperator-string summands; the table is
 data (:data:`K4_TERM_TABLE`), not hand-expanded code, and can be dumped for
 audit through the CLI.
 
-:func:`build_generator` takes its coefficients from the closed forms of
-:mod:`tclgen.exact`, for a whole grid at once (:func:`K2_exact_grid`,
-:func:`K4_exact_grid`), except K4 on baths with so many modes that the exact
-grid would cost more than quadrature at every node, a choice made once per
-table (:func:`_k4_exact_is_cheaper`).  :func:`K4_exact` is the
-ordered-cumulant route (the partially unordered form J4' - K2 J);
-:func:`check_k4_routes` sets the generator's K4 against the partner of the
-route its table took.
+:func:`build_generator` takes its coefficients, in every interpolation
+mode, from the closed forms of :mod:`tclgen.exact` for a whole grid at once
+(:func:`K2_exact_grid`, :func:`K4_exact_grid`), except K4 on baths with so
+many modes that the exact grid would cost more than quadrature at every
+node, a choice made once per table (:func:`_k4_exact_is_cheaper`).
+:func:`K4_exact` is the ordered-cumulant route (the partially unordered form
+J4' - K2 J); :func:`check_k4_routes` sets the generator's K4 against the
+partner of the route its table took.
 The quadrature routes are otherwise the independent checks: :func:`K2_influence` and
 :func:`K4_influence` integrate the kernel formulas numerically, and
 :func:`K4_cumulant_ordered` computes K4 along two routes built on the moment
@@ -350,11 +350,11 @@ def check_k4_routes(
     neither pair below carries quadrature error between its routes.
 
     ``k4`` is the generator's K4 at each time, stacked, and ``grid`` its
-    table's nodes (:attr:`Generator.grid`).  The check takes the partner of
-    the route that K4(t) came from: on a node of the grid, the route the cost
-    rule (:func:`_k4_exact_is_cheaper`) chose for the whole table at its last
-    node; anywhere else, the route it chose at t.  Against :func:`K4_exact`
-    (J4' - K2 J) it sets the kernel table in closed form, for all such
+    table's nodes (:attr:`Generator.grid`, which every interpolation mode
+    has).  The check takes the partner of the route that K4(t) came from: on
+    a node of the grid, the route the cost rule (:func:`_k4_exact_is_cheaper`)
+    chose for the whole table at its last node; anywhere else, the route it
+    chose at t.  Against :func:`K4_exact` (J4' - K2 J) it sets the kernel table in closed form, for all such
     times from one :func:`tclgen.exact.K4_table_exact_times` call; that
     shares two pairing chains, so this tests the third pairing minus K2 J
     against the Bohr-split interleaved chains.  Against
@@ -440,11 +440,12 @@ class Generator:
     (for :func:`build_generator`, from its memo), which the generator scales
     by its own ``alpha`` and ``order``: ``dataclasses.replace`` re-couples it,
     or takes order 2 from order 4, without recomputing a coefficient.  With a
-    ``grid``, ``interp`` (``"linear"`` or ``"cubic"``, a not-a-knot spline on
+    ``grid``, ``interp`` ``"linear"`` or ``"cubic"`` (a not-a-knot spline on
     at least 4 nodes) interpolates the scaled matrices tabulated on its nodes
-    and raises ``ValueError`` outside them, and ``"direct"`` is refused;
-    without one, every time is evaluated directly.  :meth:`values` is the one
-    lookup: :meth:`evaluator` and the generator called at t read one time of it.
+    and raises ``ValueError`` outside them; ``"direct"``, or no grid, scales
+    the coefficients at any time asked and never interpolates.
+    :meth:`values` is the one lookup: :meth:`evaluator` and the generator
+    called at t read one time of it.
     """
 
     order: int
@@ -456,9 +457,7 @@ class Generator:
 
     def __post_init__(self):
         _check_order_and_interp(self.order, self.interp)
-        if self.grid is not None and self.interp == "direct":
-            raise ValueError("interpolation 'direct' takes no grid")
-        if self.grid is not None:
+        if self.grid is not None and self.interp != "direct":
             self._values = np.stack([self._scaled(t) for t in self.grid])
             self._cubic = None
             if self.interp == "cubic":
@@ -479,9 +478,10 @@ class Generator:
     def values(self, ts) -> np.ndarray:
         """The fully scaled generator at every time of the 1-d ``ts``, stacked
         (T, d^2, d^2) from one ``searchsorted`` over the table: every stepper
-        reads K(t) here.  A time outside the table, NaN too, raises ValueError."""
+        reads K(t) here.  A time outside a linear or cubic table, NaN too,
+        raises ValueError."""
         ts = np.asarray(ts, dtype=float)
-        if self.grid is None:
+        if self.grid is None or self.interp == "direct":
             return np.stack([self._scaled(t) for t in ts.tolist()])
         outside = ~((ts >= self.grid[0]) & (ts <= self.grid[-1]))
         if outside.any():
@@ -517,26 +517,31 @@ def build_generator(
 
     ``interp`` is one of ``"linear"`` (default), ``"cubic"`` (spline through
     the tabulated matrices, useful when the stepper error budget is tighter
-    than linear interpolation allows) or ``"direct"`` (no grid: every
-    evaluation computes the coefficients at the requested time); the grid has
-    ``max(33, ceil(t_max * nodes_per_unit_time) + 1)`` uniform nodes.  Every
-    mode draws on one memo of the unscaled coefficients, so each K2(t) and
-    K4(t) is computed at most once per time, whatever the coupling.  K2
-    always comes from the closed form.  K4 takes one route per table: with a
-    grid the memo is filled when the generator is built, every node's K2
-    from one :func:`K2_exact_grid` call and, where :func:`_k4_exact_is_cheaper`
-    at ``t_max``, every node's K4 from one :func:`K4_exact_grid` evaluation,
-    which takes its K2 J term from that K2; else every node's K4 from
-    :func:`K4_influence` on ``quad`` (the two agree to about 1e-12 relative
-    at the default quadrature).  Times off the grid, and every time in
-    ``"direct"`` mode, are one-node tables: :func:`K2_exact`, and K4 by the
-    rule at that time.  ``order``, ``interp`` and ``t_max`` are checked
-    before any coefficient is computed.
+    than linear interpolation allows) or ``"direct"`` (the coefficients at
+    each time asked).  Every mode has the grid of ``max(33, ceil(t_max *
+    nodes_per_unit_time) + 1)`` uniform nodes and one memo of the unscaled
+    coefficients, filled alike, so each K2(t) and K4(t) is computed at most
+    once per time, whatever the coupling, with the same bits in every mode.
+    K2 always comes from the closed form.  K4 takes one route per table:
+    every node's K2 comes from one :func:`K2_exact_grid` call at build and,
+    where :func:`_k4_exact_is_cheaper` at ``t_max``, every node's K4 from one
+    :func:`K4_exact_grid` evaluation, which takes its K2 J term from that K2;
+    else from :func:`K4_influence` on ``quad`` when first asked for, at every
+    node by a linear or cubic table (the two agree to about 1e-12 relative
+    at the default quadrature).  Times off the grid are one-node tables:
+    :func:`K2_exact`, and K4 by the rule at that time.  ``order``, ``interp``
+    and ``t_max`` are checked before any coefficient is computed.
     """
     _check_order_and_interp(order, interp)
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
 
+    n_nodes = max(33, math.ceil(t_max * quad.nodes_per_unit_time) + 1)
+    grid = np.linspace(0.0, t_max, n_nodes)
+    k2 = K2_exact_grid(model, bath, t_max, n_nodes - 1)
+    k4 = (_k4_exact_grid(model, bath, t_max, n_nodes - 1, k2)
+          if order == 4 and _k4_exact_is_cheaper(model, bath, quad, t_max) else [None] * n_nodes)
+    nodes = dict(zip(grid.tolist(), zip(k2, k4)))
     memo: dict[float, Coefficients] = {}
 
     def fourth(t: float) -> np.ndarray | None:
@@ -548,15 +553,8 @@ def build_generator(
 
     def coefficients(t: float) -> Coefficients:
         if t not in memo:
-            memo[t] = Coefficients(K2_exact(model, bath, t).matrix, fourth(t))
+            k2_t, k4_t = nodes.get(t) or (K2_exact(model, bath, t).matrix, None)
+            memo[t] = Coefficients(k2_t, fourth(t) if k4_t is None else k4_t)
         return memo[t]
 
-    n_nodes = max(33, math.ceil(t_max * quad.nodes_per_unit_time) + 1)
-    grid = None if interp == "direct" else np.linspace(0.0, t_max, n_nodes)
-    if grid is not None:
-        k2 = K2_exact_grid(model, bath, t_max, n_nodes - 1)
-        k4 = (_k4_exact_grid(model, bath, t_max, n_nodes - 1, k2)
-              if order == 4 and _k4_exact_is_cheaper(model, bath, quad, t_max) else None)
-        for i, t in enumerate(grid):
-            memo[t] = Coefficients(k2[i], fourth(t) if k4 is None else k4[i])
     return Generator(order, model.alpha, model.dim, coefficients, grid, interp)

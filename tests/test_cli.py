@@ -540,24 +540,27 @@ def test_route_check_reuses_a_quadrature_k4_from_the_memo(tmp_path, monkeypatch)
 
 
 def test_route_check_follows_the_cost_rule_at_each_time(tmp_path, monkeypatch):
-    # three modes: chains d^3 = 864 is past 12 points^2 = 768 at t = 0.5 but
-    # not 3072 at t = 1, so the memo holds K4_influence(0.5) and K4_exact(1);
-    # the check reuses each and runs the other route at that time only
+    # three modes: chains d^3 = 864 is past 12 points^2 = 768 at t = 0.47 but
+    # not 3072 at t = 1, so the memo holds K4_influence(0.47), off the grid,
+    # and the closed-form grid's K4 at its last node, 1; the check reuses each
+    # and runs the other route at that time only
     calls = _record_calls(
-        monkeypatch, exact=tclgen.exact.K4_exact, influence=tclgen.tcl.K4_influence,
-        table=tclgen.exact.K4_table_exact_times, cumulant=tclgen.cumulant.K_n_cumulant)
+        monkeypatch, exact=tclgen.exact.K4_exact, grid=tclgen.exact._k4_exact_grid,
+        influence=tclgen.tcl.K4_influence, table=tclgen.exact.K4_table_exact_times,
+        cumulant=tclgen.cumulant.K_n_cumulant)
     cfg_path = tmp_path / "scenario.ini"
     cfg_path.write_text(
         "[model]\ndim = 2\nh_sys = 0.5, 0, 0, -0.5\ncoupling = 0, 1, 1, 0\n"
         "alpha = 0.1\n[bath]\nbeta = 2.5\n"
         "modes = 0.3, 0.5, 1; 0.3, 0.7, 1; 0.3, 0.9, 1\n"
         "[run]\nt_max = 1.0\norder = 4\n"
-        "[outputs]\ngenerator_times = 0.5, 1.0\ntrajectory = false\n")
+        "[outputs]\ngenerator_times = 0.47, 1.0\ntrajectory = false\n")
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
     times = {key: [float(t) for args in made for t in np.atleast_1d(args[2])]
              for key, made in calls.items()}
-    assert times == {"exact": [1.0], "influence": [0.5], "table": [1.0], "cumulant": [0.5]}
+    assert times == {"exact": [], "grid": [1.0], "influence": [0.47], "table": [1.0],
+                     "cumulant": [0.47]}
     assert len(re.findall(r"rel_diff= \S+  margin= \S+", (out / "report.txt").read_text())) == 2
 
 
@@ -593,7 +596,7 @@ def test_cli_holds_no_run_science():
     # the reference choice, the route loop, the trace distances, the
     # diagnostic and the coupling scan's SVD live in tclgen.models.simulate
     names = ("trace_distance", "exact_small_bath", "dephasing_exact", "forward_map_exact",
-             "invertibility_diagnostic", "propagate", "check_k4_routes")
+             "invertibility_diagnostic", "propagate", "check_k4_routes", "build_generator")
     source = Path(tclgen.cli.__file__).read_text()
     for name in ("svd", *names):
         assert name not in vars(tclgen.cli) and name not in source
@@ -1081,6 +1084,26 @@ def test_generator_dump_order4_adds_k4_files(tmp_path):
         "generator_K2_t0.5.csv",
         "generator_K4_t0.5.csv",
     ]
+
+
+def test_one_config_writes_one_generator_in_every_command(tmp_path):
+    # the default run, a run without the trajectory and generator-dump fill
+    # the generator's memo the same way: the dump's CSVs are the run's byte
+    # for byte, the trajectory-off run's after their config hash line, and
+    # both runs report the same route check
+    base = PRESET_MIN + "[run]\nn_output = 21\n"
+    runs = [_run_outputs(tmp_path, name, text) for name, text in
+            (("default", base), ("off", base + "[outputs]\ntrajectory = false\n"))]
+    out = tmp_path / "dump"
+    assert main(["generator-dump", "--config", str(tmp_path / "default.ini"),
+                 "--out", str(out)]) == 0
+    names = [f"generator_K{k}_t{t}.csv" for k in (2, 4) for t in (0.5, 1, 2)]
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    for name in names:
+        assert (out / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+        assert runs[1][name][1:] == runs[0][name][1:]
+    routes = [[line for line in run["report.txt"] if "rel_diff=" in line] for run in runs]
+    assert routes[0] == routes[1] and len(routes[0]) == 3
 
 
 def test_generator_dump_prints_term_table(tmp_path, capsys):

@@ -339,7 +339,9 @@ def test_magnus4_meets_the_run_accuracy_contract(name):
 
 @pytest.mark.parametrize("stepper", ["magnus4", "rk4-fixed", "rk45-adaptive"])
 def test_trajectory_records_the_stepper_work(stepper):
-    # every generator value the stepper takes, one-time or batched, is counted
+    # every generator value the stepper takes, one-time or batched, is counted:
+    # an RK4 step reads K(t + h/2) once for two stages, and a Dormand-Prince
+    # attempt K(t + h) once for its last stage and the next step's first
     gen = build_generator(spin_boson(0.3), BATH, 2, GL8, 1.0, interp="cubic")
     calls = {"n": 0}
     evaluate, batch = gen.evaluator, gen.values
@@ -354,10 +356,14 @@ def test_trajectory_records_the_stepper_work(stepper):
 
     gen.evaluator, gen.values = counting, counting_batch
     traj = propagate(PLUS, gen, np.linspace(0.0, 1.0, 6), stepper=stepper, max_step=0.03)
-    assert traj.evaluations == calls["n"] > 0
-    if stepper != "rk45-adaptive":  # 0.2 / 0.03: 7 steps per output interval
+    if stepper == "rk45-adaptive":  # two, and six evaluations from five values per attempt
+        attempts, rest = divmod(traj.evaluations - 2, 6)
+        assert rest == 0 and attempts >= traj.steps > 0
+        assert calls["n"] == 2 + 5 * attempts
+    else:  # 0.2 / 0.03: 7 steps per output interval
         assert traj.steps == 5 * 7
-        assert traj.evaluations == traj.steps * (2 if stepper == "magnus4" else 4)
+        evaluations, lookups = {"magnus4": (2, 2), "rk4-fixed": (4, 3)}[stepper]
+        assert (traj.evaluations, calls["n"]) == (evaluations * traj.steps, lookups * traj.steps)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -391,7 +397,8 @@ def _random_three_level_case():
 def test_rk45_is_bitwise_scipy_rk45(case):
     gen, rho, grid, atol = case()
     # every generator value is counted: the stepper's batched ones, and
-    # SciPy's through evaluator, which is one values call at one time
+    # SciPy's through evaluator, which is one values call at one time; SciPy
+    # reads K once per right-hand side, the stepper K(t + h) once per attempt
     calls = {"n": 0}
     batch = gen.values
 
@@ -400,12 +407,15 @@ def test_rk45_is_bitwise_scipy_rk45(case):
         return batch(ts)
 
     gen.values = counting_batch
-    states = _run_rk45(rho, gen, grid, atol)
+    work = {}
+    states = _run_rk45(rho, gen, grid, atol, work)
     ours, calls["n"] = calls["n"], 0
     sol = solve_ivp(lambda t, v: gen.evaluator(t) @ v, (grid[0], grid[-1]), vec(rho),
                     method="RK45", t_eval=grid, atol=atol, rtol=max(atol, 1e-13))
     assert sol.success
-    assert ours == calls["n"] == sol.nfev
+    assert work["evaluations"] == calls["n"] == sol.nfev
+    attempts, first = divmod(sol.nfev - 2, 6)
+    assert first == 0 and ours == 2 + 5 * attempts
     assert np.array_equal(states, np.stack([unvec(y, gen.dim) for y in sol.y.T]))
 
 

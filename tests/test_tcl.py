@@ -529,8 +529,7 @@ def test_replace_recouples_from_the_same_memo(interp, order):
     # the memo holds no coupling: re-coupling a build, or taking order 2 from
     # an order-4 build, is bitwise the build at that coupling and order
     gen = build_generator(SPIN_BOSON, BATH, order, GL8, 1.0, interp=interp)
-    times = [0.0, 0.5, 1.0] if gen.grid is None else list(gen.grid)
-    times += [0.13, 0.777, 0.999]
+    times = [*gen.grid, 0.13, 0.777, 0.999]
     for alpha in (0.05, 0.7):
         recoupled = replace(gen, alpha=alpha)
         fresh = build_generator(replace(SPIN_BOSON, alpha=alpha), BATH, order, GL8, 1.0,
@@ -618,15 +617,59 @@ def test_cubic_rejects_grids_shorter_than_four_nodes(n):
                   np.linspace(0.0, 1.0, n), "cubic")
 
 
-def test_direct_mode_rejects_a_grid():
-    # with a grid, "direct" used to interpolate linearly: t^2 on 5 nodes gave
-    # 0.025 at t = 0.1, not 0.01
+def test_direct_mode_with_a_grid_never_interpolates():
+    # a direct generator keeps its grid but evaluates every time asked, past
+    # the grid's end too: t^2 on 5 nodes gives 0.01 at t = 0.1, where the
+    # linear table gives 0.025
     def square(t):
         return Coefficients(t * t * np.eye(4, dtype=complex), None)
 
-    with pytest.raises(ValueError, match="takes no grid"):
-        Generator(2, 1.0, 2, square, np.linspace(0.0, 1.0, 5), "direct")
-    assert Generator(2, 1.0, 2, square, None, "direct")(0.1).matrix[0, 0] == pytest.approx(0.01)
+    grid = np.linspace(0.0, 1.0, 5)
+    direct = Generator(2, 1.0, 2, square, grid, "direct")
+    assert direct(0.1).matrix[0, 0] == pytest.approx(0.01)
+    times = [0.1, 0.25, 0.6, 1.5]
+    assert np.array_equal(direct.values(times), np.stack([square(t).k2 for t in times]))
+    assert Generator(2, 1.0, 2, square, grid, "linear")(0.1).matrix[0, 0] == pytest.approx(0.025)
+
+
+FIVE_MODES = BathSpec([(0.3, 0.5 + 0.1 * k, 1.0) for k in range(5)], 2.5)
+
+
+@pytest.mark.parametrize("bath, t_max, quadrature", [(BATH, 1.0, False), (FIVE_MODES, 0.5, True)],
+                         ids=["closed-form", "five-mode-quadrature"])
+@pytest.mark.parametrize("order", [2, 4])
+def test_every_mode_takes_its_coefficients_from_one_memo(monkeypatch, bath, t_max, quadrature,
+                                                         order):
+    # direct, linear and cubic generators fill one memo the same way, so their
+    # coefficients are bitwise equal on every node and off the nodes; five
+    # modes are past the closed form's cost limit at t_max = 0.5, so every K4
+    # is K4_influence, which a direct generator computes only where asked
+    influence = []
+    original = tclgen.tcl.K4_influence
+
+    def counting(model, bath, t, quad):
+        influence.append(t)
+        return original(model, bath, t, quad)
+
+    monkeypatch.setattr(tclgen.tcl, "K4_influence", counting)
+    quad = QuadratureSpec()
+    direct = build_generator(SPIN_BOSON, bath, order, quad, t_max, interp="direct")
+    off = [0.13 * t_max, 0.777 * t_max]
+    asked = [direct.grid[16], *off, direct.grid[-1]]
+    for t in asked:
+        direct.coefficients(t)
+    quadrature = quadrature and order == 4
+    assert influence == (asked if quadrature else [])
+    del influence[:]
+    tables = [build_generator(SPIN_BOSON, bath, order, quad, t_max, interp=interp)
+              for interp in ("linear", "cubic")]
+    assert len(influence) == (2 * len(direct.grid) if quadrature else 0)
+    for table in tables:
+        assert np.array_equal(table.grid, direct.grid)
+        for t in [*direct.grid, *off]:
+            for ours, theirs in zip(direct.coefficients(t), table.coefficients(t)):
+                assert np.array_equal(ours, theirs)  # K4 None at order 2
+    assert np.array_equal(direct.values(direct.grid), tables[0].values(direct.grid))
 
 
 def test_direct_mode_memoizes(monkeypatch):
@@ -648,8 +691,11 @@ def test_direct_mode_memoizes(monkeypatch):
 def test_fourth_order_source_follows_the_cost_of_the_exact_route(monkeypatch):
     # the exact route's cost grows with (modes)^2 and not with t, the
     # quadrature's with (points per dimension)^2: few modes take the exact
-    # route, many modes or short times fall back to the quadrature table
+    # route, many modes or short times fall back to quadrature.  A time off
+    # the grid (0.47) takes the route the rule picks there, a node (2.0) the
+    # route of its table: the closed-form grid, or K4_influence
     used = []
+    grid_call = tclgen.tcl._k4_exact_grid
 
     def stub(name):
         def k4(model, bath, t, *quad):
@@ -657,19 +703,24 @@ def test_fourth_order_source_follows_the_cost_of_the_exact_route(monkeypatch):
             return SuperOp(model.dim, np.zeros((model.dim**2,) * 2, complex))
         return k4
 
+    def grid(model, bath, t_max, *rest):
+        used.append((len(bath.omegas), t_max, "grid"))
+        return grid_call(model, bath, t_max, *rest)
+
     monkeypatch.setattr(tclgen.tcl, "K4_exact", stub("exact"))
     monkeypatch.setattr(tclgen.tcl, "K4_influence", stub("quadrature"))
+    monkeypatch.setattr(tclgen.tcl, "_k4_exact_grid", grid)
     for n_modes in (1, 5, 20, 30, 40):
         bath = BathSpec([(0.3, 0.5 + 0.1 * k, 1.0) for k in range(n_modes)], 1.0)
         gen = build_generator(SPIN_BOSON, bath, 4, GL16, 2.0, interp="direct")
-        for t in (0.5, 2.0):
+        for t in (0.47, 2.0):
             gen.coefficients(t)
     assert used == [
-        (1, 0.5, "exact"), (1, 2.0, "exact"),
-        (5, 0.5, "quadrature"), (5, 2.0, "exact"),
-        (20, 0.5, "quadrature"), (20, 2.0, "quadrature"),
-        (30, 0.5, "quadrature"), (30, 2.0, "quadrature"),
-        (40, 0.5, "quadrature"), (40, 2.0, "quadrature"),
+        (1, 2.0, "grid"), (1, 0.47, "exact"),
+        (5, 2.0, "grid"), (5, 0.47, "quadrature"),
+        (20, 0.47, "quadrature"), (20, 2.0, "quadrature"),
+        (30, 0.47, "quadrature"), (30, 2.0, "quadrature"),
+        (40, 0.47, "quadrature"), (40, 2.0, "quadrature"),
     ]
 
 
