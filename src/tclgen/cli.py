@@ -37,7 +37,7 @@ from . import __version__
 from .algebra import SystemModel
 from .bath import BathSpec, tabulate_kernels
 from .cumulant import drop_odd_terms, enumerate_ordered_cumulant_terms
-from .evolve import NumericsError, _validate_state
+from .evolve import STEPPERS, NumericsError, _validate_state
 from .models import _default_rho0, _truncated_reference, get_preset, scaling_study, simulate
 from .quadrature import QuadratureSpec
 from .tcl import (
@@ -56,7 +56,6 @@ __all__ = [
 ]
 
 _ENV_OUT = "TCLGEN_OUT"
-_STEPPERS = ("magnus4", "rk4-fixed", "rk45-adaptive")
 # quadrature nodes per unit time, which also set the generator grid's density
 _NODES_PER_UNIT_TIME = (4, 96)
 
@@ -186,8 +185,8 @@ _KEYS = {
         "n_output": (int, 41, _below_two),
         "order": (int, 4, lambda v: None if v in ORDERS else f"must be 2 or 4, got {v}"),
         "stepper": (str.strip, "magnus4",
-                    lambda v: None if v in _STEPPERS
-                    else f"must be one of {', '.join(_STEPPERS)}, got {v!r}"),
+                    lambda v: None if v in STEPPERS
+                    else f"must be one of {', '.join(STEPPERS)}, got {v!r}"),
         "max_step": (float, 0.01, _not_positive),
         "atol": (float, 1e-10, _not_positive),
         "quad_scheme": (str.strip, "gauss-legendre-nested", None),
@@ -385,29 +384,24 @@ def _vlog(verbose: bool, msg: str) -> None:
 
 class _OutputDir:
     """A command's output directory, created on construction.  Every file
-    written through it is recorded in ``paths`` and, when verbose, logged."""
+    written through it is logged when verbose."""
 
     def __init__(self, out_dir: str, config_hash: str, verbose: bool):
         self.dir = Path(out_dir)
         self.dir.mkdir(parents=True, exist_ok=True)
         self.meta = f"config={config_hash} version={__version__}"
         self.verbose = verbose
-        self.paths: list[Path] = []
 
     def csv(self, name: str, header: Sequence[str], columns: Sequence[np.ndarray],
             meta: str = "") -> None:
         """Write ``columns``, 1-d or 2-d, side by side as one CSV whose comment
         line is the directory's plus ``meta``."""
         _write_csv(self.dir / name, self.meta + meta, header, np.column_stack(columns))
-        self._wrote(self.dir / name)
+        _vlog(self.verbose, f"wrote {self.dir / name}")
 
     def text(self, name: str, lines: Sequence[str]) -> None:
         (self.dir / name).write_text("\n".join(lines) + "\n", encoding="ascii")
-        self._wrote(self.dir / name)
-
-    def _wrote(self, path: Path) -> None:
-        self.paths.append(path)
-        _vlog(self.verbose, f"wrote {path}")
+        _vlog(self.verbose, f"wrote {self.dir / name}")
 
 
 # --- artifact writers -----------------------------------------------------------
@@ -433,8 +427,8 @@ def _write_generator_csvs(gen: Generator, out: _OutputDir, times: Sequence[float
                         f" t={_fmt(t)} order_coefficient={name}")
 
 
-def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[Path]]:
-    """Execute one scenario end to end; returns (0, written paths).
+def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> None:
+    """Execute one scenario end to end.
 
     The numbers come from one :func:`tclgen.models.simulate` call, and every
     file after ``kernels.csv`` is written from its :class:`RunResult`.  A
@@ -523,7 +517,6 @@ def run_scenario(cfg: ScenarioConfig, verbose: bool = False) -> tuple[int, list[
                 f"fourth-order routes disagree at t = {t:g}: relative difference "
                 f"{rel:.3e} exceeds {threshold:.3e} (see report.txt)"
             )
-    return 0, out.paths
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -557,9 +550,10 @@ def _cmd_generator_dump(args) -> int:
     cfg = _load_config(args)
     if args.print_k4_table:
         print(format_k4_table())
-    return run_scenario(replace(cfg, write_kernels=False, write_generator=True,
-                                write_trajectory=False, write_diagnostic=False,
-                                write_report=False), verbose=args.verbose)[0]
+    run_scenario(replace(cfg, write_kernels=False, write_generator=True,
+                         write_trajectory=False, write_diagnostic=False,
+                         write_report=False), verbose=args.verbose)
+    return 0
 
 
 def _cmd_cumulant_terms(args) -> int:
@@ -574,7 +568,8 @@ def _cmd_cumulant_terms(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    return run_scenario(_load_config(args), verbose=args.verbose)[0]
+    run_scenario(_load_config(args), verbose=args.verbose)
+    return 0
 
 
 def _cmd_scaling_study(args) -> int:

@@ -30,6 +30,7 @@ from .exact import _expm, forward_map_exact, forward_map_exact_grid
 from .tcl import Generator
 
 __all__ = [
+    "STEPPERS",
     "Trajectory",
     "DiagnosticTable",
     "NumericsError",
@@ -109,15 +110,11 @@ def propagate(
         raise ValueError("t_grid must be strictly increasing")
     rho = _validate_state(rho0, gen.dim)
 
-    work = {}
-    if stepper == "magnus4":
-        states = _run_magnus4(rho, gen, t_grid, max_step, work)
-    elif stepper == "rk4-fixed":
-        states = _run_rk4(rho, gen, t_grid, max_step, work)
-    elif stepper == "rk45-adaptive":
-        states = _run_rk45(rho, gen, t_grid, atol, work)
-    else:
+    run = STEPPERS.get(stepper)
+    if run is None:
         raise ValueError(f"unknown stepper {stepper!r}")
+    work = {}
+    states = run(rho, gen, t_grid, atol if run is _run_rk45 else max_step, work)
 
     states[0] = rho  # exact by construction, keep it bitwise
     tr, herm, mins = _monitors(states)
@@ -254,8 +251,7 @@ def _initial_step(gen: Generator, t0, y0, f0, span, rtol, atol):
     return min(100 * h0, h1, span)
 
 
-def _run_rk45(rho: np.ndarray, gen: Generator, t_grid: np.ndarray, atol: float,
-              work: dict | None = None):
+def _run_rk45(rho: np.ndarray, gen: Generator, t_grid: np.ndarray, atol: float, work: dict):
     """Adaptive Dormand-Prince 5(4), sampled on ``t_grid`` by dense output.
 
     Error per step: the RMS norm of the embedded estimate scaled by
@@ -323,9 +319,12 @@ def _run_rk45(rho: np.ndarray, gen: Generator, t_grid: np.ndarray, atol: float,
                 out[done + k] = unvec(dense[:, k], d)
             done = reached
         t, y, f = t_new, y_new, f_new
-    if work is not None:
-        work.update(steps=steps, evaluations=2 + 6 * tries)
+    work.update(steps=steps, evaluations=2 + 6 * tries)
     return out
+
+
+# the steppers by name, each run as run(rho, gen, t_grid, max_step or atol, work)
+STEPPERS = {"magnus4": _run_magnus4, "rk4-fixed": _run_rk4, "rk45-adaptive": _run_rk45}
 
 
 @dataclass

@@ -211,16 +211,16 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _chain_sum(h, steps: int, g: np.ndarray, shifts: list[np.ndarray],
-               blocks: list[tuple[np.ndarray, np.ndarray]], coef=1.0, group=0,
-               groups: int = 1) -> np.ndarray:
+def _chain_sum(h, steps: int, g: np.ndarray, shifts: np.ndarray, table: np.ndarray,
+               slots: np.ndarray, coef=1.0, group=0, groups: int = 1) -> np.ndarray:
     """Sums over a batch of chains of their integrals of
     e^{u0 A0} B1 e^{u1 A1} ... B_k e^{u_k A_k} over u0 + ... + u_k = t, at
     every t_s = s h of a uniform grid, s = 1 .. ``steps``.
 
-    Chain b has A_i = i shifts[i][b] - G, with G diagonal (its diagonal is
-    ``g``), and B_i = table_i[index_i[b]] for ``blocks[i-1] = (table_i,
-    index_i)``.  With one step ``h`` may hold a span per chain.  Chain b
+    Chain b has A_i = i shifts[i, b] - G, with G diagonal (its diagonal is
+    ``g``), and B_i = table[slots[i-1, b]]: ``shifts`` is (k + 1, chains)
+    and ``slots`` (k, chains), as :func:`_pairing_layout` lays them out.
+    With one step ``h`` may hold a span per chain.  Chain b
     enters sum ``group[b]`` of ``groups`` with coefficient ``coef[b]``; a
     scalar serves every chain.  Each B_i enters its block matrix at unit norm and the
     result is rescaled, so the top-right block is O(1) next to the unitary
@@ -234,13 +234,13 @@ def _chain_sum(h, steps: int, g: np.ndarray, shifts: list[np.ndarray],
     ``_CHUNK_ENTRIES`` entries, so memory stays bounded however many chains
     there are.  Returns the (groups, steps, n, n) sums.
     """
-    shifts = np.stack(shifts, axis=1)
-    batch, k = shifts.shape[0], len(blocks)
+    shifts = np.asarray(shifts).T
+    batch, k = shifts.shape[0], len(slots)
     n = g.size
     size = (k + 1) * n
-    norms = [np.linalg.norm(tab, axis=(1, 2)) for tab, _ in blocks]
-    norms = [np.where(nb > 0, nb, 1.0) for nb in norms]
-    units = [tab / nb[:, None, None] for (tab, _), nb in zip(blocks, norms)]
+    norm = np.linalg.norm(table, axis=(1, 2))
+    norm = np.where(norm > 0, norm, 1.0)
+    unit = table / norm[:, None, None]
     h, coef, group = (np.broadcast_to(x, (batch,)) for x in (h, coef, group))
     # node s = a * stride + r is reached from node a * stride, the a-th power
     # of a second step exponential at H = stride * h, by r steps of h
@@ -261,9 +261,9 @@ def _chain_sum(h, steps: int, g: np.ndarray, shifts: list[np.ndarray],
         # one weight serves every power: the unit blocks are a similarity
         # transform of the true ones that is the same at every t_s
         weight = coef[part] * h[part] ** k
-        for i, ((_, index), unit, nb) in enumerate(zip(blocks, units, norms)):
+        for i, index in enumerate(slots):
             big[:, :, i * n:(i + 1) * n, (i + 1) * n:(i + 2) * n] = unit[index[part]]
-            weight = weight * nb[index[part]]
+            weight = weight * norm[index[part]]
         powers = _expm(big.reshape(-1, size, size)).reshape(big.shape)
         del big
         corners = _node_corners(powers[0], powers[-1], steps, stride, to_h, k * n)
@@ -332,7 +332,7 @@ def _pairing_chains(c: _Eigenbasis, h: float, steps: int, pairings, pinned: bool
     free = 0 if pinned else 1  # intervals in front of slot 0
     shifts, slots = _pairing_layout(c, pairings, free)
     table = np.concatenate([c.xc[None], c.w])
-    return _chain_sum(h, steps, c.g, list(shifts), [(table, s) for s in slots[1 - free:]],
+    return _chain_sum(h, steps, c.g, shifts, table, slots[1 - free:],
                       (-0.5) ** len(pairings[0]))[0]
 
 
@@ -494,9 +494,8 @@ def K4_table_exact_times(model: SystemModel, bath: BathSpec, times) -> np.ndarra
     coef = np.concatenate([coef, np.full(2 * i.size, -0.25)])
     # every chain at every nonzero time, summed per time
     chains = coef.size
-    inner = _chain_sum(np.repeat(live, chains), 1, c.g, list(np.tile(shifts, live.size)),
-                       [(table, s) for s in np.tile(slots, live.size)],
-                       np.tile(coef, live.size), np.repeat(np.arange(live.size), chains),
-                       live.size)[:, 0]
+    inner = _chain_sum(np.repeat(live, chains), 1, c.g, np.tile(shifts, live.size), table,
+                       np.tile(slots, live.size), np.tile(coef, live.size),
+                       np.repeat(np.arange(live.size), chains), live.size)[:, 0]
     out[times != 0] = c.lead(live, inner)
     return out

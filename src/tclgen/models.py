@@ -587,12 +587,9 @@ def simulate(
         res.diagnostic = invertibility_diagnostic(model, bath, t_grid)
     if not report:
         return res
-    times = [float(t) for t in generator_times] if order == 4 else []
-    if times:
-        say("route comparison at t=" + ", ".join(f"{t:g}" for t in times))
-        k4 = np.stack([gen.coefficients(t).k4 for t in times])
-        res.routes = [(t, *check) for t, check in
-                      zip(times, check_k4_routes(model, bath, times, quad, k4, gen.grid))]
+    if order == 4:
+        say("route comparison at t=" + ", ".join(f"{t:g}" for t in generator_times))
+        res.routes = check_k4_routes(model, bath, gen, generator_times, quad)
     if compare:
         if truncated is None:
             res.reference_label = "closed-form dephasing solution"

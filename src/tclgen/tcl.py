@@ -14,11 +14,10 @@ audit through the CLI.
 :func:`build_generator` takes its coefficients, in every interpolation
 mode, from the closed forms of :mod:`tclgen.exact` for a whole grid at once
 (:func:`K2_exact_grid`, :func:`K4_exact_grid`), except K4 on baths with so
-many modes that the exact grid would cost more than quadrature at every
-node, a choice made once per table (:func:`_k4_exact_is_cheaper`).
-:func:`K4_exact` is the ordered-cumulant route (the partially unordered form
-J4' - K2 J); :func:`check_k4_routes` sets the generator's K4 against the
-partner of the route its table took.
+many modes that quadrature is cheaper, by the one route policy of
+:func:`_k4_exact_is_cheaper`.  :func:`K4_exact` is the ordered-cumulant
+route (the partially unordered form J4' - K2 J); :func:`check_k4_routes`
+sets a generator's K4 against the partner of the route that policy gave it.
 The quadrature routes are otherwise the independent checks: :func:`K2_influence` and
 :func:`K4_influence` integrate the kernel formulas numerically, and
 :func:`K4_cumulant_ordered` computes K4 along two routes built on the moment
@@ -326,57 +325,57 @@ def K4_cumulant_ordered(
 
 def _k4_exact_is_cheaper(model: SystemModel, bath: BathSpec, quad: QuadratureSpec,
                          t: float) -> bool:
-    """Whether :func:`K4_exact` at t costs less than :func:`K4_influence` on
-    ``quad``: while chains x d^3 <= 12 points^2, with chains the
-    :func:`k4_chain_count` of ``bath`` and points :meth:`QuadratureSpec.points`
-    at t, which never falls as t grows.  Fitted on one BLAS thread (Intel
-    Xeon) on discretized spectral densities for d = 2, 3, 4, 2 to 30 modes
-    and 8 to 64 Gauss points, before the quadrature engines batched their
-    node pairs; per call it now picks the slower route in places (at 5 modes
-    and t = 1, K4_exact 10 ms over K4_influence 5.7 ms).  A generator table
-    asks it once, at its last node, where a closed-form grid call pays for
-    every node (up to 11 modes for a two-level system at t_max = 2 and 16
-    nodes per unit time).  A refit waits for a many-mode workload.
+    """Whether K4 at t takes the closed form (:func:`K4_exact`) over
+    quadrature (:func:`K4_influence`): while chains x d^3 <= 12 points^2,
+    with chains the :func:`k4_chain_count` of ``bath`` and points
+    :meth:`QuadratureSpec.points` at t, which never falls as t grows.
+
+    This is the one route policy of K4.  A generator table asks it once, at
+    its last node: where it holds there every node's K4 comes from one
+    closed-form grid call, else every node's from :func:`K4_influence`.  A
+    time off the table is a one-node table and asks it at that time.  The
+    route check finds the route of a K4 by the same split and sets the
+    other route's partner against it.
+
+    Fitted per call on one BLAS thread (Intel Xeon) on discretized spectral
+    densities for d = 2, 3, 4, 2 to 30 modes and 8 to 64 Gauss points.  Per
+    run, a table to t_max plus the check at 0.5, 1 and 2 (d = 2, 5 to 30
+    modes, t_max 0.5 to 4; README, "cost rule"), it picked the cheaper
+    route in six of seven cases and one 4% slower at 11 modes and t_max = 2;
+    per off-table K4 and its check, its pick can be 1.6 to 2.1 times slower.
     """
     return k4_chain_count(bath) * model.dim**3 <= 12 * quad.points(t) ** 2
 
 
-def check_k4_routes(
-    model: SystemModel, bath: BathSpec, times, quad: QuadratureSpec, k4: np.ndarray,
-    grid: np.ndarray | None = None,
-) -> tuple[float, float] | list[tuple[float, float]]:
-    """A run's route check at each of ``times``: (relative difference,
-    threshold) by the route rule, with trip 10x the quadrature tolerance:
-    neither pair below carries quadrature error between its routes.
+def check_k4_routes(model: SystemModel, bath: BathSpec, gen: Generator, times,
+                    quad: QuadratureSpec) -> list[tuple[float, float, float]]:
+    """A run's route check of the K4 of ``gen`` at each of ``times``: rows (t,
+    relative difference, threshold) by the route rule, with trip 10x the
+    quadrature tolerance: neither pair below carries quadrature error
+    between its routes.
 
-    ``k4`` is the generator's K4 at each time, stacked, and ``grid`` its
-    table's nodes (:attr:`Generator.grid`, which every interpolation mode
-    has).  The check takes the partner of the route that K4(t) came from: on
-    a node of the grid, the route the cost rule (:func:`_k4_exact_is_cheaper`)
-    chose for the whole table at its last node; anywhere else, the route it
-    chose at t.  Against :func:`K4_exact` (J4' - K2 J) it sets the kernel table in closed form, for all such
-    times from one :func:`tclgen.exact.K4_table_exact_times` call; that
-    shares two pairing chains, so this tests the third pairing minus K2 J
-    against the Bohr-split interleaved chains.  Against
-    :func:`K4_influence`, :func:`K_n_cumulant` on the same grid, one time at
-    a time.  A single time (a float, with ``k4`` one matrix) returns one
-    pair, a sequence a list of them.
+    Each K4(t) comes from the generator's coefficients, and the check takes
+    the partner of the route it came from, by the policy of
+    :func:`_k4_exact_is_cheaper`, with ``gen.grid`` as the table's nodes (a
+    generator without a grid has none).
+    Against :func:`K4_exact` (J4' - K2 J) it sets the kernel table in closed
+    form, for all such times from one
+    :func:`tclgen.exact.K4_table_exact_times` call; that shares two pairing
+    chains, so this tests the third pairing minus K2 J against the
+    Bohr-split interleaved chains.  Against :func:`K4_influence`,
+    :func:`K_n_cumulant` on the same grid, one time at a time.
     """
-    one = np.ndim(times) == 0
-    times = [float(t) for t in np.reshape(times, -1)]
-    k4 = np.reshape(k4, (len(times),) + np.shape(k4)[-2:])
-    exact = [_k4_exact_is_cheaper(model, bath, quad,
-                                  grid[-1] if grid is not None and t in grid else t)
+    times = [float(t) for t in times]
+    k4 = [gen.coefficients(t).k4 for t in times]
+    grid = () if gen.grid is None else gen.grid
+    exact = [_k4_exact_is_cheaper(model, bath, quad, grid[-1] if t in grid else t)
              for t in times]
-    other = np.empty_like(k4)
-    if any(exact):
-        other[exact] = K4_table_exact_times(model, bath, np.compress(exact, times))
-    for i, t in enumerate(times):
-        if not exact[i]:
-            other[i] = K_n_cumulant(model, bath, t, 4, quad).matrix
-    checks = [_route_agreement(model, bath, t, a, b, 10.0 * quad.tolerance)
-              for t, a, b in zip(times, other, k4)]
-    return checks[0] if one else checks
+    table = iter(K4_table_exact_times(model, bath, np.compress(exact, times))
+                 if any(exact) else ())
+    others = [next(table) if closed else K_n_cumulant(model, bath, t, 4, quad).matrix
+              for t, closed in zip(times, exact)]
+    return [(t, *_route_agreement(model, bath, t, other, mine, 10.0 * quad.tolerance))
+            for t, other, mine in zip(times, others, k4)]
 
 
 class Coefficients(NamedTuple):
@@ -478,11 +477,15 @@ class Generator:
     def values(self, ts) -> np.ndarray:
         """The fully scaled generator at every time of the 1-d ``ts``, stacked
         (T, d^2, d^2) from one ``searchsorted`` over the table: every stepper
-        reads K(t) here.  A time outside a linear or cubic table, NaN too,
-        raises ValueError."""
+        reads K(t) here.  No time gives (0, d^2, d^2); ``ts`` of another
+        shape, or a time outside a linear or cubic table, NaN too, raises
+        ValueError."""
         ts = np.asarray(ts, dtype=float)
+        if ts.ndim != 1:
+            raise ValueError(f"times must be a 1-d array, got shape {ts.shape}")
         if self.grid is None or self.interp == "direct":
-            return np.stack([self._scaled(t) for t in ts.tolist()])
+            scaled = [self._scaled(t) for t in ts.tolist()]
+            return np.stack(scaled) if scaled else np.empty((0, self.dim**2, self.dim**2), complex)
         outside = ~((ts >= self.grid[0]) & (ts <= self.grid[-1]))
         if outside.any():
             raise ValueError(f"time {ts[outside][0]} outside cached range [0, {self.grid[-1]}]")
@@ -522,15 +525,15 @@ def build_generator(
     nodes_per_unit_time) + 1)`` uniform nodes and one memo of the unscaled
     coefficients, filled alike, so each K2(t) and K4(t) is computed at most
     once per time, whatever the coupling, with the same bits in every mode.
-    K2 always comes from the closed form.  K4 takes one route per table:
-    every node's K2 comes from one :func:`K2_exact_grid` call at build and,
-    where :func:`_k4_exact_is_cheaper` at ``t_max``, every node's K4 from one
-    :func:`K4_exact_grid` evaluation, which takes its K2 J term from that K2;
-    else from :func:`K4_influence` on ``quad`` when first asked for, at every
-    node by a linear or cubic table (the two agree to about 1e-12 relative
-    at the default quadrature).  Times off the grid are one-node tables:
-    :func:`K2_exact`, and K4 by the rule at that time.  ``order``, ``interp``
-    and ``t_max`` are checked before any coefficient is computed.
+    K2 always comes from the closed form: every node's from one
+    :func:`K2_exact_grid` call at build, a time off the grid's from
+    :func:`K2_exact`.  K4 takes the route of :func:`_k4_exact_is_cheaper`,
+    whose docstring holds the policy: on the grid, every node's K4 from one
+    :func:`K4_exact_grid` evaluation, which takes its K2 J term from that
+    K2, or from :func:`K4_influence` on ``quad`` when first asked for, at
+    every node by a linear or cubic table (the two agree to about 1e-12
+    relative at the default quadrature).  ``order``, ``interp`` and
+    ``t_max`` are checked before any coefficient is computed.
     """
     _check_order_and_interp(order, interp)
     if not (math.isfinite(t_max) and t_max > 0):

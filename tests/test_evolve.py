@@ -1,6 +1,7 @@
 """Propagation, conservation monitors, stepper order, invertibility diagnostics."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -248,6 +249,17 @@ def test_batched_values_refuse_a_time_outside_the_table(interp):
         with pytest.raises(ValueError) as batch:
             gen.values([0.5, bad, 3.0])
         assert str(batch.value) == str(one.value)
+
+
+@pytest.mark.parametrize("interp", ["linear", "cubic", "direct"])
+def test_batched_values_take_one_dimensional_times(interp):
+    # no time gives an empty stack in every mode; any other shape is refused
+    gen = _table(interp)
+    empty = gen.values([])
+    assert empty.shape == (0, 4, 4) and empty.dtype == complex
+    for ts in (0.5, [[0.5], [1.0]]):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(ts)}")):
+            gen.values(ts)
 
 
 @pytest.mark.parametrize("interp", ["linear", "cubic"])

@@ -42,6 +42,8 @@ from tclgen.exact import (
 from tclgen.models import get_preset
 from tclgen.quadrature import QuadratureSpec
 from tclgen.tcl import (
+    Coefficients,
+    Generator,
     K2_influence,
     K4_influence,
     _k4_exact_is_cheaper,
@@ -165,9 +167,9 @@ def test_block_exponential_counts(monkeypatch, modes):
     bohr_parts = tclgen.exact._bohr_parts(model)[0].size
     original, counts = tclgen.exact._chain_sum, {}
 
-    def counting(h, steps, g, shifts, blocks, *weights):
-        counts[len(blocks) + 1] = counts.get(len(blocks) + 1, 0) + len(shifts[0])
-        return original(h, steps, g, shifts, blocks, *weights)
+    def counting(h, steps, g, shifts, table, slots, *weights):
+        counts[len(slots) + 1] = counts.get(len(slots) + 1, 0) + len(slots[0])
+        return original(h, steps, g, shifts, table, slots, *weights)
 
     monkeypatch.setattr(tclgen.exact, "_chain_sum", counting)
     labels = 2 * modes
@@ -324,7 +326,11 @@ def test_round_off_floor_decides_only_where_k4_vanishes(instance, t):
     model, bath = instance
     quad = QuadratureSpec()
     k4 = K4_exact(model, bath, t).matrix
-    rel_diff, threshold = check_k4_routes(model, bath, t, quad, k4)
+    # a direct generator with no nodes, so the check takes the per-time rule
+    k2 = K2_exact(model, bath, t).matrix
+    gen = Generator(4, model.alpha, model.dim, lambda s: Coefficients(k2, k4), np.empty(0),
+                    "direct")
+    ((_, rel_diff, threshold),) = check_k4_routes(model, bath, gen, [t], quad)
     assert rel_diff / threshold <= 0.1
     trip = 10.0 * quad.tolerance
     if np.linalg.norm(k4) > 1e-6:
@@ -352,8 +358,7 @@ def test_one_k4_route_per_generator_table(instance, t_max):
     first = above[0] if above else steps + 1
     for s in {max(first - 1, 1), min(first, steps)}:
         t = gen.grid[s]
-        rel_diff, threshold = check_k4_routes(model, bath, t, quad, gen.coefficients(t).k4,
-                                              gen.grid)
+        ((_, rel_diff, threshold),) = check_k4_routes(model, bath, gen, [t], quad)
         assert rel_diff / threshold <= 0.1
 
 
@@ -458,9 +463,9 @@ def test_each_closed_form_quantity_is_one_chain_call(monkeypatch):
     model, bath = _random_instance(np.random.default_rng(3), 2)
     original, sizes = tclgen.exact._chain_sum, []
 
-    def recording(h, steps, g, shifts, blocks, *weights):
-        sizes.append(len(blocks) + 1)
-        return original(h, steps, g, shifts, blocks, *weights)
+    def recording(h, steps, g, shifts, table, slots, *weights):
+        sizes.append(len(slots) + 1)
+        return original(h, steps, g, shifts, table, slots, *weights)
 
     monkeypatch.setattr(tclgen.exact, "_chain_sum", recording)
     _k4_exact_grid(model, bath, 2.0, 32, K2_exact_grid(model, bath, 2.0, 32))

@@ -365,8 +365,8 @@ def test_grid_k4_passes_the_run_route_check_where_k4_vanishes():
     preset = get_preset("dephasing-single-mode")
     quad = QuadratureSpec()
     gen = build_generator(preset.model, preset.bath, 4, quad, 16.0)
-    for t in (4.0, 8.0, 12.0, 16.0):
-        rel, trip = check_k4_routes(preset.model, preset.bath, t, quad, gen.coefficients(t).k4)
+    for t, rel, trip in check_k4_routes(preset.model, preset.bath, gen, (4.0, 8.0, 12.0, 16.0),
+                                        quad):
         assert rel < trip
 
 
